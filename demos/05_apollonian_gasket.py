@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """From three curvatures to a rendered Apollonian gasket.
 
-Circle centers come from the embedding module (trilateration against the
-tangent triple); curvatures come from Vieta reflection, which keeps integer
-seeds integer forever.  The SVG output is byte-deterministic.
+Curvatures come from Vieta reflection, which keeps integer seeds integer
+forever; centers come from the same reflection applied to curvature times
+center (the complex Descartes theorem).  The SVG output is byte-deterministic.
 """
 
 from collections import Counter

@@ -128,7 +128,6 @@ def append_point(
     existing: EmbeddedPoints,
     sq_dists: Sequence[float],
     tol: float = DEFAULT_TOL,
-    prefer_away_from: np.ndarray | None = None,
 ) -> np.ndarray:
     """Locate one new point from its squared distances to the existing ones.
 
@@ -136,9 +135,7 @@ def append_point(
     A full-rank system pins the point; rank dim-1 leaves a single reflection,
     resolved deterministically toward the larger final coordinate (the
     nonnegative choice once the existing points are orientation-normalized).
-    When ``prefer_away_from`` is given, the reflection is resolved toward the
-    candidate farther from that point instead (gasket expansion uses this to
-    step away from the circle being reflected).  Anything looser raises
+    Anything looser raises
     :class:`AmbiguousSolutionError`; distances that cannot be met raise
     :class:`NoSolutionError`.
     """
@@ -176,11 +173,7 @@ def append_point(
             raise NoSolutionError("distances are mutually inconsistent")
         root = np.sqrt(max(disc, 0.0))
         cand = [p0 + (-half_b + root) * null_dir, p0 + (-half_b - root) * null_dir]
-        if prefer_away_from is not None:
-            ref = np.asarray(prefer_away_from, dtype=float)
-            p = max(cand, key=lambda v: (((v - ref) ** 2).sum(), v[-1]))
-        else:
-            p = max(cand, key=lambda v: v[-1])
+        p = max(cand, key=lambda v: v[-1])
     else:
         raise AmbiguousSolutionError(
             f"anchors determine only {rank} of {dim} coordinates"

@@ -1,31 +1,24 @@
 """Apollonian circle packings grown from a seed triple of curvatures.
 
-Expansion never re-solves the quadratic: each new circle is the second root
-shared with an existing quadruple (partner = 2*(sum of the other three) - k),
-so no square root is taken and integer seeds keep integer curvatures.
-Centers come from trilateration against the parent triple.  The finished
-gasket is canonically ordered by (depth, curvature, center), which makes
-generation a pure function of (seed, max_depth) and the SVG output
-byte-reproducible.
+Each circle carries its curvature k and w = k*z, with z its center as a
+complex number.  By the complex Descartes theorem (Lagarias-Mallows-Wilks)
+the other circle tangent to three members of a quadruple has
+k' = 2*(k_a + k_b + k_c) - k and w' = 2*(w_a + w_b + w_c) - w, so expansion
+takes no square root and integer seeds keep integer curvatures.  Every new
+circle is checked to touch its three parents and every quadruple is audited
+against the tangency residual.  The gasket is canonically ordered by (depth,
+curvature, center): generation is a pure function of (seed, max_depth) and
+the SVG output is byte-reproducible.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections import deque
 from dataclasses import dataclass
 
-import numpy as np
-
-from .embedding import EmbeddedPoints, append_point
-from .errors import (
-    AmbiguousSolutionError,
-    GeometryError,
-    NoRealSolutionError,
-    NoSolutionError,
-    SeedError,
-    ValidationError,
-)
+from .errors import GeometryError, NoRealSolutionError, NonFiniteError, SeedError, ValidationError
 from .numeric import as_float
 from .tangency import Curvatures, solve_missing_curvature, vieta_partner
 
@@ -97,44 +90,38 @@ class _Builder:
 
     def __init__(self, seed: tuple[float, float, float]):
         self.seed = seed
-        self.centers: list[np.ndarray] = []
+        self.ws: list[complex] = []
+        self.centers: list[complex] = []
         self.radii: list[float] = []
         self.curvatures: list[float] = []
         self.depths: list[int] = []
         self.parents: list[tuple[int, ...]] = []
-        self._grid: dict[tuple[int, int], list[int]] = {}
-        radii = [1.0 / k for k in seed]
-        self._cell = max(1e-9 * max(abs(r) for r in radii), 1e-300)
 
-    def _key(self, center: np.ndarray) -> tuple[int, int]:
-        return (math.floor(center[0] / self._cell), math.floor(center[1] / self._cell))
-
-    def find_duplicate(self, center: np.ndarray, curvature: float) -> int | None:
-        kx, ky = self._key(center)
-        for ix in (kx - 1, kx, kx + 1):
-            for iy in (ky - 1, ky, ky + 1):
-                for idx in self._grid.get((ix, iy), ()):
-                    if abs(self.curvatures[idx] - curvature) <= 1e-9 * abs(curvature) and (
-                        np.hypot(*(self.centers[idx] - center)) <= self._cell
-                    ):
-                        return idx
-        return None
+    def misfit(self, w: complex, curvature: float, touching: tuple[int, ...]) -> float:
+        """Worst error of the squared distances from center w/k to the circles
+        ``touching`` against their tangency values, relative to the largest."""
+        center, radius = w / curvature, 1.0 / curvature
+        want = [(radius + self.radii[i]) ** 2 for i in touching]
+        got = [abs(center - self.centers[i]) ** 2 for i in touching]
+        return max(abs(g - t) for g, t in zip(got, want)) / max(want)
 
     def add(
-        self,
-        center: np.ndarray,
-        curvature: float,
-        depth: int,
-        parents: tuple[int, ...],
+        self, w: complex, curvature: float, depth: int, parents: tuple[int, ...], touching=None
     ) -> int:
-        idx = len(self.centers)
-        self.centers.append(np.asarray(center, dtype=float))
+        """Append the circle (k, w), checked to touch ``touching`` (default: its parents)."""
+        touching = parents if touching is None else touching
+        if touching and (err := self.misfit(w, curvature, touching)) > _AUDIT_TOL:
+            raise GeometryError(
+                f"circle placement failed: curvature {curvature:.6g} at depth {depth} "
+                f"misses circles {touching} by {err:.3e}"
+            )
+        self.ws.append(w)
+        self.centers.append(w / curvature)
         self.radii.append(1.0 / curvature)
         self.curvatures.append(curvature)
         self.depths.append(depth)
         self.parents.append(parents)
-        self._grid.setdefault(self._key(center), []).append(idx)
-        return idx
+        return len(self.ws) - 1
 
     def audit_residual(self, quad: tuple[int, int, int, int]) -> None:
         ks = [self.curvatures[i] for i in quad]
@@ -144,31 +131,21 @@ class _Builder:
         if abs(res) > _AUDIT_TOL * scale:
             raise GeometryError(f"tangency residual {res:.3e} failed the audit")
 
-    def trilaterate(
-        self, anchors: tuple[int, ...], radius: float, away_from: int | None
-    ) -> np.ndarray:
-        pts = EmbeddedPoints(np.array([self.centers[i] for i in anchors]))
-        sq = [(radius + self.radii[i]) ** 2 for i in anchors]
-        ref = self.centers[away_from] if away_from is not None else None
-        try:
-            return append_point(pts, sq, prefer_away_from=ref)
-        except (NoSolutionError, AmbiguousSolutionError) as exc:
-            raise GeometryError(f"circle placement failed: {exc}") from exc
-
     def freeze(self, max_depth: int) -> Gasket:
         order = sorted(
             range(len(self.centers)),
             key=lambda i: (
                 self.depths[i],
                 self.curvatures[i],
-                self.centers[i][0],
-                self.centers[i][1],
+                self.centers[i].real,
+                self.centers[i].imag,
             ),
         )
         remap = {old: new for new, old in enumerate(order)}
         circles = tuple(
             Circle(
-                center=(float(self.centers[i][0]), float(self.centers[i][1])),
+                # + 0.0 keeps negative zeros out of the output
+                center=(self.centers[i].real + 0.0, self.centers[i].imag + 0.0),
                 radius=self.radii[i],
                 curvature=self.curvatures[i],
                 depth=self.depths[i],
@@ -182,19 +159,37 @@ class _Builder:
 def _build_initial(seed: tuple[float, float, float]) -> tuple[_Builder, tuple[int, int, int, int]]:
     ks = _validate_seed(seed)
     try:
-        k3 = solve_missing_curvature(list(ks), 2)[0]
+        k3, k3_other = solve_missing_curvature(list(ks), 2)
     except NoRealSolutionError as exc:
         raise SeedError(
             f"seed curvatures admit no tangent circle: {exc}", exit_code=2
         ) from exc
+    k0, k1, k2 = ks
+    r0, r1, r2 = (1.0 / k for k in ks)
+    d01, d02, d12 = abs(r0 + r1), abs(r0 + r2), abs(r1 + r2)
+    if d01 == 0.0:
+        raise GeometryError("circle placement failed: seed circles 0 and 1 are concentric")
+    # Law of cosines for x.  By Heron the triangle of centers has area
+    # sqrt(k0*k1 + k1*k2 + k2*k0) / |k0*k1*k2|, and k3 - k3_other is four
+    # times that square root, so y is 0 exactly when the roots coincide.
+    x2 = (d01 * d01 + d02 * d02 - d12 * d12) / (2.0 * d01)
+    y2 = (k3 - k3_other) / abs(2.0 * k2) / abs(k0 + k1)
+    if not (math.isfinite(x2) and math.isfinite(y2)):
+        raise NonFiniteError("seed curvatures are too large or too small to place in floats")
     b = _Builder(ks)
-    r = [1.0 / k for k in ks]
-    b.add(np.zeros(2), ks[0], 0, ())
-    b.add(np.array([abs(r[0] + r[1]), 0.0]), ks[1], 0, ())
-    c2 = b.trilaterate((0, 1), r[2], away_from=None)
-    b.add(c2, ks[2], 0, ())
-    c3 = b.trilaterate((0, 1, 2), 1.0 / k3, away_from=None)
-    b.add(c3, k3, 0, (0, 1, 2))
+    b.add(0j, k0, 0, ())
+    b.add(complex(k1 * d01), k1, 0, (), touching=(0,))
+    b.add(k2 * complex(x2, y2), k2, 0, (), touching=(0, 1))
+    # Complex Descartes: w3 = sum(w) +- 2*sqrt(w0*w1 + w1*w2 + w2*w0).  One
+    # root is the circle of curvature k3, the other the second Soddy circle;
+    # for a double root both touch the seed and the larger y wins.
+    w0, w1, w2 = b.ws
+    root = 2.0 * cmath.sqrt(w0 * w1 + w1 * w2 + w2 * w0)
+    w3 = min(
+        (w0 + w1 + w2 + root, w0 + w1 + w2 - root),
+        key=lambda w: (b.misfit(w, k3, (0, 1, 2)) > _AUDIT_TOL, -(w / k3).imag),
+    )
+    b.add(w3, k3, 0, (0, 1, 2))
     b.audit_residual((0, 1, 2, 3))
     return b, (0, 1, 2, 3)
 
@@ -210,8 +205,10 @@ def generate(seed, max_depth: int) -> Gasket:
     """Breadth-first Apollonian expansion to the given depth.
 
     Each quadruple spawns the reflection partner of every member except the
-    one it was itself created by; duplicates are removed by a center/curvature
-    proximity check and every emitted quadruple is residual-audited.
+    one it was itself created by, reflecting curvature and curvature-center
+    alike.  The Apollonian tree has no repeats, so nothing is deduplicated;
+    every new circle is checked against its three parents and every emitted
+    quadruple is residual-audited.
     """
     if not 0 <= max_depth <= MAX_DEPTH:
         raise ValidationError(f"max_depth must be between 0 and {MAX_DEPTH}")
@@ -225,6 +222,7 @@ def generate(seed, max_depth: int) -> Gasket:
         kq = Curvatures(
             values=tuple(b.curvatures[i] for i in quad), n=2, mode="float"
         )
+        w_sum = sum(b.ws[i] for i in quad)
         for pos in range(4):
             if pos == skip:
                 continue
@@ -232,10 +230,8 @@ def generate(seed, max_depth: int) -> Gasket:
             k_new = vieta_partner(kq, pos)
             if abs(k_new) < 1e-12 * max(abs(v) for v in kq.values):
                 raise GeometryError("expansion produced a zero-curvature circle")
-            center = b.trilaterate(triple, 1.0 / k_new, away_from=quad[pos])
-            if b.find_duplicate(center, k_new) is not None:
-                continue
-            idx = b.add(center, k_new, depth, triple)
+            w_pos = b.ws[quad[pos]]
+            idx = b.add(2.0 * (w_sum - w_pos) - w_pos, k_new, depth, triple)
             b.audit_residual((*triple, idx))
             queue.append(((*triple, idx), 3, depth + 1))
     return b.freeze(max_depth)

@@ -17,6 +17,7 @@ are the unit for building distances.  Conversions are explicit.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -143,8 +144,9 @@ def solve_missing_curvature(known: Sequence, n: int) -> tuple[Scalar, Scalar]:
     missing curvature; the roots are (S +- sqrt(n(S^2 - (n-1)Q))) / (n-1).
     Exact mode returns roots only when the discriminant is a perfect rational
     square and raises :class:`FloatModeRequiredError` otherwise -- it never
-    degrades silently.  n = 1 collapses to a linear equation with a single
-    root, returned twice.
+    degrades silently.  Float mode takes a discriminant within roundoff of
+    zero, of either sign, as a double root.  n = 1 collapses to a linear
+    equation with a single root, returned twice.
     """
     if n < 1:
         raise DimensionError("sphere dimension n must be >= 1")
@@ -168,6 +170,11 @@ def solve_missing_curvature(known: Sequence, n: int) -> tuple[Scalar, Scalar]:
         hi = (s + root_disc) / (n - 1)
         lo = (s - root_disc) / (n - 1)
     else:
+        # Within a few ulps of S^2 the sign of the discriminant is roundoff:
+        # treat it as a double root rather than fail, or take a square root
+        # of noise that moves both roots by ~1e-8.
+        if abs(disc) <= 8 * n * sys.float_info.epsilon * s * s:
+            disc = 0.0
         if disc < 0:
             raise NoRealSolutionError(f"negative discriminant {disc}")
         root_disc = math.sqrt(disc)

@@ -91,6 +91,14 @@ class TestSolve:
         assert code == 2
         assert json.loads(out)["error"]["kind"] == "no-real-solution"
 
+    def test_float_mode_roundoff_double_root(self, call):
+        code, out, _ = call(
+            ["solve", "--n", "2", "--curvatures=-0.2,0.3,0.6", "--mode", "float"]
+        )
+        assert code == 0
+        hi, lo = json.loads(out)["result"]["roots"]
+        assert hi == lo == pytest.approx(0.7, rel=1e-15)
+
 
 class TestVerifyProof:
     def test_random_suite_passes(self, call):
@@ -222,6 +230,13 @@ class TestGasket:
         assert code == 0
         payload = json.loads(out)["result"]
         assert len(payload["circles"]) == 4
+
+    def test_collinear_seed_in_any_order(self, call):
+        code, out, _ = call(["gasket", "--seed=-2,3,6", "--depth", "0"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["ok"] is True
+        assert len(payload["result"]["circles"]) == 4
 
     def test_zero_curvature_seed_exit_1(self, call):
         code, out, _ = call(["gasket", "--seed", "1,1,0", "--depth", "1"])

@@ -142,12 +142,6 @@ class TestAppendPoint:
         p = append_point(two, [4.0, 4.0])
         assert p[1] > 0
 
-    def test_prefer_away_from_picks_mirror(self):
-        two = EmbeddedPoints(np.array([[0.0, 0.0], [2.0, 0.0]]))
-        up = append_point(two, [4.0, 4.0])
-        down = append_point(two, [4.0, 4.0], prefer_away_from=up)
-        assert np.allclose(down, up * np.array([1.0, -1.0]))
-
     def test_underdetermined(self):
         two = EmbeddedPoints(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
         with pytest.raises(AmbiguousSolutionError):

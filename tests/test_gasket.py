@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from pathlib import Path
 
 import pytest
 
-from soddy.errors import SeedError, ValidationError
+from soddy.errors import GeometryError, NonFiniteError, SeedError, ValidationError
 from soddy.gasket import (
     Gasket,
     SvgOptions,
@@ -18,6 +19,10 @@ from soddy.gasket import (
 )
 
 GOLDEN = Path(__file__).parent / "golden"
+
+# Integer seeds of root quadruples; (-1,2,2), (-2,3,6) and (-6,10,15) are collinear.
+ROOT_TRIPLES = ((-1, 2, 2), (-2, 3, 6), (-3, 5, 8), (-4, 8, 9), (-6, 10, 15))
+SEED_ORDERS = sorted({p for t in ROOT_TRIPLES for p in itertools.permutations(t)})
 
 
 def tangency_error(g: Gasket) -> float:
@@ -85,6 +90,19 @@ class TestInitialConfiguration:
     def test_wrong_count_rejected(self):
         with pytest.raises(SeedError):
             initial_configuration([1, 1])
+
+    @pytest.mark.parametrize(
+        "seed, error",
+        [
+            ([1e300] * 3, NonFiniteError),  # S^2 overflows
+            ([1e160] * 3, NonFiniteError),
+            ([1e-300] * 3, NonFiniteError),  # squared distances overflow
+            ([-1, 1, 1e9], GeometryError),  # circles 0 and 1 concentric
+        ],
+    )
+    def test_unplaceable_seed_raises(self, seed, error):
+        with pytest.raises(error):
+            initial_configuration(seed)
 
     def test_fourth_circle_has_parents(self):
         g = initial_configuration([-1, 2, 2])
@@ -169,6 +187,36 @@ class TestGenerate:
         assert tangency_error(g) <= 1e-9
         for res, k2max in quadruple_residuals(g):
             assert abs(res) <= 1e-9 * k2max
+
+    @pytest.mark.parametrize("scale", [1e-2, 1e-1, 1.0, 1e1, 1e2])
+    @pytest.mark.parametrize("order", SEED_ORDERS, ids=lambda o: ",".join(map(str, o)))
+    def test_every_seed_order_and_scale(self, order, scale):
+        g = generate([k * scale for k in order], 3)
+        assert len(g.circles) == 56
+        assert tangency_error(g) <= 1e-9
+
+    def test_depth8_fractional_seed(self):
+        assert len(generate([2, 3, 6], 8).circles) == 13124
+
+    def test_no_duplicate_circles(self):
+        by_curvature = sorted(generate([-1, 2, 2], 6).circles, key=lambda c: c.curvature)
+        for i, a in enumerate(by_curvature):
+            for b in by_curvature[i + 1 :]:
+                if b.curvature - a.curvature > 1e-9 * abs(a.curvature):
+                    break
+                gap = math.hypot(a.center[0] - b.center[0], a.center[1] - b.center[1])
+                assert gap > 1e-9
+
+    def test_equal_x_ties_ascend_in_y(self):
+        g = generate([-1, 2, 2], 5)
+        ties = [
+            (a, b)
+            for a, b in zip(g.circles, g.circles[1:])
+            if (a.depth, a.curvature) == (b.depth, b.curvature)
+            and abs(a.center[0] - b.center[0]) <= 1e-12
+        ]
+        assert ties
+        assert all(a.center[1] < b.center[1] for a, b in ties)
 
 
 class TestRenderSvg:

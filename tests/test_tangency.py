@@ -208,6 +208,24 @@ class TestSolveMissingCurvature:
         with pytest.raises(NoRealSolutionError):
             solve_missing_curvature([1.0, 1.0, -1.0], 2)
 
+    @pytest.mark.parametrize(
+        "known",
+        [
+            [-0.2, 0.3, 0.6],  # discriminant -1.1e-16
+            [-0.2, 0.30000000000000004, 0.6000000000000001],  # +1.4e-17
+        ],
+    )
+    def test_float_roundoff_discriminant_is_double_root(self, known):
+        hi, lo = solve_missing_curvature(known, 2)
+        assert hi == lo == sum(known)
+
+    def test_exact_tiny_discriminant_keeps_distinct_roots(self):
+        # (-m, m+1, m^2+m+1) has k0k1 + k1k2 + k2k0 = 1: roots S +- 2
+        m = 10**4
+        known = [F(-m), F(m + 1), F(m * m + m + 1)]
+        s = sum(known)
+        assert solve_missing_curvature(known, 2) == (s + 2, s - 2)
+
     def test_exact_negative_discriminant(self):
         with pytest.raises(NoRealSolutionError):
             solve_missing_curvature([F(1), 1, -1], 2)
