@@ -61,13 +61,6 @@ class SquaredDistanceMatrix:
     def max_entry(self) -> Scalar:
         return max(v for row in self.entries for v in row)
 
-    def permuted(self, order: Sequence[int]) -> "SquaredDistanceMatrix":
-        """Relabel points by ``order`` (a permutation of range(m))."""
-        if sorted(order) != list(range(self.m)):
-            raise ValidationError("not a permutation of the point labels")
-        rows = [[self.entries[i][j] for j in order] for i in order]
-        return SquaredDistanceMatrix.from_entries(rows, self.mode)
-
 
 @dataclass(frozen=True)
 class VolumeSquared:

@@ -57,15 +57,6 @@ class EmbeddedPoints:
         diff = self.coords[:, None, :] - self.coords[None, :, :]
         return (diff**2).sum(axis=2)
 
-    def squared_distance_matrix(self) -> SquaredDistanceMatrix:
-        m = self.m
-        rows = [[0.0] * m for _ in range(m)]
-        for i in range(m):
-            for j in range(i + 1, m):
-                d2 = float(((self.coords[i] - self.coords[j]) ** 2).sum())
-                rows[i][j] = rows[j][i] = d2
-        return SquaredDistanceMatrix.from_entries(rows, "float")
-
 
 def _orient(x: np.ndarray) -> np.ndarray:
     """Rotate/reflect so the coordinates are canonical (lower-triangular form)."""

@@ -2,7 +2,7 @@
 
 Each error carries a stable machine-readable ``kind`` string (used verbatim
 in CLI JSON output) and an ``exit_code``: 1 for input/validation problems,
-2 for computational failures (no real root, rank mismatch, singular system).
+2 for computational failures (no real root, rank mismatch, failed placement).
 """
 
 from __future__ import annotations
@@ -43,12 +43,6 @@ class ModeMismatchError(ValidationError):
     """Exact and float scalars mixed inside one computation."""
 
     kind = "mode-mismatch"
-
-
-class SingularMatrixError(SoddyError):
-    """Linear solve hit a zero (exact) or below-threshold (float) pivot."""
-
-    kind = "singular"
 
 
 class NoRealSolutionError(SoddyError):

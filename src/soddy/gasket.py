@@ -25,6 +25,7 @@ from .tangency import Curvatures, solve_missing_curvature, vieta_partner
 #: Hard output-size guard on the expansion depth.
 MAX_DEPTH = 12
 
+#: Checks compare as ``not err <= _AUDIT_TOL`` so that a NaN error fails them.
 _AUDIT_TOL = 1e-9
 
 
@@ -110,7 +111,7 @@ class _Builder:
     ) -> int:
         """Append the circle (k, w), checked to touch ``touching`` (default: its parents)."""
         touching = parents if touching is None else touching
-        if touching and (err := self.misfit(w, curvature, touching)) > _AUDIT_TOL:
+        if touching and not (err := self.misfit(w, curvature, touching)) <= _AUDIT_TOL:
             raise GeometryError(
                 f"circle placement failed: curvature {curvature:.6g} at depth {depth} "
                 f"misses circles {touching} by {err:.3e}"
@@ -128,7 +129,7 @@ class _Builder:
         s = sum(ks)
         res = s * s - 2.0 * sum(k * k for k in ks)
         scale = max(k * k for k in ks)
-        if abs(res) > _AUDIT_TOL * scale:
+        if not abs(res) <= _AUDIT_TOL * scale:
             raise GeometryError(f"tangency residual {res:.3e} failed the audit")
 
     def freeze(self, max_depth: int) -> Gasket:
@@ -187,7 +188,7 @@ def _build_initial(seed: tuple[float, float, float]) -> tuple[_Builder, tuple[in
     root = 2.0 * cmath.sqrt(w0 * w1 + w1 * w2 + w2 * w0)
     w3 = min(
         (w0 + w1 + w2 + root, w0 + w1 + w2 - root),
-        key=lambda w: (b.misfit(w, k3, (0, 1, 2)) > _AUDIT_TOL, -(w / k3).imag),
+        key=lambda w: (not b.misfit(w, k3, (0, 1, 2)) <= _AUDIT_TOL, -(w / k3).imag),
     )
     b.add(w3, k3, 0, (0, 1, 2))
     b.audit_residual((0, 1, 2, 3))

@@ -3,11 +3,14 @@
 Two computation modes, never mixed inside one object or operation:
 
 * ``"exact"`` -- entries are :class:`fractions.Fraction`; arithmetic is
-  closed and roundoff-free.  Determinants use fraction-free (Bareiss)
-  elimination, which keeps intermediate values as subdeterminants and in
-  particular returns an exact integer for integer input.
+  closed and roundoff-free.
 * ``"float"`` -- entries are finite 64-bit floats; NaN/inf is rejected at
-  construction.  Determinants and solves use partially pivoted elimination.
+  construction.
+
+Both modes share one determinant kernel: fraction-free (Bareiss) elimination
+on Python ints after clearing each row's denominators.  Exact mode returns
+the determinant as a Fraction; float mode returns the exact determinant of
+its (dyadic rational) entries rounded once to a float.
 
 Everything here is a pure function on immutable data.
 """
@@ -20,21 +23,12 @@ from fractions import Fraction
 from numbers import Integral, Rational
 from typing import Iterable, Sequence, Union
 
-from .errors import (
-    DimensionError,
-    ModeMismatchError,
-    NonFiniteError,
-    SingularMatrixError,
-    ValidationError,
-)
+from .errors import DimensionError, ModeMismatchError, NonFiniteError, ValidationError
 
 Scalar = Union[Fraction, float]
 
 EXACT = "exact"
 FLOAT = "float"
-
-#: Relative pivot threshold below which a float solve is declared singular.
-DEFAULT_PIVOT_TOL = 1e-12
 
 
 def as_exact(value) -> Fraction:
@@ -144,9 +138,6 @@ class Matrix:
     def row(self, i: int) -> tuple[Scalar, ...]:
         return self.data[i * self.cols : (i + 1) * self.cols]
 
-    def column(self, j: int) -> tuple[Scalar, ...]:
-        return self.data[j :: self.cols]
-
     def to_rows(self) -> list[list[Scalar]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
@@ -173,14 +164,6 @@ class Matrix:
                 out.append(acc)
         return Matrix(n, m, tuple(out), self.mode)
 
-    def mat_vec(self, v: Sequence[Scalar]) -> tuple[Scalar, ...]:
-        if len(v) != self.cols:
-            raise DimensionError("vector length does not match matrix columns")
-        return tuple(
-            sum(self.at(i, j) * v[j] for j in range(self.cols))
-            for i in range(self.rows)
-        )
-
     def scaled(self, factor: Scalar) -> "Matrix":
         factor = coerce(factor, self.mode)
         return Matrix(self.rows, self.cols, tuple(x * factor for x in self.data), self.mode)
@@ -193,137 +176,44 @@ def _require_square(m: Matrix) -> int:
 
 
 def determinant(m: Matrix) -> Scalar:
-    """Determinant of a square matrix.
+    """Determinant of a square matrix, exact in both modes.
 
-    Exact mode runs fraction-free (Bareiss) elimination: every intermediate
-    entry is a subdeterminant of the input, so integer matrices stay integer
-    throughout and denominators never blow up.  Float mode runs elimination
-    with partial pivoting.
+    Every entry, float or Fraction, is a ratio of integers, so each row is
+    scaled by the lcm of its denominators and the integer matrix goes through
+    fraction-free (Bareiss) elimination: every intermediate entry is a
+    subdeterminant of the input, each division is exact, and integer input
+    gives an integer result.  Float mode returns the exact determinant of
+    its entries rounded once, and raises :class:`NonFiniteError` when that
+    value overflows a float.
     """
     n = _require_square(m)
-    if m.mode == EXACT:
-        return _bareiss_determinant(m)
-    return _float_determinant(m)
-
-
-def _bareiss_determinant(m: Matrix) -> Fraction:
-    n = m.rows
-    a = [list(m.row(i)) for i in range(n)]
+    a = []
+    scale = 1
+    for i in range(n):
+        ratios = [v.as_integer_ratio() for v in m.row(i)]
+        lcm = math.lcm(*(q for _, q in ratios))
+        a.append([p * (lcm // q) for p, q in ratios])
+        scale *= lcm
     sign = 1
-    prev = Fraction(1)
+    prev = 1
     for k in range(n - 1):
         if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
+            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if swap is None:
+                sign = 0  # column k is zero from the diagonal down: singular
+                break
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
         pivot = a[k][k]
+        tail = a[k][k + 1 :]
         for i in range(k + 1, n):
             aik = a[i][k]
-            rowi = a[i]
-            rowk = a[k]
-            for j in range(k + 1, n):
-                rowi[j] = (rowi[j] * pivot - aik * rowk[j]) / prev
-            rowi[k] = Fraction(0)
+            a[i][k + 1 :] = [(x * pivot - aik * y) // prev for x, y in zip(a[i][k + 1 :], tail)]
         prev = pivot
-    return Fraction(sign) * a[n - 1][n - 1]
-
-
-def _float_determinant(m: Matrix) -> float:
-    n = m.rows
-    a = [list(map(float, m.row(i))) for i in range(n)]
-    det = 1.0
-    for k in range(n):
-        pivot_row = max(range(k, n), key=lambda i: abs(a[i][k]))
-        if a[pivot_row][k] == 0.0:
-            return 0.0
-        if pivot_row != k:
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            det = -det
-        pivot = a[k][k]
-        det *= pivot
-        for i in range(k + 1, n):
-            f = a[i][k] / pivot
-            if f == 0.0:
-                continue
-            for j in range(k + 1, n):
-                a[i][j] -= f * a[k][j]
-            a[i][k] = 0.0
-    return det
-
-
-def linear_solve(
-    a: Matrix, b: Sequence[Scalar], *, pivot_tol: float = DEFAULT_PIVOT_TOL
-) -> tuple[Scalar, ...]:
-    """Solve ``a @ x = b`` for x.
-
-    Exact mode eliminates with exact rationals and raises
-    :class:`SingularMatrixError` when a pivot column is identically zero.
-    Float mode uses partial pivoting and declares singularity when the best
-    available pivot falls below ``pivot_tol`` times the largest entry of
-    ``a`` (threshold overridable per call).
-    """
-    n = _require_square(a)
-    if len(b) != n:
-        raise DimensionError("right-hand side length does not match matrix")
-    rhs = coerce_vector(b, a.mode)
-    if a.mode == EXACT:
-        return _exact_solve(a, rhs)
-    return _float_solve(a, rhs, pivot_tol)
-
-
-def _exact_solve(a: Matrix, b: tuple[Scalar, ...]) -> tuple[Fraction, ...]:
-    n = a.rows
-    aug = [list(a.row(i)) + [b[i]] for i in range(n)]
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if aug[i][k] != 0), None)
-        if pivot_row is None:
-            raise SingularMatrixError("zero pivot column in exact elimination")
-        if pivot_row != k:
-            aug[k], aug[pivot_row] = aug[pivot_row], aug[k]
-        pivot = aug[k][k]
-        for i in range(k + 1, n):
-            f = aug[i][k] / pivot
-            if f == 0:
-                continue
-            for j in range(k, n + 1):
-                aug[i][j] -= f * aug[k][j]
-    x = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        acc = aug[i][n]
-        for j in range(i + 1, n):
-            acc -= aug[i][j] * x[j]
-        x[i] = acc / aug[i][i]
-    return tuple(x)
-
-
-def _float_solve(a: Matrix, b: tuple[Scalar, ...], pivot_tol: float) -> tuple[float, ...]:
-    n = a.rows
-    scale = max((abs(x) for x in a.data), default=0.0)
-    threshold = pivot_tol * max(scale, 1e-300)
-    aug = [list(map(float, a.row(i))) + [float(b[i])] for i in range(n)]
-    for k in range(n):
-        pivot_row = max(range(k, n), key=lambda i: abs(aug[i][k]))
-        if abs(aug[pivot_row][k]) < threshold:
-            raise SingularMatrixError(
-                f"pivot {abs(aug[pivot_row][k]):.3e} below {threshold:.3e}"
-            )
-        if pivot_row != k:
-            aug[k], aug[pivot_row] = aug[pivot_row], aug[k]
-        pivot = aug[k][k]
-        for i in range(k + 1, n):
-            f = aug[i][k] / pivot
-            if f == 0.0:
-                continue
-            for j in range(k, n + 1):
-                aug[i][j] -= f * aug[k][j]
-    x = [0.0] * n
-    for i in range(n - 1, -1, -1):
-        acc = aug[i][n]
-        for j in range(i + 1, n):
-            acc -= aug[i][j] * x[j]
-        x[i] = acc / aug[i][i]
-    return tuple(x)
+    det = Fraction(sign * a[n - 1][n - 1], scale)
+    if m.mode == EXACT:
+        return det
+    try:
+        return float(det)
+    except OverflowError:
+        raise NonFiniteError("determinant overflows a float; use exact mode") from None

@@ -204,7 +204,8 @@ def vieta_partner(k: Curvatures, index: int, tol: float = 1e-9) -> Scalar:
             )
     else:
         scale = max(1.0, max(v * v for v in k.values))
-        if abs(res) > tol * scale:
+        # written so that a NaN residual (overflowed squares) fails the check
+        if not abs(res) <= tol * scale:
             raise InconsistentConfigurationError(
                 f"tangency residual {res} exceeds tolerance {tol * scale}"
             )

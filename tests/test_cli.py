@@ -157,6 +157,13 @@ class TestCmDetAndVolume:
         assert code == 0
         assert json.loads(out)["result"]["value"] == pytest.approx(36.0)
 
+    @pytest.mark.parametrize("command", ["cm-det", "volume"])
+    def test_float_overflow_is_non_finite(self, call, command):
+        matrix = "[[0,1e200,1e200],[1e200,0,1e200],[1e200,1e200,0]]"
+        code, out, _ = call([command, "--mode", "float", "--matrix", matrix])
+        assert code == 1
+        assert json.loads(out)["error"]["kind"] == "non-finite"
+
     def test_asymmetric_matrix_rejected(self, call):
         code, out, _ = call(["cm-det", "--matrix", "[[0,1],[2,0]]"])
         assert code == 1

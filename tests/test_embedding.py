@@ -37,6 +37,10 @@ def d2_array(d: SquaredDistanceMatrix) -> np.ndarray:
     return np.array([[float(v) for v in row] for row in d.entries])
 
 
+def distances_of(pts: EmbeddedPoints) -> SquaredDistanceMatrix:
+    return SquaredDistanceMatrix.from_entries(pts.squared_distances().tolist(), "float")
+
+
 class TestRealizePoints:
     def test_flat_tangent_quadruple_in_plane(self):
         d = tangency_squared_distances(FLAT_RADII)
@@ -79,7 +83,7 @@ class TestRealizePoints:
             coords = np.array([[rng.uniform(-5, 5) for _ in range(dim)] for _ in range(m)])
             base = EmbeddedPoints(coords)
             d2 = base.squared_distances()
-            pts = realize_points(base.squared_distance_matrix(), dim)
+            pts = realize_points(distances_of(base), dim)
             assert np.abs(pts.squared_distances() - d2).max() <= 1e-9 * max(d2.max(), 1.0)
 
     def test_rigid_motion_invariance(self, rng):
@@ -87,8 +91,8 @@ class TestRealizePoints:
         theta = 0.7
         rot = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
         moved = coords @ rot.T + np.array([3.0, -2.0])
-        a = realize_points(EmbeddedPoints(coords).squared_distance_matrix(), 2)
-        b = realize_points(EmbeddedPoints(moved).squared_distance_matrix(), 2)
+        a = realize_points(distances_of(EmbeddedPoints(coords)), 2)
+        b = realize_points(distances_of(EmbeddedPoints(moved)), 2)
         assert np.abs(a.coords - b.coords).max() <= 1e-7
 
     def test_flatness_consistency(self, rng):

@@ -8,10 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from soddy.errors import GeometryError, NonFiniteError, SeedError, ValidationError
+from soddy.errors import GeometryError, NonFiniteError, SeedError, SoddyError, ValidationError
 from soddy.gasket import (
     Gasket,
     SvgOptions,
+    _build_initial,
     gasket_to_dict,
     generate,
     initial_configuration,
@@ -194,6 +195,19 @@ class TestGenerate:
         g = generate([k * scale for k in order], 3)
         assert len(g.circles) == 56
         assert tangency_error(g) <= 1e-9
+
+    def test_overflowing_curvatures_fail_the_audit(self):
+        # the seed places, but by depth 6 curvatures pass 1e156 and k^2 = inf
+        with pytest.raises(SoddyError):
+            generate([1e153] * 3, 6)
+
+    def test_nan_fails_placement_and_residual_checks(self):
+        b, quad = _build_initial((-1.0, 2.0, 2.0))
+        with pytest.raises(GeometryError):
+            b.add(complex(math.nan, 0.0), 15.0, 1, quad[1:])
+        b.curvatures.append(math.nan)
+        with pytest.raises(GeometryError):
+            b.audit_residual((0, 1, 2, len(b.curvatures) - 1))
 
     def test_depth8_fractional_seed(self):
         assert len(generate([2, 3, 6], 8).circles) == 13124

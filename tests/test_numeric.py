@@ -1,4 +1,4 @@
-"""Determinant and linear-solve kernel, both scalar modes."""
+"""Determinant kernel, both scalar modes."""
 
 from __future__ import annotations
 
@@ -9,13 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soddy.errors import (
-    DimensionError,
-    ModeMismatchError,
-    NonFiniteError,
-    SingularMatrixError,
-)
-from soddy.numeric import EXACT, FLOAT, Matrix, determinant, linear_solve
+from soddy.errors import DimensionError, ModeMismatchError, NonFiniteError
+from soddy.numeric import EXACT, FLOAT, Matrix, determinant
 
 from .conftest import rand_nonzero_fraction, shoelace_area_squared
 
@@ -130,65 +125,62 @@ def test_determinant_transpose_hypothesis(rows):
     assert determinant(m) == determinant(m.transpose())
 
 
-class TestLinearSolve:
-    def test_identity(self):
-        assert linear_solve(Matrix.identity(2), [3, 5]) == (3, 5)
-
-    def test_diagonal(self):
-        a = Matrix.from_rows([[2, 0], [0, 4]])
-        assert linear_solve(a, [2, 8]) == (1, 2)
-
-    def test_substitute_back(self):
-        a = Matrix.from_rows([[1, 1], [1, -1]])
-        x = linear_solve(a, [0, 2])
-        assert x == (1, -1)
-        assert a.mat_vec(x) == (Fraction(0), Fraction(2))
-
-    def test_exact_singular(self):
-        a = Matrix.from_rows([[1, 2], [2, 4]])
-        with pytest.raises(SingularMatrixError):
-            linear_solve(a, [1, 1])
-
-    def test_float_singular_threshold(self):
-        a = Matrix.from_rows([[1.0, 1.0], [1.0, 1.0 + 1e-14]])
-        with pytest.raises(SingularMatrixError):
-            linear_solve(a, [1.0, 1.0])
-        # override loosens the threshold enough to accept the tiny pivot
-        x = linear_solve(a, [1.0, 1.0], pivot_tol=1e-16)
-        assert len(x) == 2
-
-    def test_float_residual_bound(self, rng):
-        for _ in range(100):
-            n = rng.randint(2, 6)
-            a = Matrix.from_rows(
-                [[rng.uniform(-10, 10) for _ in range(n)] for _ in range(n)]
-            )
-            b = [rng.uniform(-10, 10) for _ in range(n)]
-            x = linear_solve(a, b)
-            residual = max(abs(ax - bx) for ax, bx in zip(a.mat_vec(x), b))
-            assert residual <= 1e-10 * max(1.0, max(abs(v) for v in b))
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionError):
-            linear_solve(Matrix.identity(2), [1, 2, 3])
+def sympy_det(rows) -> Fraction:
+    """Exact determinant of Fraction-valued rows by an independent oracle."""
+    sympy = pytest.importorskip("sympy")
+    d = sympy.Matrix(
+        [[sympy.Rational(v.numerator, v.denominator) for v in r] for r in rows]
+    ).det()
+    return Fraction(int(d.p), int(d.q))
 
 
-@given(
-    entries=st.lists(
-        st.fractions(min_value=-8, max_value=8, max_denominator=6),
-        min_size=9,
-        max_size=9,
-    ),
-    rhs=st.lists(
-        st.fractions(min_value=-8, max_value=8, max_denominator=6),
-        min_size=3,
-        max_size=3,
-    ),
-)
-@settings(max_examples=100, deadline=None)
-def test_exact_solve_substitutes_back_hypothesis(entries, rhs):
-    a = Matrix(3, 3, tuple(Fraction(e) for e in entries), EXACT)
-    if determinant(a) == 0:
-        return
-    x = linear_solve(a, rhs)
-    assert a.mat_vec(x) == tuple(Fraction(v) for v in rhs)
+def rational_corpus(rng, count):
+    """Random rational square matrices, n = 1..7, with a share whose leading
+    pivot is zero (a row swap is needed) and a share that is singular."""
+    for t in range(count):
+        n = 1 + t % 7
+        rows = [
+            [rand_nonzero_fraction(rng) if rng.random() < 0.8 else Fraction(0) for _ in range(n)]
+            for _ in range(n)
+        ]
+        if t % 3 == 1:
+            rows[0][0] = Fraction(0)
+        if t % 5 == 2 and n > 1:
+            c = rand_nonzero_fraction(rng)
+            rows[-1] = [c * v for v in rows[0]]
+        yield rows
+
+
+class TestKernelAgainstSympy:
+    def test_exact_matches_sympy(self, rng):
+        singular = 0
+        for rows in rational_corpus(rng, 210):
+            want = sympy_det(rows)
+            assert determinant(Matrix.from_rows(rows, EXACT)) == want
+            singular += want == 0
+        assert singular >= 20
+
+    def test_float_is_exact_value_rounded_once(self, rng):
+        for t in range(210):
+            n = 1 + t % 7
+            rows = [
+                [rng.uniform(-1, 1) * 10.0 ** rng.randint(-30, 30) for _ in range(n)]
+                for _ in range(n)
+            ]
+            if t % 3 == 1:
+                rows[0][0] = 0.0
+            want = float(sympy_det([[Fraction(v) for v in r] for r in rows]))
+            got = determinant(Matrix.from_rows(rows, FLOAT))
+            assert type(got) is float and got == want
+
+
+class TestKernelEdgeCases:
+    def test_singular_float_integers_give_exact_zero(self):
+        m = Matrix.from_rows([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]])
+        assert determinant(m) == 0.0
+
+    def test_float_overflow_is_non_finite_error(self):
+        big = 1e200
+        m = Matrix.from_rows([[0.0, big, big], [big, 0.0, big], [big, big, 0.0]])
+        with pytest.raises(NonFiniteError):
+            determinant(m)

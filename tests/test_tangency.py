@@ -273,6 +273,15 @@ class TestVietaPartner:
         with pytest.raises(InconsistentConfigurationError):
             vieta_partner(k, 0)
 
+    @pytest.mark.parametrize(
+        "values",
+        [(math.nan, 1.0, 1.0, 1.0), (1e155, 1e155, 1e155, 1e155)],  # the second overflows k^2
+    )
+    def test_nan_residual_rejected(self, values):
+        k = Curvatures(values=values, n=2, mode="float")
+        with pytest.raises(InconsistentConfigurationError):
+            vieta_partner(k, 0)
+
     def test_orbit_stays_solved(self, rng):
         for _ in range(30):
             quad = random_solved_quadruple(rng)
