@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DimensionError, ValidationError
+from .errors import DimensionError, NonFiniteError, ValidationError
 from .numeric import EXACT, FLOAT, Matrix, Scalar, coerce, determinant, infer_mode
 
 
@@ -97,7 +97,8 @@ def volume_squared(d: SquaredDistanceMatrix) -> VolumeSquared:
     """
     c = _volume_constant(d.m)
     det = cm_determinant(d)
-    value = c * det if d.mode == EXACT else float(c) * det
+    # + 0.0 keeps a negative zero out of a degenerate float volume
+    value = c * det if d.mode == EXACT else float(c) * det + 0.0
     return VolumeSquared(value=value, dim=d.m - 1)
 
 
@@ -111,7 +112,7 @@ def heron_area_squared_from_squares(a2, b2, c2) -> Scalar:
     )
     det = cm_determinant(d)
     scale = Fraction(-1, 16) if mode == EXACT else -1.0 / 16.0
-    return scale * det
+    return scale * det + zero  # a float zero area is 0.0, not -0.0
 
 
 def heron_area_squared(a, b, c) -> Scalar:
@@ -128,15 +129,16 @@ def is_degenerate(d: SquaredDistanceMatrix, tol: float = 1e-9) -> bool:
 
     Exact mode tests ``volume_squared == 0`` exactly; ``tol`` is ignored.
     Float mode compares |v^2| against ``tol * (max d^2)^(m-1)``, the scale
-    matching the determinant's homogeneity degree.
+    matching the determinant's homogeneity degree, exactly on Fractions, so
+    a scale beyond the float range does not overflow.
     """
     if tol < 0:
         raise ValidationError("tolerance must be nonnegative")
     v2 = volume_squared(d).value
     if d.mode == EXACT:
         return v2 == 0
-    scale = float(d.max_entry()) ** (d.m - 1)
-    return abs(v2) <= tol * scale
+    scale = Fraction(d.max_entry()) ** (d.m - 1)
+    return abs(Fraction(v2)) <= Fraction(tol) * scale
 
 
 def volume_squared_from_coordinates(points: Sequence[Sequence]) -> VolumeSquared:
@@ -160,5 +162,8 @@ def volume_squared_from_coordinates(points: Sequence[Sequence]) -> VolumeSquared
     if mode == EXACT:
         value = (Fraction(det) / fact) ** 2
     else:
-        value = (det / fact) ** 2
+        try:
+            value = (det / fact) ** 2
+        except OverflowError:
+            raise NonFiniteError("squared volume overflows a float; use exact mode") from None
     return VolumeSquared(value=value, dim=m - 1)

@@ -6,14 +6,15 @@ appended by trilateration (differencing sphere equations into a linear
 system).  Outputs are orientation-normalized so identical inputs give
 identical coordinates: point 0 at the origin, point 1 on the positive first
 axis, point 2 with nonnegative second coordinate, and so on.
+
+numpy is imported inside the functions that use it, so importing ``soddy``
+or its CLI does not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .cayley_menger import SquaredDistanceMatrix
 from .errors import (
@@ -37,6 +38,8 @@ class EmbeddedPoints:
     coords: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         arr = np.array(self.coords, dtype=float)
         if arr.ndim != 2:
             raise DimensionError("coordinates must form an (m, dim) array")
@@ -60,6 +63,8 @@ class EmbeddedPoints:
 
 def _orient(x: np.ndarray) -> np.ndarray:
     """Rotate/reflect so the coordinates are canonical (lower-triangular form)."""
+    import numpy as np
+
     m, dim = x.shape
     if m <= 1:
         return x
@@ -85,6 +90,8 @@ def realize_points(
     :class:`RankExceedsDimError` when more than ``dim`` eigenvalues exceed
     +tol*scale, with scale = max d2.
     """
+    import numpy as np
+
     if dim < 1:
         raise DimensionError("target dimension must be >= 1")
     if tol < 0:
@@ -130,6 +137,8 @@ def append_point(
     :class:`AmbiguousSolutionError`; distances that cannot be met raise
     :class:`NoSolutionError`.
     """
+    import numpy as np
+
     x = existing.coords
     m, dim = x.shape
     sq = np.asarray(sq_dists, dtype=float)

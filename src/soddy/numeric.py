@@ -7,10 +7,14 @@ Two computation modes, never mixed inside one object or operation:
 * ``"float"`` -- entries are finite 64-bit floats; NaN/inf is rejected at
   construction.
 
-Both modes share one determinant kernel: fraction-free (Bareiss) elimination
-on Python ints after clearing each row's denominators.  Exact mode returns
-the determinant as a Fraction; float mode returns the exact determinant of
-its (dyadic rational) entries rounded once to a float.
+Both modes share one integer-scaled kernel for products and determinants:
+each row (for a product, each column of the right factor too) is scaled by
+the lcm of its denominators, the work runs on Python ints -- dot products
+for ``@``, fraction-free (Bareiss) elimination for :func:`determinant` --
+and Fractions are built only for the results.  Exact mode returns them as
+they are; float mode returns the exact result for its (dyadic rational)
+entries rounded once to a float, so a float product or determinant carries
+one rounding, and overflow raises instead of storing inf.
 
 Everything here is a pure function on immutable data.
 """
@@ -18,6 +22,7 @@ Everything here is a pure function on immutable data.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Integral, Rational
@@ -146,27 +151,59 @@ class Matrix:
         return Matrix(self.cols, self.rows, data, self.mode)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        """Matrix product, exact in both modes.
+
+        A's rows and B's columns are scaled to integers, so entry (i, j) is
+        one integer dot product over the two scales; float mode returns it
+        rounded once and raises :class:`NonFiniteError` when it overflows.
+        """
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.mode != other.mode:
             raise ModeMismatchError("matrix product across modes")
         if self.cols != other.rows:
             raise DimensionError(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        n, k, m = self.rows, self.cols, other.cols
-        a, b = self.data, other.data
-        out = []
-        for i in range(n):
-            arow = a[i * k : (i + 1) * k]
-            for j in range(m):
-                acc = arow[0] * b[j]
-                for t in range(1, k):
-                    acc += arow[t] * b[t * m + j]
-                out.append(acc)
-        return Matrix(n, m, tuple(out), self.mode)
+        m = other.cols
+        a, a_scales = _integer_rows(self.row(i) for i in range(self.rows))
+        b, b_scales = _integer_rows(other.data[j::m] for j in range(m))
+        out = [
+            Fraction(sum(map(operator.mul, a_i, b_j)), sa * sb)
+            for a_i, sa in zip(a, a_scales)
+            for b_j, sb in zip(b, b_scales)
+        ]
+        if self.mode == FLOAT:
+            out = [_round_once(v, "matrix product") for v in out]
+        return Matrix(self.rows, m, tuple(out), self.mode)
 
     def scaled(self, factor: Scalar) -> "Matrix":
         factor = coerce(factor, self.mode)
-        return Matrix(self.rows, self.cols, tuple(x * factor for x in self.data), self.mode)
+        data = tuple(x * factor for x in self.data)
+        if self.mode == FLOAT and not all(map(math.isfinite, data)):
+            raise NonFiniteError("scaled matrix overflows a float; use exact mode")
+        return Matrix(self.rows, self.cols, data, self.mode)
+
+
+def _integer_rows(rows: Iterable[Sequence[Scalar]]) -> tuple[list[list[int]], list[int]]:
+    """Each row as integers over one scale: row == int_row / lcm, exactly.
+
+    Every entry, float or Fraction, is a ratio of integers; a row is scaled
+    by the lcm of its denominators.
+    """
+    int_rows, lcms = [], []
+    for row in rows:
+        ratios = [v.as_integer_ratio() for v in row]
+        lcm = math.lcm(*(q for _, q in ratios))
+        int_rows.append([p * (lcm // q) for p, q in ratios])
+        lcms.append(lcm)
+    return int_rows, lcms
+
+
+def _round_once(value: Fraction, what: str) -> float:
+    """The float nearest an exact result; overflow is an error, never inf."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise NonFiniteError(f"{what} overflows a float; use exact mode") from None
 
 
 def _require_square(m: Matrix) -> int:
@@ -187,13 +224,7 @@ def determinant(m: Matrix) -> Scalar:
     value overflows a float.
     """
     n = _require_square(m)
-    a = []
-    scale = 1
-    for i in range(n):
-        ratios = [v.as_integer_ratio() for v in m.row(i)]
-        lcm = math.lcm(*(q for _, q in ratios))
-        a.append([p * (lcm // q) for p, q in ratios])
-        scale *= lcm
+    a, lcms = _integer_rows(m.row(i) for i in range(n))
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -210,10 +241,5 @@ def determinant(m: Matrix) -> Scalar:
             aik = a[i][k]
             a[i][k + 1 :] = [(x * pivot - aik * y) // prev for x, y in zip(a[i][k + 1 :], tail)]
         prev = pivot
-    det = Fraction(sign * a[n - 1][n - 1], scale)
-    if m.mode == EXACT:
-        return det
-    try:
-        return float(det)
-    except OverflowError:
-        raise NonFiniteError("determinant overflows a float; use exact mode") from None
+    det = Fraction(sign * a[n - 1][n - 1], math.prod(lcms))
+    return det if m.mode == EXACT else _round_once(det, "determinant")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from soddy.cayley_menger import (
     volume_squared,
     volume_squared_from_coordinates,
 )
-from soddy.errors import DimensionError, ValidationError
+from soddy.errors import DimensionError, NonFiniteError, ValidationError
 from soddy.tangency import tangency_squared_distances, validate_radii
 
 from .conftest import rand_points, shoelace_area_squared
@@ -166,6 +167,10 @@ class TestHeron:
     def test_float_mode(self):
         assert heron_area_squared(3.0, 4.0, 5.0) == pytest.approx(36.0, rel=1e-12)
 
+    def test_float_degenerate_is_positive_zero(self):
+        area2 = heron_area_squared(1.0, 1.0, 2.0)
+        assert area2 == 0.0 and math.copysign(1.0, area2) == 1.0
+
     def test_negative_side_rejected(self):
         with pytest.raises(ValidationError):
             heron_area_squared(-3, 4, 5)
@@ -201,6 +206,14 @@ class TestIsDegenerate:
         with pytest.raises(ValidationError):
             is_degenerate(UNIT_TETRA, tol=-1.0)
 
+    def test_float_scale_beyond_float_range(self):
+        # collinear points 0, 1e150, 2e150: volume 0, while (max d^2)^(m-1)
+        # = (4e300)^2 overflows a float
+        d = SquaredDistanceMatrix.from_entries(
+            [[0.0, 1e300, 4e300], [1e300, 0.0, 1e300], [4e300, 1e300, 0.0]]
+        )
+        assert is_degenerate(d)
+
 
 class TestCoordinateOracle:
     def test_corner_tetrahedron(self):
@@ -218,3 +231,8 @@ class TestCoordinateOracle:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             volume_squared_from_coordinates([(0, 0), (1, 0), (0, 1), (1, 1)])
+
+    def test_float_overflow_is_non_finite_error(self):
+        # the determinant 1e200 fits a float; its square does not
+        with pytest.raises(NonFiniteError):
+            volume_squared_from_coordinates([[0.0, 0.0], [1e100, 0.0], [0.0, 1e100]])

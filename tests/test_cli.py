@@ -157,6 +157,11 @@ class TestCmDetAndVolume:
         assert code == 0
         assert json.loads(out)["result"]["value"] == pytest.approx(36.0)
 
+    def test_float_degenerate_volume_is_positive_zero(self, call):
+        code, out, _ = call(["volume", "--mode", "float", "--matrix", "[[0,1,4],[1,0,1],[4,1,0]]"])
+        assert code == 0
+        assert '"value": 0.0' in out
+
     @pytest.mark.parametrize("command", ["cm-det", "volume"])
     def test_float_overflow_is_non_finite(self, call, command):
         matrix = "[[0,1e200,1e200],[1e200,0,1e200],[1e200,1e200,0]]"
@@ -283,6 +288,25 @@ def test_console_entry_point_via_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"ok": True, "result": {"num": "0", "den": "1"}}
+
+
+def test_import_leaves_numpy_unloaded_until_embed():
+    script = (
+        "import json, sys\n"
+        "import soddy, soddy.cli\n"
+        "assert 'numpy' not in sys.modules, 'import soddy.cli loaded numpy'\n"
+        "soddy.cli.run(['verify-proof', '--random', '2', '--rng-seed', '1'])\n"
+        "assert 'numpy' not in sys.modules, 'verify-proof loaded numpy'\n"
+        "soddy.cli.run(['embed', '--n', '2', '--radii', '-1,1/2,1/2,1/3'])\n"
+        "assert 'numpy' in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    decoder = json.JSONDecoder()
+    verify, end = decoder.raw_decode(proc.stdout)
+    embed, _ = decoder.raw_decode(proc.stdout, end + 1)
+    assert verify["ok"] is True
+    assert len(embed["result"]["centers"]) == 4
 
 
 def test_matrix_from_stdin_subprocess():

@@ -1,4 +1,4 @@
-"""Determinant kernel, both scalar modes."""
+"""Product and determinant kernel, both scalar modes."""
 
 from __future__ import annotations
 
@@ -184,3 +184,85 @@ class TestKernelEdgeCases:
         m = Matrix.from_rows([[0.0, big, big], [big, 0.0, big], [big, big, 0.0]])
         with pytest.raises(NonFiniteError):
             determinant(m)
+
+
+def schoolbook_product(a, b):
+    """Reference product of Fraction-valued rows: the plain triple loop."""
+    return [
+        [sum((a[i][t] * b[t][j] for t in range(len(b))), Fraction(0)) for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
+
+
+def product_corpus(rng, count):
+    """Random operand pairs with shapes 1..9 (a third square, the rest
+    rectangular): integer-only or mixed-denominator entries, with some zero
+    entries, zero rows of A and zero columns of B."""
+    for t in range(count):
+        n, k, m = (rng.randint(1, 9) for _ in range(3))
+        if t % 3 == 0:
+            k = m = n
+        span, max_den = (30, 1) if t % 2 else (10**6, 10**4)
+
+        def entry():
+            if rng.random() < 0.15:
+                return Fraction(0)
+            return Fraction(rng.randint(-span, span), rng.randint(1, max_den))
+
+        a = [[entry() for _ in range(k)] for _ in range(n)]
+        b = [[entry() for _ in range(m)] for _ in range(k)]
+        if t % 5 == 1:
+            a[rng.randrange(n)] = [Fraction(0)] * k
+        if t % 7 == 2:
+            j = rng.randrange(m)
+            for row in b:
+                row[j] = Fraction(0)
+        yield a, b
+
+
+class TestMatmulKernel:
+    def test_exact_matches_schoolbook(self, rng):
+        shapes = set()
+        for a, b in product_corpus(rng, 400):
+            got = Matrix.from_rows(a, EXACT) @ Matrix.from_rows(b, EXACT)
+            assert (got.mode, got.to_rows()) == (EXACT, schoolbook_product(a, b))
+            assert all(type(v) is Fraction for v in got.data)
+            shapes.add((len(a), len(b), len(b[0])))
+        assert len(shapes) > 150
+
+    def test_float_is_exact_product_rounded_once(self, rng):
+        for t in range(300):
+            n, k, m = (rng.randint(1, 9) for _ in range(3))
+            a = [[rng.uniform(-1, 1) * 10.0 ** rng.randint(-30, 30) for _ in range(k)] for _ in range(n)]
+            b = [[rng.uniform(-1, 1) * 10.0 ** rng.randint(-30, 30) for _ in range(m)] for _ in range(k)]
+            want = [
+                [float(v) for v in row]
+                for row in schoolbook_product(
+                    [[Fraction(v) for v in r] for r in a], [[Fraction(v) for v in r] for r in b]
+                )
+            ]
+            got = Matrix.from_rows(a, FLOAT) @ Matrix.from_rows(b, FLOAT)
+            assert got.mode == FLOAT and all(type(v) is float for v in got.data)
+            assert got.to_rows() == want
+
+    def test_float_cancellation_is_exact(self):
+        a = Matrix.from_rows([[1e16, 1.0, -1e16]])
+        b = Matrix.from_rows([[1.0], [1.0], [1.0]])
+        assert (a @ b).data == (1.0,)  # left-to-right float sums give 0.0
+
+    def test_float_overflow_is_non_finite_error(self):
+        m = Matrix.from_rows([[1e200]])
+        with pytest.raises(NonFiniteError):
+            m @ m
+
+    def test_scaled_float_overflow_is_non_finite_error(self):
+        with pytest.raises(NonFiniteError):
+            Matrix.from_rows([[1e200]]).scaled(1e200)
+
+    def test_mode_mismatch_rejected(self):
+        with pytest.raises(ModeMismatchError):
+            Matrix.from_rows([[1, 2]]) @ Matrix.from_rows([[1.0], [2.0]])
+
+    def test_non_matrix_operand_is_not_implemented(self):
+        with pytest.raises(TypeError):
+            Matrix.from_rows([[1]]) @ [[1]]
