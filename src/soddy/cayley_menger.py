@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DimensionError, NonFiniteError, ValidationError
-from .numeric import EXACT, FLOAT, Matrix, Scalar, coerce, determinant, infer_mode
+from .numeric import EXACT, FLOAT, Matrix, Scalar, coerce, coerce_vector, determinant, infer_mode
 
 
 @dataclass(frozen=True)
@@ -72,11 +72,7 @@ class VolumeSquared:
 
 def build_cm_matrix(d: SquaredDistanceMatrix) -> Matrix:
     """Bordered (m+1)x(m+1) matrix: zero corner, ones border, d^2 block."""
-    one = Fraction(1) if d.mode == EXACT else 1.0
-    zero = Fraction(0) if d.mode == EXACT else 0.0
-    rows = [[zero] + [one] * d.m]
-    for i in range(d.m):
-        rows.append([one] + list(d.entries[i]))
+    rows = [[0] + [1] * d.m] + [[1, *row] for row in d.entries]
     return Matrix.from_rows(rows, d.mode)
 
 
@@ -95,30 +91,20 @@ def volume_squared(d: SquaredDistanceMatrix) -> VolumeSquared:
     Nonnegative whenever the distances are realizable in m-1 dimensions; the
     sign is diagnostic otherwise.
     """
-    c = _volume_constant(d.m)
-    det = cm_determinant(d)
-    # + 0.0 keeps a negative zero out of a degenerate float volume
-    value = c * det if d.mode == EXACT else float(c) * det + 0.0
+    # + 0 keeps a negative zero out of a degenerate float volume
+    value = _volume_constant(d.m) * cm_determinant(d) + 0
     return VolumeSquared(value=value, dim=d.m - 1)
 
 
 def heron_area_squared_from_squares(a2, b2, c2) -> Scalar:
     """Squared triangle area from squared side lengths (exact-friendly form)."""
-    mode = infer_mode([a2, b2, c2])
-    a2, b2, c2 = (coerce(v, mode) for v in (a2, b2, c2))
-    zero = Fraction(0) if mode == EXACT else 0.0
-    d = SquaredDistanceMatrix.from_entries(
-        [[zero, c2, b2], [c2, zero, a2], [b2, a2, zero]], mode
-    )
-    det = cm_determinant(d)
-    scale = Fraction(-1, 16) if mode == EXACT else -1.0 / 16.0
-    return scale * det + zero  # a float zero area is 0.0, not -0.0
+    d = SquaredDistanceMatrix.from_entries([[0, c2, b2], [c2, 0, a2], [b2, a2, 0]])
+    return Fraction(-1, 16) * cm_determinant(d) + 0  # a float zero area is 0.0, not -0.0
 
 
 def heron_area_squared(a, b, c) -> Scalar:
     """Squared area of the triangle with side lengths a, b, c (all >= 0)."""
-    mode = infer_mode([a, b, c])
-    a, b, c = (coerce(v, mode) for v in (a, b, c))
+    a, b, c = coerce_vector([a, b, c])
     if a < 0 or b < 0 or c < 0:
         raise ValidationError("side lengths must be nonnegative")
     return heron_area_squared_from_squares(a * a, b * b, c * c)
@@ -132,8 +118,8 @@ def is_degenerate(d: SquaredDistanceMatrix, tol: float = 1e-9) -> bool:
     matching the determinant's homogeneity degree, exactly on Fractions, so
     a scale beyond the float range does not overflow.
     """
-    if tol < 0:
-        raise ValidationError("tolerance must be nonnegative")
+    if not 0 <= tol < math.inf:  # written so that a NaN tolerance fails too
+        raise ValidationError(f"tolerance must be finite and nonnegative, got {tol!r}")
     v2 = volume_squared(d).value
     if d.mode == EXACT:
         return v2 == 0
@@ -152,18 +138,10 @@ def volume_squared_from_coordinates(points: Sequence[Sequence]) -> VolumeSquared
         raise DimensionError("need at least two points")
     if any(len(p) != m - 1 for p in points):
         raise DimensionError(f"each of the {m} points must have dimension {m - 1}")
-    mode = infer_mode(v for p in points for v in p)
-    one = Fraction(1) if mode == EXACT else 1.0
-    rows = [[one] * m]
-    for coord in range(m - 1):
-        rows.append([coerce(p[coord], mode) for p in points])
-    det = determinant(Matrix.from_rows(rows, mode))
-    fact = math.factorial(m - 1)
-    if mode == EXACT:
-        value = (Fraction(det) / fact) ** 2
-    else:
-        try:
-            value = (det / fact) ** 2
-        except OverflowError:
-            raise NonFiniteError("squared volume overflows a float; use exact mode") from None
+    rows = [[1] * m] + [[p[coord] for p in points] for coord in range(m - 1)]
+    det = determinant(Matrix.from_rows(rows))
+    try:
+        value = (det / math.factorial(m - 1)) ** 2
+    except OverflowError:
+        raise NonFiniteError("squared volume overflows a float; use exact mode") from None
     return VolumeSquared(value=value, dim=m - 1)

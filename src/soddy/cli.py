@@ -25,7 +25,7 @@ from .cayley_menger import (
 from .embedding import realize_points
 from .errors import SoddyError, ValidationError
 from .gasket import gasket_to_dict, generate, render_svg
-from .numeric import EXACT, FLOAT
+from .numeric import EXACT, FLOAT, coerce_vector
 from .proof_witness import ProofReport, check_reduction_chain, check_S_properties, check_UWU_congruence
 from .serialize import parse_rational, scalar_to_json
 from .tangency import (
@@ -56,36 +56,24 @@ def _preprocess(argv: list[str]) -> list[str]:
     return out
 
 
-def _parse_scalars(text: str, mode: str) -> list:
+def _parse_scalars(text: str, mode: str) -> tuple:
     parts = [p.strip() for p in text.split(",") if p.strip()]
     if not parts:
         raise ValidationError("empty scalar list")
-    values = [parse_rational(p) for p in parts]
-    if mode == FLOAT:
-        return [float(v) for v in values]
-    return values
+    return coerce_vector([parse_rational(p) for p in parts], mode)
 
 
 def _parse_matrix(args) -> SquaredDistanceMatrix:
     text = args.matrix if args.matrix is not None else sys.stdin.read()
-    mode = args.mode
     try:
-        if mode == EXACT:
-            raw = json.loads(text, parse_float=Fraction)
-        else:
-            raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+        # ValueError also covers integers beyond Python's digit limit
+        raw = json.loads(text, parse_float=Fraction)
+    except ValueError as exc:
         raise ValidationError(f"matrix is not valid JSON: {exc}") from exc
     if not isinstance(raw, list) or not all(isinstance(r, list) for r in raw):
         raise ValidationError("matrix must be a JSON array of arrays")
-
-    def entry(v):
-        if isinstance(v, str):
-            v = parse_rational(v)
-        return float(v) if mode == FLOAT else v
-
-    rows = [[entry(v) for v in r] for r in raw]
-    return SquaredDistanceMatrix.from_entries(rows, mode)
+    rows = [[parse_rational(v) if isinstance(v, str) else v for v in r] for r in raw]
+    return SquaredDistanceMatrix.from_entries(rows, args.mode)
 
 
 def _cmd_cm_det(args):
@@ -114,7 +102,7 @@ def _cmd_identity_check(args):
     r = validate_radii(_parse_scalars(args.radii, EXACT), args.n, strict=False)
     lhs = cm_determinant(tangency_squared_distances(r))
     res = descartes_residual(curvatures_from_radii(r))
-    rhs = Fraction((-1) ** args.n * 2 ** (2 * args.n + 1)) * r.product() ** 2 * res
+    rhs = (-1) ** args.n * 2 ** (2 * args.n + 1) * r.product() ** 2 * res
     equal = lhs == rhs
     result = {
         "lhs": scalar_to_json(lhs),

@@ -16,6 +16,13 @@ they are; float mode returns the exact result for its (dyadic rational)
 entries rounded once to a float, so a float product or determinant carries
 one rounding, and overflow raises instead of storing inf.
 
+The mode is fixed once, where values are coerced (:func:`as_exact`,
+:func:`as_float`): this module alone knows how a scalar of each mode is
+built.  Other modules write their arithmetic once for both modes, with int
+constants, so ``Fraction op int`` stays a Fraction and ``float op int`` a
+float; they branch on the mode only where the two modes mean different
+checks (a tolerance, an exact square root, a float-only sign check).
+
 Everything here is a pure function on immutable data.
 """
 
@@ -25,7 +32,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Integral, Rational
+from numbers import Integral, Rational, Real
 from typing import Iterable, Sequence, Union
 
 from .errors import DimensionError, ModeMismatchError, NonFiniteError, ValidationError
@@ -36,20 +43,28 @@ EXACT = "exact"
 FLOAT = "float"
 
 
+def _check_scalar(value) -> None:
+    """Reject values that are scalars in neither mode: booleans, None, lists, ..."""
+    # float first: the common case skips the slower abstract-class check
+    if isinstance(value, bool) or not isinstance(value, (float, Real)):
+        raise ValidationError(f"{value!r} is not a scalar")
+
+
 def as_exact(value) -> Fraction:
     """Coerce an int/Fraction to Fraction; floats are rejected (no silent rounding)."""
-    if isinstance(value, bool):
-        raise ValidationError("booleans are not scalars")
-    if isinstance(value, Rational):
+    if isinstance(value, Rational) and not isinstance(value, bool):
         return Fraction(value)
+    _check_scalar(value)
     raise ModeMismatchError(f"cannot use {value!r} in exact mode")
 
 
 def as_float(value) -> float:
-    """Coerce to a finite float; NaN/inf is an error, never a stored value."""
-    if isinstance(value, bool):
-        raise ValidationError("booleans are not scalars")
-    x = float(value)
+    """Coerce to a finite float; NaN/inf and out-of-range values are errors."""
+    _check_scalar(value)
+    try:
+        x = float(value)
+    except OverflowError:
+        raise NonFiniteError("value out of float range in float mode") from None
     if not math.isfinite(x):
         raise NonFiniteError(f"non-finite value {value!r} in float mode")
     return x
@@ -117,16 +132,13 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int, mode: str = EXACT) -> "Matrix":
-        one = Fraction(1) if mode == EXACT else 1.0
-        zero = Fraction(0) if mode == EXACT else 0.0
-        data = tuple(one if i == j else zero for i in range(n) for j in range(n))
-        return cls(n, n, data, mode)
+        return cls.diagonal([1] * n, mode)
 
     @classmethod
     def diagonal(cls, entries: Sequence, mode: str | None = None) -> "Matrix":
         entries = coerce_vector(entries, mode)
         mode = infer_mode(entries)
-        zero = Fraction(0) if mode == EXACT else 0.0
+        zero = coerce(0, mode)
         n = len(entries)
         data = tuple(
             entries[i] if i == j else zero for i in range(n) for j in range(n)

@@ -81,21 +81,18 @@ def validate_curvatures(values: Sequence, n: int, strict: bool = True) -> Curvat
 
 
 def curvatures_from_radii(r: SignedRadii) -> Curvatures:
-    one = Fraction(1) if r.mode == EXACT else 1.0
-    return Curvatures(values=tuple(one / v for v in r.values), n=r.n, mode=r.mode)
+    return Curvatures(values=tuple(1 / v for v in r.values), n=r.n, mode=r.mode)
 
 
 def radii_from_curvatures(k: Curvatures) -> SignedRadii:
-    one = Fraction(1) if k.mode == EXACT else 1.0
-    return SignedRadii(values=tuple(one / v for v in k.values), n=k.n, mode=k.mode)
+    return SignedRadii(values=tuple(1 / v for v in k.values), n=k.n, mode=k.mode)
 
 
 def tangency_squared_distances(r: SignedRadii) -> SquaredDistanceMatrix:
     """Squared center distances (r_i + r_j)^2 of the tangent configuration."""
-    zero = Fraction(0) if r.mode == EXACT else 0.0
     m = len(r.values)
     rows = [
-        [(r.values[i] + r.values[j]) ** 2 if i != j else zero for j in range(m)]
+        [(r.values[i] + r.values[j]) ** 2 if i != j else 0 for j in range(m)]
         for i in range(m)
     ]
     return SquaredDistanceMatrix.from_entries(rows, r.mode)
@@ -114,14 +111,8 @@ def factored_volume_squared(r: SignedRadii) -> VolumeSquared:
     Equals ``volume_squared(tangency_squared_distances(r))`` exactly for all
     rational radii: 2^n * (prod r_i / (n+1)!)^2 * residual.
     """
-    k = curvatures_from_radii(r)
-    res = descartes_residual(k)
-    fact = math.factorial(r.n + 1)
-    prod = r.product()
-    if r.mode == EXACT:
-        value = 2**r.n * (Fraction(prod) / fact) ** 2 * res
-    else:
-        value = 2.0**r.n * (prod / fact) ** 2 * res
+    res = descartes_residual(curvatures_from_radii(r))
+    value = 2**r.n * (r.product() / math.factorial(r.n + 1)) ** 2 * res
     return VolumeSquared(value=value, dim=r.n + 1)
 
 
@@ -155,20 +146,17 @@ def solve_missing_curvature(known: Sequence, n: int) -> tuple[Scalar, Scalar]:
         raise ValidationError(f"need {n + 1} known curvatures for dimension {n}")
     if any(v == 0 for v in vals):
         raise ValidationError("zero curvature is not allowed")
-    mode = infer_mode(vals)
     s = sum(vals)
     q = sum(v * v for v in vals)
     if n == 1:
         # leading coefficient n-1 vanishes: 2*S*k + (S^2 - Q) = 0
         if s == 0:
             raise NoRealSolutionError("degenerate linear equation (sum of curvatures is zero)")
-        root = (q - s * s) / (2 * s) if mode == EXACT else (q - s * s) / (2.0 * s)
+        root = (q - s * s) / (2 * s)
         return (root, root)
     disc = n * (s * s - (n - 1) * q)
-    if mode == EXACT:
-        root_disc = _exact_sqrt(Fraction(disc))
-        hi = (s + root_disc) / (n - 1)
-        lo = (s - root_disc) / (n - 1)
+    if infer_mode(vals) == EXACT:
+        root_disc = _exact_sqrt(disc)
     else:
         # Within a few ulps of S^2 the sign of the discriminant is roundoff:
         # treat it as a double root rather than fail, or take a square root
@@ -178,9 +166,7 @@ def solve_missing_curvature(known: Sequence, n: int) -> tuple[Scalar, Scalar]:
         if disc < 0:
             raise NoRealSolutionError(f"negative discriminant {disc}")
         root_disc = math.sqrt(disc)
-        hi = (s + root_disc) / (n - 1)
-        lo = (s - root_disc) / (n - 1)
-    return (hi, lo)
+    return ((s + root_disc) / (n - 1), (s - root_disc) / (n - 1))
 
 
 def vieta_partner(k: Curvatures, index: int, tol: float = 1e-9) -> Scalar:
@@ -209,7 +195,4 @@ def vieta_partner(k: Curvatures, index: int, tol: float = 1e-9) -> Scalar:
             raise InconsistentConfigurationError(
                 f"tangency residual {res} exceeds tolerance {tol * scale}"
             )
-    others = sum(k.values) - k.values[index]
-    if k.mode == EXACT:
-        return 2 * Fraction(others) / (k.n - 1) - k.values[index]
-    return 2.0 * others / (k.n - 1) - k.values[index]
+    return 2 * (sum(k.values) - k.values[index]) / (k.n - 1) - k.values[index]

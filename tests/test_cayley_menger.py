@@ -206,6 +206,11 @@ class TestIsDegenerate:
         with pytest.raises(ValidationError):
             is_degenerate(UNIT_TETRA, tol=-1.0)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_non_finite_tolerance_rejected(self, tol):
+        with pytest.raises(ValidationError):
+            is_degenerate(UNIT_TETRA, tol=tol)
+
     def test_float_scale_beyond_float_range(self):
         # collinear points 0, 1e150, 2e150: volume 0, while (max d^2)^(m-1)
         # = (4e300)^2 overflows a float

@@ -2,15 +2,24 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soddy.cli import run
 from soddy.gasket import generate, render_svg
+
+# child interpreters import soddy from this checkout, installed or not
+CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
 
 
 @pytest.fixture
@@ -285,6 +294,7 @@ def test_console_entry_point_via_subprocess():
         [sys.executable, "-m", "soddy", "residual", "--n", "2", "--curvatures", "-1,2,2,3"],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"ok": True, "result": {"num": "0", "den": "1"}}
@@ -300,7 +310,9 @@ def test_import_leaves_numpy_unloaded_until_embed():
         "soddy.cli.run(['embed', '--n', '2', '--radii', '-1,1/2,1/2,1/3'])\n"
         "assert 'numpy' in sys.modules\n"
     )
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=CHILD_ENV
+    )
     assert proc.returncode == 0, proc.stderr
     decoder = json.JSONDecoder()
     verify, end = decoder.raw_decode(proc.stdout)
@@ -315,6 +327,74 @@ def test_matrix_from_stdin_subprocess():
         input="[[0,9,16],[9,0,25],[16,25,0]]",
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"] == {"num": "-576", "den": "1"}
+
+
+BIG = str(10**400)
+# each printed a traceback before coercion checked its input, except
+# boolean-entry, which returned 2.0 while exact mode rejected booleans
+MALFORMED_CALLS = {
+    "null-entry": ["cm-det", "--mode", "float", "--matrix", "[[0,null],[null,0]]"],
+    "list-entry": ["cm-det", "--mode", "float", "--matrix", "[[0,[1]],[[1],0]]"],
+    "huge-int-entry": ["cm-det", "--mode", "float", "--matrix", f"[[0,{BIG}],[{BIG},0]]"],
+    "volume-huge-int-entry": ["volume", "--mode", "float", "--matrix", f"[[0,{BIG}],[{BIG},0]]"],
+    "gasket-huge-seed": ["gasket", "--seed", "1e400,1,1"],
+    "residual-huge": ["residual", "--n", "2", "--mode", "float", "--curvatures", "1e400,1,1,1"],
+    "solve-huge": ["solve", "--n", "2", "--mode", "float", "--curvatures", "1e400,1,1"],
+    "embed-huge": ["embed", "--n", "2", "--radii", "1e400,1,1,1"],
+    "boolean-entry": ["cm-det", "--mode", "float", "--matrix", "[[0,true],[true,0]]"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CALLS))
+def test_malformed_input_gives_one_error_envelope(case):
+    proc = subprocess.run(
+        [sys.executable, "-m", "soddy", *MALFORMED_CALLS[case]],
+        capture_output=True,
+        text=True,
+        env=CHILD_ENV,
+    )
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 1
+    assert proc.stdout.count("\n") == 1
+    payload = json.loads(proc.stdout)
+    assert payload["ok"] is False
+    assert payload["error"]["kind"] in {"validation", "non-finite"}
+
+
+# Strings stay short: a decimal token with a long exponent ("1e9999999")
+# takes seconds to hours to parse, a fault this property does not cover.
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**500), 10**500)
+    | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _reject_constant(token):
+    raise AssertionError(f"{token} is not JSON")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    value=JSON_VALUES,
+    mode=st.sampled_from(["exact", "float"]),
+    command=st.sampled_from(["cm-det", "volume"]),
+)
+def test_any_json_entry_gives_one_envelope(value, mode, command):
+    matrix = json.dumps([[0, value], [value, 0]])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run([command, "--mode", mode, "--matrix", matrix])
+    assert code in (0, 1)
+    assert out.getvalue().count("\n") == 1
+    payload = json.loads(out.getvalue(), parse_constant=_reject_constant)
+    assert payload["ok"] is (code == 0)

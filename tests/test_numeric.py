@@ -1,4 +1,4 @@
-"""Product and determinant kernel, both scalar modes."""
+"""Coercion, the product and determinant kernel, and the mode of results."""
 
 from __future__ import annotations
 
@@ -9,8 +9,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soddy.errors import DimensionError, ModeMismatchError, NonFiniteError
-from soddy.numeric import EXACT, FLOAT, Matrix, determinant
+from soddy.cayley_menger import (
+    SquaredDistanceMatrix,
+    VolumeSquared,
+    build_cm_matrix,
+    heron_area_squared,
+    heron_area_squared_from_squares,
+    volume_squared,
+    volume_squared_from_coordinates,
+)
+from soddy.errors import DimensionError, ModeMismatchError, NonFiniteError, ValidationError
+from soddy.numeric import EXACT, FLOAT, Matrix, as_exact, as_float, determinant
+from soddy.tangency import (
+    Curvatures,
+    SignedRadii,
+    curvatures_from_radii,
+    factored_volume_squared,
+    radii_from_curvatures,
+    solve_missing_curvature,
+    tangency_squared_distances,
+    validate_curvatures,
+    validate_radii,
+    vieta_partner,
+)
 
 from .conftest import rand_nonzero_fraction, shoelace_area_squared
 
@@ -266,3 +287,142 @@ class TestMatmulKernel:
     def test_non_matrix_operand_is_not_implemented(self):
         with pytest.raises(TypeError):
             Matrix.from_rows([[1]]) @ [[1]]
+
+
+class TestCoercion:
+    def test_float_beyond_range_is_non_finite(self):
+        with pytest.raises(NonFiniteError) as info:
+            as_float(10**400)
+        assert "out of float range" in str(info.value)
+        assert "0000" not in str(info.value)
+
+    def test_matrix_entry_beyond_float_range(self):
+        with pytest.raises(NonFiniteError):
+            Matrix.from_rows([[10**400, 1.0]])
+
+    @pytest.mark.parametrize("coerce", [as_exact, as_float])
+    @pytest.mark.parametrize("value", [None, [1], {"a": 1}, "1", True])
+    def test_non_scalar_is_validation_error(self, coerce, value):
+        with pytest.raises(ValidationError) as info:
+            coerce(value)
+        assert info.value.kind == "validation"
+
+    def test_float_in_exact_mode_is_mode_mismatch(self):
+        with pytest.raises(ModeMismatchError):
+            as_exact(0.5)
+
+
+def scalars_of(result) -> tuple:
+    """Every scalar a function under test returned, in a fixed order."""
+    if isinstance(result, Matrix):
+        return result.data
+    if isinstance(result, SquaredDistanceMatrix):
+        return sum(result.entries, ())
+    if isinstance(result, VolumeSquared):
+        return (result.value,)
+    if isinstance(result, (Curvatures, SignedRadii)):
+        return result.values
+    if isinstance(result, tuple):
+        return result
+    return (result,)
+
+
+F = Fraction
+sdm = SquaredDistanceMatrix.from_entries
+SIDES_345 = [[0, 9, 16], [9, 0, 25], [16, 25, 0]]
+FLAT_123 = [[0, 1, 4], [1, 0, 1], [4, 1, 0]]  # points 0, 1, 2 on a line
+
+
+def floats(rows):
+    return [[float(v) for v in row] for row in rows]
+
+
+# (call, expected scalars): exact input must give Fractions, float input
+# floats, with the pinned values; repr() tells 0.0 from -0.0.
+MODE_CASES = {
+    "identity-exact": (lambda: Matrix.identity(2), (F(1), F(0), F(0), F(1))),
+    "identity-float": (lambda: Matrix.identity(2, FLOAT), (1.0, 0.0, 0.0, 1.0)),
+    "diagonal-exact": (lambda: Matrix.diagonal([F(1, 2), 3]), (F(1, 2), F(0), F(0), F(3))),
+    "diagonal-float": (lambda: Matrix.diagonal([0.5, 3.0]), (0.5, 0.0, 0.0, 3.0)),
+    "cm-matrix-exact": (
+        lambda: build_cm_matrix(sdm([[0, 4], [4, 0]])),
+        (F(0), F(1), F(1), F(1), F(0), F(4), F(1), F(4), F(0)),
+    ),
+    "cm-matrix-float": (
+        lambda: build_cm_matrix(sdm([[0.0, 4.0], [4.0, 0.0]])),
+        (0.0, 1.0, 1.0, 1.0, 0.0, 4.0, 1.0, 4.0, 0.0),
+    ),
+    "volume-exact": (lambda: volume_squared(sdm(SIDES_345)), (F(36),)),
+    "volume-float": (lambda: volume_squared(sdm(floats(SIDES_345))), (36.0,)),
+    "volume-degenerate-exact": (lambda: volume_squared(sdm(FLAT_123)), (F(0),)),
+    "volume-degenerate-float": (lambda: volume_squared(sdm(floats(FLAT_123))), (0.0,)),
+    "heron-exact": (lambda: heron_area_squared(3, 4, 5), (F(36),)),
+    "heron-float": (lambda: heron_area_squared(3.0, 4.0, 5.0), (36.0,)),
+    "heron-degenerate-float": (lambda: heron_area_squared(1.0, 1.0, 2.0), (0.0,)),
+    "heron-squares-exact": (lambda: heron_area_squared_from_squares(9, 16, 25), (F(36),)),
+    "heron-squares-float": (lambda: heron_area_squared_from_squares(9.0, 16.0, 25.0), (36.0,)),
+    "heron-squares-degenerate-float": (
+        lambda: heron_area_squared_from_squares(1.0, 1.0, 4.0),
+        (0.0,),
+    ),
+    "coordinates-exact": (
+        lambda: volume_squared_from_coordinates([[0, 0], [3, 0], [0, 4]]),
+        (F(36),),
+    ),
+    "coordinates-float": (
+        lambda: volume_squared_from_coordinates([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]]),
+        (36.0,),
+    ),
+    "curvatures-exact": (
+        lambda: curvatures_from_radii(validate_radii([-1, F(1, 2), F(1, 2), F(1, 3)], 2)),
+        (F(-1), F(2), F(2), F(3)),
+    ),
+    "curvatures-float": (
+        lambda: curvatures_from_radii(validate_radii([-1.0, 0.5, 0.5, 0.25], 2)),
+        (-1.0, 2.0, 2.0, 4.0),
+    ),
+    "radii-exact": (
+        lambda: radii_from_curvatures(validate_curvatures([-1, 2, 2, 3], 2)),
+        (F(-1), F(1, 2), F(1, 2), F(1, 3)),
+    ),
+    "radii-float": (
+        lambda: radii_from_curvatures(validate_curvatures([-1.0, 2.0, 2.0, 4.0], 2)),
+        (-1.0, 0.5, 0.5, 0.25),
+    ),
+    "tangency-distances-exact": (
+        lambda: tangency_squared_distances(validate_radii([1, 1, 1], 1)),
+        (F(0), F(4), F(4), F(4), F(0), F(4), F(4), F(4), F(0)),
+    ),
+    "tangency-distances-float": (
+        lambda: tangency_squared_distances(validate_radii([1.0, 1.0, 1.0], 1)),
+        (0.0, 4.0, 4.0, 4.0, 0.0, 4.0, 4.0, 4.0, 0.0),
+    ),
+    "factored-volume-exact": (
+        lambda: factored_volume_squared(validate_radii([1, 1, 1], 1)),
+        (F(3),),
+    ),
+    "factored-volume-float": (
+        lambda: factored_volume_squared(validate_radii([1.0, 1.0, 1.0], 1)),
+        (3.0,),
+    ),
+    "solve-n1-exact": (lambda: solve_missing_curvature([1, 1], 1), (F(-1, 2), F(-1, 2))),
+    "solve-n1-float": (lambda: solve_missing_curvature([1.0, 1.0], 1), (-0.5, -0.5)),
+    "solve-exact": (lambda: solve_missing_curvature([-1, 2, 2], 2), (F(3), F(3))),
+    "solve-float": (lambda: solve_missing_curvature([-1.0, 2.0, 2.0], 2), (3.0, 3.0)),
+    "vieta-exact": (
+        lambda: vieta_partner(validate_curvatures([-1, 2, 2, 3], 2), 0),
+        (F(15),),
+    ),
+    "vieta-float": (
+        lambda: vieta_partner(validate_curvatures([-1.0, 2.0, 2.0, 3.0], 2), 0),
+        (15.0,),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MODE_CASES))
+def test_result_mode_follows_input_mode(case):
+    call, expected = MODE_CASES[case]
+    got = scalars_of(call())
+    assert [type(v) for v in got] == [type(v) for v in expected]
+    assert list(map(repr, got)) == list(map(repr, expected))
