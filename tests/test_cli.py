@@ -333,6 +333,27 @@ def test_matrix_from_stdin_subprocess():
     assert json.loads(proc.stdout)["result"] == {"num": "-576", "den": "1"}
 
 
+GOLDEN = Path(__file__).parent / "golden"
+# the whole report, both streams: every identity's name, order, sides and verdict
+GOLDEN_REPORTS = {
+    "verify_proof_radii": ["verify-proof", "--radii", "-1,1/2,1/2,1/3"],
+    "verify_proof_random": ["verify-proof", "--random", "2", "--dim", "3", "--rng-seed", "7"],
+    "identity_check_n3": ["identity-check", "--n", "3", "--radii", "1,2,3,4,5"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
+def test_proof_reports_match_golden(name):
+    proc = subprocess.run(
+        [sys.executable, "-m", "soddy", *GOLDEN_REPORTS[name]],
+        capture_output=True,
+        env=CHILD_ENV,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == (GOLDEN / f"{name}.stdout").read_bytes()
+    assert proc.stderr == (GOLDEN / f"{name}.stderr").read_bytes()
+
+
 BIG = str(10**400)
 # each printed a traceback before coercion checked its input, except
 # boolean-entry, which returned 2.0 while exact mode rejected booleans
