@@ -28,6 +28,11 @@ MAX_DEPTH = 12
 #: Checks compare as ``not err <= _AUDIT_TOL`` so that a NaN error fails them.
 _AUDIT_TOL = 1e-9
 
+#: SVG width in pixels, circle outline color, and fill color by depth (cycled).
+_SVG_WIDTH = 512
+_SVG_STROKE = "#1f2430"
+_SVG_PALETTE = ("#f4f1e8", "#bcd8e6", "#8fbcd4", "#679dc0", "#477ca6", "#2f5d87", "#1f4066")
+
 
 @dataclass(frozen=True)
 class Circle:
@@ -47,29 +52,11 @@ class Gasket:
     seed_curvatures: tuple[float, float, float]
     max_depth: int
 
-    def curvatures(self) -> list[float]:
-        return [c.curvature for c in self.circles]
-
     def enclosing(self) -> Circle | None:
         for c in self.circles:
             if c.radius < 0:
                 return c
         return None
-
-
-@dataclass(frozen=True)
-class SvgOptions:
-    width: int = 512
-    stroke: str = "#1f2430"
-    palette: tuple[str, ...] = (
-        "#f4f1e8",
-        "#bcd8e6",
-        "#8fbcd4",
-        "#679dc0",
-        "#477ca6",
-        "#2f5d87",
-        "#1f4066",
-    )
 
 
 def _validate_seed(seed) -> tuple[float, float, float]:
@@ -243,7 +230,7 @@ def _fmt(value: float) -> str:
     return "0.000000" if text == "-0.000000" else text
 
 
-def render_svg(g: Gasket, options: SvgOptions = SvgOptions()) -> str:
+def render_svg(g: Gasket) -> str:
     """Deterministic SVG 1.1 document: one circle element per packed circle,
     in canonical order, coordinates fixed at six decimals.  Negative-radius
     (enclosing) circles render as unfilled outlines."""
@@ -256,19 +243,19 @@ def render_svg(g: Gasket, options: SvgOptions = SvgOptions()) -> str:
     pad = 0.02 * max(xmax - xmin, ymax - ymin)
     vx, vy = xmin - pad, ymin - pad
     vw, vh = (xmax - xmin) + 2 * pad, (ymax - ymin) + 2 * pad
-    height = max(1, round(options.width * vh / vw))
-    stroke_width = vw / options.width
+    height = max(1, round(_SVG_WIDTH * vh / vw))
+    stroke_width = vw / _SVG_WIDTH
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{options.width}" height="{height}" '
+        f'width="{_SVG_WIDTH}" height="{height}" '
         f'viewBox="{_fmt(vx)} {_fmt(vy)} {_fmt(vw)} {_fmt(vh)}">',
     ]
     for c in g.circles:
-        fill = "none" if c.radius < 0 else options.palette[c.depth % len(options.palette)]
+        fill = "none" if c.radius < 0 else _SVG_PALETTE[c.depth % len(_SVG_PALETTE)]
         lines.append(
             f'  <circle cx="{_fmt(c.center[0])}" cy="{_fmt(c.center[1])}" '
-            f'r="{_fmt(abs(c.radius))}" fill="{fill}" stroke="{options.stroke}" '
+            f'r="{_fmt(abs(c.radius))}" fill="{fill}" stroke="{_SVG_STROKE}" '
             f'stroke-width="{_fmt(stroke_width)}"/>'
         )
     lines.append("</svg>")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .cayley_menger import SquaredDistanceMatrix, build_cm_matrix
 from .errors import DimensionError, ModeMismatchError
@@ -80,10 +80,7 @@ class ProofReport:
 
     @staticmethod
     def combine(reports: Sequence["ProofReport"]) -> "ProofReport":
-        entries: list[IdentityCheck] = []
-        for r in reports:
-            entries.extend(r.entries)
-        return ProofReport(entries=tuple(entries))
+        return ProofReport(entries=tuple(e for r in reports for e in r.entries))
 
 
 def _render(value) -> str:
@@ -95,6 +92,17 @@ def _render(value) -> str:
 
 def _check(name: str, n: int, lhs, rhs) -> IdentityCheck:
     return IdentityCheck(name=name, n=n, passed=lhs == rhs, lhs=lhs, rhs=rhs)
+
+
+def _matrix(size: int, entry: Callable[[int, int], object]) -> Matrix:
+    """The exact size x size matrix whose (i, j) entry is ``entry(i, j)``."""
+    return Matrix.from_rows([[entry(i, j) for j in range(size)] for i in range(size)], EXACT)
+
+
+def _bordered(border: Sequence, core: Matrix) -> Matrix:
+    """[[0, b^T], [b, B]]: row and column 0 hold (0, b), the rest is B."""
+    b = (0, *border)
+    return _matrix(core.rows + 1, lambda i, j: core.at(i - 1, j - 1) if i and j else b[i + j])
 
 
 def _require_exact_points(points: Sequence[Sequence]) -> list[list[Fraction]]:
@@ -115,11 +123,9 @@ def build_U(points: Sequence[Sequence]) -> Matrix:
     det(U) = +-(m-1)! * volume."""
     pts = _require_exact_points(points)
     m = len(pts)
-    top = [Fraction(1)] + [sum(c * c for c in p) for p in pts]
-    rows = [top, [Fraction(0)] + [Fraction(1)] * m]
-    for coord in range(m - 1):
-        rows.append([Fraction(0)] + [p[coord] for p in pts])
-    return Matrix.from_rows(rows, EXACT)
+    # column j > 0 is the lifted point (|x_j|^2, 1, x_j)
+    columns = [(1, *[0] * m)] + [(sum(c * c for c in p), 1, *p) for p in pts]
+    return Matrix.from_rows(columns, EXACT).transpose()
 
 
 def build_W(m: int) -> Matrix:
@@ -128,20 +134,11 @@ def build_W(m: int) -> Matrix:
     det(W) = (-1) * (-2)^(m-1)."""
     if m < 2:
         raise DimensionError("need at least two points")
-    size = m + 1
-    rows = [[Fraction(0)] * size for _ in range(size)]
-    rows[0][1] = rows[1][0] = Fraction(1)
-    for i in range(2, size):
-        rows[i][i] = Fraction(-2)
-    return Matrix.from_rows(rows, EXACT)
+    return _matrix(m + 1, lambda i, j: 1 if {i, j} == {0, 1} else -2 if i == j > 1 else 0)
 
 
 def _distances_from_points(pts: list[list[Fraction]]) -> SquaredDistanceMatrix:
-    m = len(pts)
-    rows = [
-        [sum((pts[i][c] - pts[j][c]) ** 2 for c in range(m - 1)) for j in range(m)]
-        for i in range(m)
-    ]
+    rows = [[sum((a - b) ** 2 for a, b in zip(p, q)) for q in pts] for p in pts]
     return SquaredDistanceMatrix.from_entries(rows, EXACT)
 
 
@@ -152,14 +149,15 @@ def check_UWU_congruence(points: Sequence[Sequence]) -> ProofReport:
     u = build_U(pts)
     w = build_W(m)
     d = build_cm_matrix(_distances_from_points(pts))
-    utwu = u.transpose() @ w @ u
-    det_d = determinant(d)
-    det_u = determinant(u)
-    det_w = determinant(w)
     return ProofReport(
         entries=(
-            _check("UtWU equals distance matrix", m - 2, utwu, d),
-            _check("det(D) = det(U)^2 det(W)", m - 2, det_d, det_u**2 * det_w),
+            _check("UtWU equals distance matrix", m - 2, u.transpose() @ w @ u, d),
+            _check(
+                "det(D) = det(U)^2 det(W)",
+                m - 2,
+                determinant(d),
+                determinant(u) ** 2 * determinant(w),
+            ),
         )
     )
 
@@ -172,32 +170,20 @@ def _require_exact_radii(r: SignedRadii) -> SignedRadii:
 
 def build_P(r: SignedRadii) -> Matrix:
     """Unit upper-triangular eliminator: row 0 = (1, -r_1^2, ..., -r_{n+2}^2)."""
-    _require_exact_radii(r)
-    size = len(r.values) + 1
-    rows = [[Fraction(0)] * size for _ in range(size)]
-    rows[0][0] = Fraction(1)
-    for j, rv in enumerate(r.values, start=1):
-        rows[0][j] = -(rv * rv)
-        rows[j][j] = Fraction(1)
-    return Matrix.from_rows(rows, EXACT)
+    top = (1, *(-v * v for v in _require_exact_radii(r).values))
+    return _matrix(len(top), lambda i, j: top[j] if i == 0 else int(i == j))
 
 
 def build_Q(r: SignedRadii) -> Matrix:
     """diag(1, 1/r_1, ..., 1/r_{n+2}); det(Q) = prod(1/r_i)."""
-    _require_exact_radii(r)
-    return Matrix.diagonal([Fraction(1)] + [Fraction(1) / Fraction(v) for v in r.values])
+    return Matrix.diagonal([1, *(1 / v for v in _require_exact_radii(r).values)], EXACT)
 
 
 def build_S(n: int) -> Matrix:
     """(n+2)x(n+2) core form 2*ones - 4I: off-diagonal 2, diagonal -2."""
     if n < 1:
         raise DimensionError("sphere dimension n must be >= 1")
-    size = n + 2
-    rows = [
-        [Fraction(-2) if i == j else Fraction(2) for j in range(size)]
-        for i in range(size)
-    ]
-    return Matrix.from_rows(rows, EXACT)
+    return _matrix(n + 2, lambda i, j: -2 if i == j else 2)
 
 
 def s_determinant_formula(n: int) -> Fraction:
@@ -206,13 +192,8 @@ def s_determinant_formula(n: int) -> Fraction:
 
 def s_inverse_formula(n: int) -> Matrix:
     """(1/(4n)) * ones - (1/4) I, the closed-form inverse of build_S(n)."""
-    size = n + 2
     a = Fraction(1, 4 * n)
-    rows = [
-        [a - Fraction(1, 4) if i == j else a for j in range(size)]
-        for i in range(size)
-    ]
-    return Matrix.from_rows(rows, EXACT)
+    return _matrix(n + 2, lambda i, j: a - Fraction(1, 4) if i == j else a)
 
 
 def check_S_properties(n: int) -> ProofReport:
@@ -230,75 +211,51 @@ def check_S_properties(n: int) -> ProofReport:
     ]
     if n == 2:
         entries.append(_check("S^2 = 16I", n, s @ s, Matrix.identity(size).scaled(16)))
-        entries.append(_check("det(S) = -256", n, determinant(s), Fraction(-256)))
+        entries.append(_check("det(S) = -256", n, determinant(s), -256))
         entries.append(
             _check("S^-1 = S/16", n, s_inverse_formula(n), s.scaled(Fraction(1, 16)))
         )
     return ProofReport(entries=tuple(entries))
 
 
-def _expected_eliminated(r: SignedRadii) -> Matrix:
-    size = len(r.values) + 1
-    rows = [[Fraction(0)] * size for _ in range(size)]
-    for j in range(1, size):
-        rows[0][j] = rows[j][0] = Fraction(1)
-    for i, ri in enumerate(r.values, start=1):
-        for j, rj in enumerate(r.values, start=1):
-            rows[i][j] = -2 * ri * ri if i == j else 2 * ri * rj
-    return Matrix.from_rows(rows, EXACT)
-
-
-def _expected_block_form(k: Curvatures) -> Matrix:
-    size = len(k.values) + 1
-    rows = [[Fraction(0)] * size for _ in range(size)]
-    for j, kv in enumerate(k.values, start=1):
-        rows[0][j] = rows[j][0] = Fraction(kv)
-    for i in range(1, size):
-        for j in range(1, size):
-            rows[i][j] = Fraction(-2) if i == j else Fraction(2)
-    return Matrix.from_rows(rows, EXACT)
-
-
 def check_reduction_chain(r: SignedRadii) -> ProofReport:
     """Replay the whole determinant reduction on one rational configuration.
 
-    Steps: (a) P^T D P eliminates the r_i^2 terms, (b) Q^T . Q rescales to
-    the bordered block of curvatures over S, (c) the block-determinant rule
+    Steps: (a) P^T D P eliminates the r_i^2 terms, leaving [[0, 1^T], [1,
+    diag(r) S diag(r)]], (b) Q^T . Q rescales to the bordered block
+    [[0, k^T], [k, S]] of curvatures over S, (c) the block-determinant rule
     with the closed-form S^-1, (d) the block value is the scaled tangency
     residual, (e) det(D) recovers it through det(P)^2 det(Q)^2.
     """
     _require_exact_radii(r)
     n = r.n
+    m = len(r.values)
     k = curvatures_from_radii(r)
+    s = build_S(n)
     d = build_cm_matrix(tangency_squared_distances(r))
     p = build_P(r)
     q = build_Q(r)
 
     eliminated = p.transpose() @ d @ p
     block = q.transpose() @ eliminated @ q
+    r_s_r = _matrix(m, lambda i, j: r.values[i] * s.at(i, j) * r.values[j])
 
     det_block = determinant(block)
-    det_s = determinant(build_S(n))
-    s_inv = s_inverse_formula(n)
-    # R^T S^-1 R with R the curvature column
-    kv = list(k.values)
-    rts_r = sum(
-        kv[i] * s_inv.at(i, j) * kv[j] for i in range(len(kv)) for j in range(len(kv))
-    )
-    block_rule_value = -det_s * rts_r
-
-    residual = descartes_residual(k)
-    scaled_residual = Fraction((-1) ** n * 2 ** (2 * n + 1)) * residual
-
-    det_d = determinant(d)
-    prod_r = r.product()
+    k_col = Matrix(m, 1, k.values, EXACT)
+    kt_sinv_k = (k_col.transpose() @ s_inverse_formula(n) @ k_col).at(0, 0)
+    scaled_residual = (-1) ** n * 2 ** (2 * n + 1) * descartes_residual(k)
 
     return ProofReport(
         entries=(
-            _check("PtDP matches eliminated form", n, eliminated, _expected_eliminated(r)),
-            _check("QtPtDPQ matches bordered block form", n, block, _expected_block_form(k)),
-            _check("block determinant rule", n, det_block, block_rule_value),
+            _check("PtDP matches eliminated form", n, eliminated, _bordered([1] * m, r_s_r)),
+            _check("QtPtDPQ matches bordered block form", n, block, _bordered(k.values, s)),
+            _check("block determinant rule", n, det_block, -determinant(s) * kt_sinv_k),
             _check("block value is scaled residual", n, det_block, scaled_residual),
-            _check("det(D) recovers scaled residual", n, det_d, prod_r**2 * scaled_residual),
+            _check(
+                "det(D) recovers scaled residual",
+                n,
+                determinant(d),
+                r.product() ** 2 * scaled_residual,
+            ),
         )
     )

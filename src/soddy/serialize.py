@@ -1,8 +1,9 @@
 """JSON-friendly encoding of scalars, matrices, and reports.
 
 Rationals serialize as {"num": str, "den": str} so arbitrary-precision values
-survive; floats pass through as JSON numbers.  Exact values are never
-silently converted to float.
+survive; finite floats pass through as JSON numbers, and a NaN or infinite
+float is an error, so no result is written as a non-JSON constant.  Exact
+values are never silently converted to float.
 """
 
 from __future__ import annotations
@@ -11,12 +12,13 @@ from fractions import Fraction
 from numbers import Integral
 
 from .errors import ValidationError
-from .numeric import Matrix
+from .numeric import Matrix, as_float
 
 
 def scalar_to_json(value):
+    """One JSON scalar; a NaN or infinite float raises :class:`NonFiniteError`."""
     if isinstance(value, float):
-        return value
+        return as_float(value)
     if isinstance(value, (Fraction, Integral)):
         f = Fraction(value)
         return {"num": str(f.numerator), "den": str(f.denominator)}
@@ -24,12 +26,9 @@ def scalar_to_json(value):
 
 
 def value_to_json(value):
+    """A scalar, or a matrix as a list of rows of scalars."""
     if isinstance(value, Matrix):
         return [[scalar_to_json(v) for v in row] for row in value.to_rows()]
-    if isinstance(value, (list, tuple)):
-        return [value_to_json(v) for v in value]
-    if isinstance(value, bool):
-        return value
     return scalar_to_json(value)
 
 

@@ -30,7 +30,7 @@ from .errors import (
     NoRealSolutionError,
     ValidationError,
 )
-from .numeric import EXACT, Scalar, coerce_vector, infer_mode
+from .numeric import EXACT, Scalar, coerce, coerce_vector, infer_mode
 
 
 @dataclass(frozen=True)
@@ -90,11 +90,10 @@ def radii_from_curvatures(k: Curvatures) -> SignedRadii:
 
 def tangency_squared_distances(r: SignedRadii) -> SquaredDistanceMatrix:
     """Squared center distances (r_i + r_j)^2 of the tangent configuration."""
-    m = len(r.values)
-    rows = [
-        [(r.values[i] + r.values[j]) ** 2 if i != j else 0 for j in range(m)]
-        for i in range(m)
-    ]
+    # s * s, not s ** 2: a float square past the float range is then inf,
+    # which coercion rejects as non-finite, instead of an OverflowError
+    sums = [[a + b for b in r.values] for a in r.values]
+    rows = [[s * s if i != j else 0 for j, s in enumerate(row)] for i, row in enumerate(sums)]
     return SquaredDistanceMatrix.from_entries(rows, r.mode)
 
 
@@ -112,7 +111,9 @@ def factored_volume_squared(r: SignedRadii) -> VolumeSquared:
     rational radii: 2^n * (prod r_i / (n+1)!)^2 * residual.
     """
     res = descartes_residual(curvatures_from_radii(r))
-    value = 2**r.n * (r.product() / math.factorial(r.n + 1)) ** 2 * res
+    c = r.product() / math.factorial(r.n + 1)
+    # coercion turns a float overflow into NonFiniteError, as volume_squared does
+    value = coerce(2**r.n * (c * c) * res, r.mode)
     return VolumeSquared(value=value, dim=r.n + 1)
 
 
@@ -169,12 +170,13 @@ def solve_missing_curvature(known: Sequence, n: int) -> tuple[Scalar, Scalar]:
     return ((s + root_disc) / (n - 1), (s - root_disc) / (n - 1))
 
 
-def vieta_partner(k: Curvatures, index: int, tol: float = 1e-9) -> Scalar:
+def vieta_partner(k: Curvatures, index: int) -> Scalar:
     """The other root of the missing-curvature quadratic at ``index``.
 
     partner = 2 * sum(other curvatures) / (n-1) - k[index].  Requires the
-    input to satisfy the tangency identity (exactly in exact mode, within
-    ``tol`` * max(1, k_max^2) in float mode); replacing k[index] with the
+    input to satisfy the tangency identity: exactly in exact mode, and in
+    float mode within a relative tolerance, |residual| <= 1e-9 * max k_i^2,
+    so the test reads the same at every scale.  Replacing k[index] with the
     partner preserves the identity, which is how gaskets grow without ever
     taking a square root.
     """
@@ -189,10 +191,10 @@ def vieta_partner(k: Curvatures, index: int, tol: float = 1e-9) -> Scalar:
                 f"curvatures do not satisfy the tangency identity (residual {res})"
             )
     else:
-        scale = max(1.0, max(v * v for v in k.values))
+        tol = 1e-9 * max(v * v for v in k.values)
         # written so that a NaN residual (overflowed squares) fails the check
-        if not abs(res) <= tol * scale:
+        if not abs(res) <= tol:
             raise InconsistentConfigurationError(
-                f"tangency residual {res} exceeds tolerance {tol * scale}"
+                f"tangency residual {res} exceeds tolerance {tol}"
             )
     return 2 * (sum(k.values) - k.values[index]) / (k.n - 1) - k.values[index]

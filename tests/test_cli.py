@@ -356,7 +356,9 @@ def test_proof_reports_match_golden(name):
 
 BIG = str(10**400)
 # each printed a traceback before coercion checked its input, except
-# boolean-entry, which returned 2.0 while exact mode rejected booleans
+# boolean-entry, which returned 2.0 while exact mode rejected booleans, and
+# the *-overflow calls, whose input is in range but whose arithmetic is not:
+# embed printed a traceback, residual and solve printed NaN with exit 0
 MALFORMED_CALLS = {
     "null-entry": ["cm-det", "--mode", "float", "--matrix", "[[0,null],[null,0]]"],
     "list-entry": ["cm-det", "--mode", "float", "--matrix", "[[0,[1]],[[1],0]]"],
@@ -367,7 +369,12 @@ MALFORMED_CALLS = {
     "solve-huge": ["solve", "--n", "2", "--mode", "float", "--curvatures", "1e400,1,1"],
     "embed-huge": ["embed", "--n", "2", "--radii", "1e400,1,1,1"],
     "boolean-entry": ["cm-det", "--mode", "float", "--matrix", "[[0,true],[true,0]]"],
+    "embed-overflow": ["embed", "--n", "2", "--radii", "1e200,1,1,1"],
+    "residual-overflow": ["residual", "--n", "2", "--mode", "float", "--curvatures", "1e200,1,1,1"],
+    "solve-overflow": ["solve", "--n", "2", "--mode", "float", "--curvatures", "1e200,1,1"],
 }
+# refused as non-scalars; every other call is refused as non-finite
+NOT_SCALAR_CALLS = {"null-entry", "list-entry", "boolean-entry"}
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_CALLS))
@@ -381,9 +388,11 @@ def test_malformed_input_gives_one_error_envelope(case):
     assert "Traceback" not in proc.stderr
     assert proc.returncode == 1
     assert proc.stdout.count("\n") == 1
-    payload = json.loads(proc.stdout)
+    payload = json.loads(proc.stdout, parse_constant=_reject_constant)
     assert payload["ok"] is False
-    assert payload["error"]["kind"] in {"validation", "non-finite"}
+    assert payload["error"]["kind"] == (
+        "validation" if case in NOT_SCALAR_CALLS else "non-finite"
+    )
 
 
 # Strings stay short: a decimal token with a long exponent ("1e9999999")

@@ -11,7 +11,6 @@ import pytest
 from soddy.errors import GeometryError, NonFiniteError, SeedError, SoddyError, ValidationError
 from soddy.gasket import (
     Gasket,
-    SvgOptions,
     _build_initial,
     gasket_to_dict,
     generate,
@@ -266,10 +265,6 @@ class TestRenderSvg:
         empty = Gasket(circles=(), seed_curvatures=(1.0, 1.0, 1.0), max_depth=0)
         with pytest.raises(ValidationError):
             render_svg(empty)
-
-    def test_options_change_output(self):
-        g = initial_configuration([-1, 2, 2])
-        assert render_svg(g) != render_svg(g, SvgOptions(width=256))
 
 
 def test_gasket_to_dict_roundtrips():

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from soddy import proof_witness
 from soddy.cayley_menger import build_cm_matrix
 from soddy.errors import ModeMismatchError
 from soddy.numeric import EXACT, Matrix, determinant
@@ -22,6 +23,7 @@ from soddy.proof_witness import (
     s_determinant_formula,
     s_inverse_formula,
 )
+from soddy.cli import run
 from soddy.tangency import tangency_squared_distances, validate_radii
 
 from .conftest import rand_nonzero_fraction, rand_points, rand_radii
@@ -250,3 +252,72 @@ def test_failed_identity_records_both_sides():
     entry = report.entries[0]
     assert entry.lhs == entry.rhs == -256
     assert "det(S)" in entry.line()
+
+
+def _with_entry(m: Matrix, i: int, j: int, value) -> Matrix:
+    rows = m.to_rows()
+    rows[i][j] = value
+    return Matrix.from_rows(rows, EXACT)
+
+
+def _s_inverse_one_entry_off(n):
+    good = s_inverse_formula(n)
+    return _with_entry(good, 0, 1, good.at(0, 1) + 1)
+
+
+def _p_adding_squares(r):
+    rows = build_P(r).to_rows()
+    rows[0] = [1, *(v * v for v in r.values)]
+    return Matrix.from_rows(rows, EXACT)
+
+
+def _s_with_minus_3_diagonal(n):
+    return Matrix.from_rows(
+        [[-3 if i == j else 2 for j in range(n + 2)] for i in range(n + 2)], EXACT
+    )
+
+
+# Each wrong ingredient must turn exactly these identities red.  A check whose
+# expected side were computed from the same product as its lhs would stay green.
+MUTATIONS = {
+    "s_inverse_formula": (
+        _s_inverse_one_entry_off,
+        {"S times formula inverse is identity", "S^-1 = S/16", "block determinant rule"},
+    ),
+    "build_P": (
+        _p_adding_squares,
+        {"PtDP matches eliminated form", "QtPtDPQ matches bordered block form"},
+    ),
+    "build_S": (
+        _s_with_minus_3_diagonal,
+        {
+            "det(S) matches closed form",
+            "S times formula inverse is identity",
+            "S^2 = 16I",
+            "det(S) = -256",
+            "S^-1 = S/16",
+            "PtDP matches eliminated form",
+            "QtPtDPQ matches bordered block form",
+            "block determinant rule",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("target", sorted(MUTATIONS))
+def test_wrong_ingredient_fails_its_checks(target, monkeypatch, capsys):
+    mutant, expected_failures = MUTATIONS[target]
+    monkeypatch.setattr(proof_witness, target, mutant)
+    # a non-flat configuration: a zero residual would hide a wrong det(S)
+    code = run(["verify-proof", "--radii", "1,2,3,4"])
+    captured = capsys.readouterr()
+    assert code == 2
+    identities = json.loads(captured.out)["result"]["identities"]
+    failed = [e for e in identities if not e["passed"]]
+    assert {e["name"] for e in failed} == expected_failures
+    assert len(identities) == 10
+    for e in failed:
+        assert e["lhs"] != e["rhs"]
+    fail_lines = [line for line in captured.err.splitlines() if line.startswith("FAIL")]
+    assert len(fail_lines) == len(expected_failures)
+    assert all("  lhs=" in line and "  rhs=" in line for line in fail_lines)

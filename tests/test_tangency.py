@@ -12,6 +12,7 @@ from soddy.errors import (
     DimensionError,
     FloatModeRequiredError,
     InconsistentConfigurationError,
+    NonFiniteError,
     NoRealSolutionError,
     ValidationError,
 )
@@ -148,6 +149,14 @@ class TestFactoredVolume:
                 == volume_squared(tangency_squared_distances(r)).value
             )
 
+    def test_float_overflow_is_non_finite_on_both_routes(self):
+        # (r_i + r_j)^2 and (prod r)^2 pass the float range; ** raised OverflowError
+        r = validate_radii([1e200, 1.0, 1.0, 1.0], 2)
+        with pytest.raises(NonFiniteError):
+            factored_volume_squared(r)
+        with pytest.raises(NonFiniteError):
+            volume_squared(tangency_squared_distances(r))
+
 
 class TestCentralIdentity:
     def test_exact_for_random_radii_all_dimensions(self, rng):
@@ -272,6 +281,15 @@ class TestVietaPartner:
         k = validate_curvatures([1, 1, 1, 1], 2)
         with pytest.raises(InconsistentConfigurationError):
             vieta_partner(k, 0)
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_float_tolerance_is_relative(self, scale):
+        # residual 40 * scale^2 against max k^2 = 16 * scale^2 at every scale
+        k = Curvatures(values=tuple(scale * v for v in (1, 2, 3, 4)), n=2, mode="float")
+        with pytest.raises(InconsistentConfigurationError):
+            vieta_partner(k, 0)
+        tangent = Curvatures(values=tuple(scale * v for v in (-1, 2, 2, 3)), n=2, mode="float")
+        assert vieta_partner(tangent, 0) == pytest.approx(15 * scale, rel=1e-12)
 
     @pytest.mark.parametrize(
         "values",
