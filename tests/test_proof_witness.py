@@ -254,15 +254,10 @@ def test_failed_identity_records_both_sides():
     assert "det(S)" in entry.line()
 
 
-def _with_entry(m: Matrix, i: int, j: int, value) -> Matrix:
-    rows = m.to_rows()
-    rows[i][j] = value
-    return Matrix.from_rows(rows, EXACT)
-
-
 def _s_inverse_one_entry_off(n):
-    good = s_inverse_formula(n)
-    return _with_entry(good, 0, 1, good.at(0, 1) + 1)
+    rows = s_inverse_formula(n).to_rows()
+    rows[0][1] += 1
+    return Matrix.from_rows(rows, EXACT)
 
 
 def _p_adding_squares(r):
