@@ -110,21 +110,19 @@ def heron_area_squared(a, b, c) -> Scalar:
     return heron_area_squared_from_squares(a * a, b * b, c * c)
 
 
-def is_degenerate(d: SquaredDistanceMatrix, tol: float = 1e-9) -> bool:
+def is_degenerate(d: SquaredDistanceMatrix) -> bool:
     """True when the points fit in a subspace of dimension < m-1.
 
-    Exact mode tests ``volume_squared == 0`` exactly; ``tol`` is ignored.
-    Float mode compares |v^2| against ``tol * (max d^2)^(m-1)``, the scale
-    matching the determinant's homogeneity degree, exactly on Fractions, so
-    a scale beyond the float range does not overflow.
+    Exact mode tests ``volume_squared == 0`` exactly.  Float mode compares
+    |v^2| against ``1e-9 * (max d^2)^(m-1)``, the scale matching the
+    determinant's homogeneity degree, exactly on Fractions, so a scale
+    beyond the float range does not overflow.
     """
-    if not 0 <= tol < math.inf:  # written so that a NaN tolerance fails too
-        raise ValidationError(f"tolerance must be finite and nonnegative, got {tol!r}")
     v2 = volume_squared(d).value
     if d.mode == EXACT:
         return v2 == 0
     scale = Fraction(d.max_entry()) ** (d.m - 1)
-    return abs(Fraction(v2)) <= Fraction(tol) * scale
+    return abs(Fraction(v2)) <= Fraction(1e-9) * scale
 
 
 def volume_squared_from_coordinates(points: Sequence[Sequence]) -> VolumeSquared:

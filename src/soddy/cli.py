@@ -67,7 +67,7 @@ def _parse_matrix(args) -> SquaredDistanceMatrix:
     text = args.matrix if args.matrix is not None else sys.stdin.read()
     try:
         # ValueError also covers integers beyond Python's digit limit
-        raw = json.loads(text, parse_float=Fraction)
+        raw = json.loads(text, parse_float=parse_rational)
     except ValueError as exc:
         raise ValidationError(f"matrix is not valid JSON: {exc}") from exc
     if not isinstance(raw, list) or not all(isinstance(r, list) for r in raw):
@@ -158,8 +158,7 @@ def _cmd_verify_proof(args):
 def _cmd_embed(args):
     r = validate_radii(_parse_scalars(args.radii, FLOAT), args.n)
     pts = realize_points(tangency_squared_distances(r), args.n)
-    centers = [[float(v) for v in row] for row in pts.coords]
-    return {"dim": args.n, "centers": centers}, 0
+    return {"dim": args.n, "centers": [list(row) for row in pts.coords]}, 0
 
 
 def _cmd_gasket(args):

@@ -1,145 +1,132 @@
 """Realize squared-distance matrices as float coordinates.
 
-The bridge from algebra to drawable geometry: a Gram matrix relative to
-point 0 is factored by a symmetric eigendecomposition, and new points are
-appended by trilateration (differencing sphere equations into a linear
-system).  Outputs are orientation-normalized so identical inputs give
-identical coordinates: point 0 at the origin, point 1 on the positive first
-axis, point 2 with nonnegative second coordinate, and so on.
+``realize_points`` factors the Gram matrix relative to point 0,
+G_ij = (d_0i + d_0j - d_ij) / 2, as L diag(p) L^T one point at a time, in
+the input's own mode.  Pivot p_k, the squared distance of point k from the
+span of the points before it, is a ratio of consecutive Cayley-Menger
+determinants.  A point with a positive pivot opens the next axis, and point
+i's coordinate on axis a is L_ia * p_a^(1/2); so point 1 lies on the
+positive first axis, point 2 has a nonnegative second coordinate, and so on,
+and a point that opens no axis is exactly 0.0 on every later one.
+``append_point`` locates one more point by trilateration.
 
-numpy is imported inside the functions that use it, so importing ``soddy``
-or its CLI does not load it.
+numpy is imported only inside ``append_point``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, zip_longest
 from typing import Sequence
 
 from .cayley_menger import SquaredDistanceMatrix
 from .errors import (
     AmbiguousSolutionError,
     DimensionError,
-    GeometryError,
     NegativeEigenvalueError,
     NoSolutionError,
     NonFiniteError,
     RankExceedsDimError,
-    ValidationError,
 )
+from .numeric import EXACT, as_float, coerce
 
 DEFAULT_TOL = 1e-9
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class EmbeddedPoints:
-    """m float coordinate vectors, one per row."""
+    """m float coordinate vectors of one dimension, one tuple per point."""
 
-    coords: np.ndarray
+    coords: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
-        import numpy as np
-
-        arr = np.array(self.coords, dtype=float)
-        if arr.ndim != 2:
+        try:
+            coords = tuple(tuple(as_float(v) for v in row) for row in self.coords)
+        except TypeError:  # a row or the whole that is not iterable
+            coords = ()
+        if not coords or len({len(row) for row in coords}) != 1:
             raise DimensionError("coordinates must form an (m, dim) array")
-        if not np.isfinite(arr).all():
-            raise NonFiniteError("coordinates must be finite")
-        arr.setflags(write=False)
-        object.__setattr__(self, "coords", arr)
+        object.__setattr__(self, "coords", coords)
 
     @property
     def m(self) -> int:
-        return self.coords.shape[0]
+        return len(self.coords)
 
     @property
     def dim(self) -> int:
-        return self.coords.shape[1]
+        return len(self.coords[0])
 
-    def squared_distances(self) -> np.ndarray:
-        diff = self.coords[:, None, :] - self.coords[None, :, :]
-        return (diff**2).sum(axis=2)
-
-
-def _orient(x: np.ndarray) -> np.ndarray:
-    """Rotate/reflect so the coordinates are canonical (lower-triangular form)."""
-    import numpy as np
-
-    m, dim = x.shape
-    if m <= 1:
-        return x
-    rel = x[1:] - x[0]
-    q, r = np.linalg.qr(rel.T, mode="complete")
-    y = r.T.copy()  # (m-1, dim), lower triangular
-    for i in range(min(m - 1, dim)):
-        if y[i, i] < 0:
-            y[:, i] = -y[:, i]
-    out = np.zeros((m, dim))
-    out[1:] = y
-    return out
+    def squared_distances(self) -> tuple[tuple[float, ...], ...]:
+        return tuple(
+            tuple(sum((a - b) * (a - b) for a, b in zip(p, q)) for q in self.coords)
+            for p in self.coords
+        )
 
 
-def realize_points(
-    d: SquaredDistanceMatrix, dim: int, tol: float = DEFAULT_TOL
-) -> EmbeddedPoints:
-    """Embed the m points of ``d`` into ``dim`` dimensions.
+def _dot(x, y, w):
+    """Sum of x_a * y_a * w_a over the shortest of the three."""
+    return sum(a * b * c for a, b, c in zip(x, y, w))
 
-    Factors the Gram matrix G_ij = (d2[0,i] + d2[0,j] - d2[i,j]) / 2 taken
-    relative to point 0.  Raises :class:`NegativeEigenvalueError` when the
-    distances are not Euclidean (an eigenvalue < -tol*scale) and
-    :class:`RankExceedsDimError` when more than ``dim`` eigenvalues exceed
-    +tol*scale, with scale = max d2.
+
+def realize_points(d: SquaredDistanceMatrix, dim: int) -> EmbeddedPoints:
+    """Embed the m points of ``d`` into ``dim`` dimensions by one LDL^T pass.
+
+    A pivot is zero when it is 0 in exact mode, or within DEFAULT_TOL * max d^2
+    of 0 in float mode.  A negative pivot, or a squared distance that L and p
+    miss (at all in exact mode, by more than ten times that zero in float
+    mode, which means the Gram matrix is indefinite), raises
+    :class:`NegativeEigenvalueError`; more than ``dim`` axes raise
+    :class:`RankExceedsDimError`; float overflow raises :class:`NonFiniteError`.
     """
-    import numpy as np
-
     if dim < 1:
         raise DimensionError("target dimension must be >= 1")
-    if tol < 0:
-        raise ValidationError("tolerance must be nonnegative")
-    m = d.m
-    d2 = np.array([[float(v) for v in row] for row in d.entries])
-    scale = max(d2.max(), 1e-300)
-    g = np.empty((m - 1, m - 1))
-    for i in range(1, m):
-        for j in range(1, m):
-            g[i - 1, j - 1] = (d2[0, i] + d2[0, j] - d2[i, j]) / 2.0
-    evals, evecs = np.linalg.eigh(g)
-    if evals.min(initial=0.0) < -tol * scale:
-        raise NegativeEigenvalueError(
-            f"distances are non-Euclidean (eigenvalue {evals.min():.3e})"
+    e, mode = d.entries, d.mode
+    zero = 0 if mode == EXACT else DEFAULT_TOL * d.max_entry()
+    pivots, openers = [], []  # per axis: p_a and the point that opened it
+    rows = [[]]  # rows[i][a] = L_ia, zero past the row's end; point 0 is the origin
+    for i in range(1, d.m):
+        row = []
+        for j, p in zip(openers, pivots):
+            gram = (e[0][i] + e[0][j] - e[i][j]) / 2
+            row.append((gram - _dot(row, rows[j], pivots)) / p)
+        pivot = coerce(e[0][i] - _dot(row, row, pivots), mode)
+        # each check is written so that a NaN fails it
+        if not -zero <= pivot:
+            raise NegativeEigenvalueError(f"distances are non-Euclidean: pivot of point {i} < 0")
+        if not pivot <= zero:
+            pivots.append(pivot)
+            openers.append(i)
+            row.append(1)
+        rows.append(row)
+    for i, j in combinations(range(d.m), 2):
+        diff = [x - y for x, y in zip_longest(rows[i], rows[j], fillvalue=0)]
+        if not abs(coerce(_dot(diff, diff, pivots), mode) - e[i][j]) <= 10 * zero:
+            raise NegativeEigenvalueError(f"distances are non-Euclidean: d[{i}][{j}] is not reproduced")
+    if len(pivots) > dim:
+        raise RankExceedsDimError(f"distances need more than {dim} dimensions")
+    roots = [as_float(p) ** 0.5 for p in pivots]
+    # + 0.0 keeps negative zeros out of the coordinates
+    return EmbeddedPoints(
+        tuple(
+            tuple(as_float(x) * r + 0.0 for x, r in zip(row, roots)) + (0.0,) * (dim - len(row))
+            for row in rows
         )
-    if int((evals > tol * scale).sum()) > dim:
-        raise RankExceedsDimError(
-            f"distances need more than {dim} dimensions"
-        )
-    order = np.argsort(evals)[::-1][: min(dim, m - 1)]
-    x = np.zeros((m, dim))
-    x[1:, : len(order)] = evecs[:, order] * np.sqrt(np.clip(evals[order], 0.0, None))
-    points = EmbeddedPoints(_orient(x))
-    err = np.abs(points.squared_distances() - d2).max()
-    if err > max(tol, 1e-9) * scale * 10:
-        raise GeometryError(f"round-trip distance error {err:.3e} exceeds tolerance")
-    return points
+    )
 
 
-def append_point(
-    existing: EmbeddedPoints,
-    sq_dists: Sequence[float],
-    tol: float = DEFAULT_TOL,
-) -> np.ndarray:
+def append_point(existing: EmbeddedPoints, sq_dists: Sequence[float]) -> np.ndarray:
     """Locate one new point from its squared distances to the existing ones.
 
     Differencing the sphere equations against point 0 gives a linear system.
     A full-rank system pins the point; rank dim-1 leaves a single reflection,
     resolved deterministically toward the larger final coordinate (the
-    nonnegative choice once the existing points are orientation-normalized).
-    Anything looser raises
-    :class:`AmbiguousSolutionError`; distances that cannot be met raise
-    :class:`NoSolutionError`.
+    nonnegative choice for points from :func:`realize_points`).  Anything
+    looser raises :class:`AmbiguousSolutionError`; distances that cannot be
+    met raise :class:`NoSolutionError`.
     """
     import numpy as np
 
-    x = existing.coords
+    x = np.array(existing.coords)
     m, dim = x.shape
     sq = np.asarray(sq_dists, dtype=float)
     if sq.shape != (m,):
@@ -151,10 +138,7 @@ def append_point(
     a = 2.0 * (x[1:] - x[0])
     b = sq[0] - sq[1:] + (x[1:] ** 2).sum(axis=1) - (x[0] ** 2).sum()
     if a.shape[0] == 0:
-        s = np.zeros(0)
-        vt = np.eye(dim)
-        rank = 0
-        p0 = np.zeros(dim)
+        vt, rank, p0 = np.eye(dim), 0, np.zeros(dim)
     else:
         u, s, vt = np.linalg.svd(a, full_matrices=True)
         cutoff = s[0] * 1e-9 if s.size else 0.0
@@ -169,17 +153,15 @@ def append_point(
         half_b = null_dir @ rel
         c = rel @ rel - sq[0]
         disc = half_b * half_b - c
-        if disc < -tol * scale:
+        if disc < -DEFAULT_TOL * scale:
             raise NoSolutionError("distances are mutually inconsistent")
         root = np.sqrt(max(disc, 0.0))
         cand = [p0 + (-half_b + root) * null_dir, p0 + (-half_b - root) * null_dir]
         p = max(cand, key=lambda v: v[-1])
     else:
-        raise AmbiguousSolutionError(
-            f"anchors determine only {rank} of {dim} coordinates"
-        )
+        raise AmbiguousSolutionError(f"anchors determine only {rank} of {dim} coordinates")
 
     err = np.abs(((p - x) ** 2).sum(axis=1) - sq).max()
-    if err > tol * scale:
+    if err > DEFAULT_TOL * scale:
         raise NoSolutionError(f"distance residual {err:.3e} exceeds tolerance")
     return p

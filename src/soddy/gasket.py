@@ -76,8 +76,8 @@ def _validate_seed(seed) -> tuple[float, float, float]:
 class _Builder:
     """Mutable working state during generation; frozen into a Gasket at the end."""
 
-    def __init__(self, seed: tuple[float, float, float]):
-        self.seed = seed
+    def __init__(self, seed: tuple[float, float, float], exp: int):
+        self.seed, self.exp = seed, exp  # the seed as given; circles below are in units of 2^exp
         self.ws: list[complex] = []
         self.centers: list[complex] = []
         self.radii: list[float] = []
@@ -130,22 +130,30 @@ class _Builder:
             ),
         )
         remap = {old: new for new, old in enumerate(order)}
-        circles = tuple(
-            Circle(
-                # + 0.0 keeps negative zeros out of the output
-                center=(self.centers[i].real + 0.0, self.centers[i].imag + 0.0),
-                radius=self.radii[i],
-                curvature=self.curvatures[i],
-                depth=self.depths[i],
-                parents=tuple(sorted(remap[p] for p in self.parents[i])),
+        try:  # scaled back by 2^exp; + 0.0 keeps negative zeros out of the output
+            circles = tuple(
+                Circle(
+                    center=(math.ldexp(z.real, -self.exp) + 0.0, math.ldexp(z.imag, -self.exp) + 0.0),
+                    radius=math.ldexp(self.radii[i], -self.exp),
+                    curvature=math.ldexp(self.curvatures[i], self.exp),
+                    depth=self.depths[i],
+                    parents=tuple(sorted(remap[p] for p in self.parents[i])),
+                )
+                for i, z in ((i, self.centers[i]) for i in order)
             )
-            for i in order
-        )
+        except OverflowError:
+            raise NonFiniteError("gasket values pass the float range at this seed scale") from None
         return Gasket(circles=circles, seed_curvatures=self.seed, max_depth=max_depth)
 
 
 def _build_initial(seed: tuple[float, float, float]) -> tuple[_Builder, tuple[int, int, int, int]]:
-    ks = _validate_seed(seed)
+    seed = _validate_seed(seed)
+    # Place the seed scaled by 2^-exp to bring max |k| into [1/2, 1): every
+    # float step commutes exactly with that scale, and freeze undoes it.
+    exp = math.frexp(max(abs(k) for k in seed))[1]
+    ks = tuple(math.ldexp(k, -exp) for k in seed)
+    if 0.0 in ks:
+        raise NonFiniteError("seed curvatures span too wide a range to place in floats")
     try:
         k3, k3_other = solve_missing_curvature(list(ks), 2)
     except NoRealSolutionError as exc:
@@ -164,7 +172,7 @@ def _build_initial(seed: tuple[float, float, float]) -> tuple[_Builder, tuple[in
     y2 = (k3 - k3_other) / abs(2.0 * k2) / abs(k0 + k1)
     if not (math.isfinite(x2) and math.isfinite(y2)):
         raise NonFiniteError("seed curvatures are too large or too small to place in floats")
-    b = _Builder(ks)
+    b = _Builder(seed, exp)
     b.add(0j, k0, 0, ())
     b.add(complex(k1 * d01), k1, 0, (), touching=(0,))
     b.add(k2 * complex(x2, y2), k2, 0, (), touching=(0, 1))

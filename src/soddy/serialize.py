@@ -8,20 +8,33 @@ values are never silently converted to float.
 
 from __future__ import annotations
 
+import math
+import re
 from fractions import Fraction
 from numbers import Integral
 
 from .errors import ValidationError
 from .numeric import Matrix, as_float
 
+#: Bound on the magnitude of a parsed decimal exponent: 10^4300 has as many
+#: digits as Python prints of an int by default.
+MAX_EXPONENT = 4300
+
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*$")
+
 
 def scalar_to_json(value):
-    """One JSON scalar; a NaN or infinite float raises :class:`NonFiniteError`."""
+    """One JSON scalar; a NaN or infinite float raises :class:`NonFiniteError`,
+    a rational too long to print a :class:`ValidationError`."""
     if isinstance(value, float):
         return as_float(value)
     if isinstance(value, (Fraction, Integral)):
         f = Fraction(value)
-        return {"num": str(f.numerator), "den": str(f.denominator)}
+        try:
+            return {"num": str(f.numerator), "den": str(f.denominator)}
+        except ValueError:  # Python's int-to-string digit limit
+            digits = int(max(abs(f.numerator), f.denominator).bit_length() * math.log10(2)) + 1
+            raise ValidationError(f"result of about {digits} digits is too long to print") from None
     raise ValidationError(f"cannot serialize {value!r}")
 
 
@@ -33,7 +46,13 @@ def value_to_json(value):
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse '-1', '1/3', or '0.5' (decimals become exact: 0.5 -> 1/2)."""
+    """Parse '-1', '1/3', '0.5' or '5e-3' exactly (0.5 -> 1/2).  A decimal
+    exponent beyond +-MAX_EXPONENT is refused, as '1e10000000' alone takes
+    seconds to expand."""
+    exponent = _EXPONENT.search(text)
+    # five digits without leading zeros already exceed the bound
+    if exponent and int(exponent[1].replace("_", "").lstrip("0")[:5] or 0) > MAX_EXPONENT:
+        raise ValidationError(f"exponent of {text[:40]!r} exceeds {MAX_EXPONENT}")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -41,9 +60,5 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_scalar(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    f = Fraction(value)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    """repr of a float; '3' or '1/3' for a rational."""
+    return repr(value) if isinstance(value, float) else str(Fraction(value))

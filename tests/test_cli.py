@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import json
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +20,8 @@ from hypothesis import strategies as st
 
 from soddy.cli import run
 from soddy.gasket import generate, render_svg
+
+ROOT_QUADRUPLES = ((-1, 2, 2, 3), (-2, 3, 6, 7), (-3, 5, 8, 12), (-4, 8, 9, 17), (-6, 10, 15, 19))
 
 # child interpreters import soddy from this checkout, installed or not
 CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
@@ -221,6 +226,22 @@ class TestEmbed:
         assert code == 2
         assert json.loads(out)["error"]["kind"] == "rank-exceeds-dim"
 
+    @pytest.mark.parametrize("scale", [-2, -1, 0, 1, 2])
+    def test_canonical_centers_in_every_order_and_scale(self, call, scale):
+        for quad in ROOT_QUADRUPLES:
+            for ks in sorted(set(itertools.permutations(quad))):
+                radii = [Fraction(1, k) / 10**scale for k in ks]
+                code, out, _ = call(["embed", "--n", "2", "--radii", ",".join(map(str, radii))])
+                assert code == 0
+                centers = json.loads(out)["result"]["centers"]
+                assert centers[0] == [0.0, 0.0] and centers[1][0] > 0
+                assert centers[1][1] == 0.0
+                if ks[0] * ks[1] + ks[1] * ks[2] + ks[2] * ks[0] == 0:  # collinear prefix
+                    assert centers[2][1] == 0.0 and centers[3][1] > 0
+                else:
+                    assert centers[2][1] > 0
+                assert all(math.copysign(1.0, v) == 1.0 for c in centers for v in c if v == 0)
+
 
 class TestGasket:
     def test_writes_svg_and_json(self, call, tmp_path):
@@ -308,7 +329,7 @@ def test_import_leaves_numpy_unloaded_until_embed():
         "soddy.cli.run(['verify-proof', '--random', '2', '--rng-seed', '1'])\n"
         "assert 'numpy' not in sys.modules, 'verify-proof loaded numpy'\n"
         "soddy.cli.run(['embed', '--n', '2', '--radii', '-1,1/2,1/2,1/3'])\n"
-        "assert 'numpy' in sys.modules\n"
+        "assert 'numpy' not in sys.modules, 'embed loaded numpy'\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=CHILD_ENV
@@ -372,9 +393,20 @@ MALFORMED_CALLS = {
     "embed-overflow": ["embed", "--n", "2", "--radii", "1e200,1,1,1"],
     "residual-overflow": ["residual", "--n", "2", "--mode", "float", "--curvatures", "1e200,1,1,1"],
     "solve-overflow": ["solve", "--n", "2", "--mode", "float", "--curvatures", "1e200,1,1"],
+    "residual-too-long": ["residual", "--n", "2", "--curvatures", "1e3000,1,1,1"],
+    "string-exponent": ["cm-det", "--matrix", '[[0,"1e5000"],["1e5000",0]]'],
+    "json-float-exponent": ["cm-det", "--matrix", "[[0,1e4301],[1e4301,0]]"],
 }
-# refused as non-scalars; every other call is refused as non-finite
-NOT_SCALAR_CALLS = {"null-entry", "list-entry", "boolean-entry"}
+# refused as non-scalars, as exponents past the parse bound or as results
+# too long to print; every other call is refused as non-finite
+VALIDATION_CALLS = {
+    "null-entry",
+    "list-entry",
+    "boolean-entry",
+    "residual-too-long",
+    "string-exponent",
+    "json-float-exponent",
+}
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_CALLS))
@@ -391,18 +423,18 @@ def test_malformed_input_gives_one_error_envelope(case):
     payload = json.loads(proc.stdout, parse_constant=_reject_constant)
     assert payload["ok"] is False
     assert payload["error"]["kind"] == (
-        "validation" if case in NOT_SCALAR_CALLS else "non-finite"
+        "validation" if case in VALIDATION_CALLS else "non-finite"
     )
 
 
-# Strings stay short: a decimal token with a long exponent ("1e9999999")
-# takes seconds to hours to parse, a fault this property does not cover.
+# Decimal tokens carry exponents on both sides of the parse bound.
 JSON_VALUES = st.recursive(
     st.none()
     | st.booleans()
     | st.integers(-(10**500), 10**500)
     | st.floats()
-    | st.text(max_size=4),
+    | st.text(max_size=4)
+    | st.builds("{}e{}".format, st.integers(-99, 99), st.integers(-(10**7), 10**7)),
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(max_size=3), inner, max_size=3),
     max_leaves=6,

@@ -15,6 +15,7 @@ from soddy.errors import (
     DimensionError,
     NegativeEigenvalueError,
     NoSolutionError,
+    NonFiniteError,
     RankExceedsDimError,
 )
 from soddy.tangency import (
@@ -38,7 +39,7 @@ def d2_array(d: SquaredDistanceMatrix) -> np.ndarray:
 
 
 def distances_of(pts: EmbeddedPoints) -> SquaredDistanceMatrix:
-    return SquaredDistanceMatrix.from_entries(pts.squared_distances().tolist(), "float")
+    return SquaredDistanceMatrix.from_entries(pts.squared_distances(), "float")
 
 
 class TestRealizePoints:
@@ -73,8 +74,8 @@ class TestRealizePoints:
         d = SquaredDistanceMatrix.from_entries([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
         pts = realize_points(d, 2)
         assert np.allclose(pts.coords[0], 0.0)
-        assert pts.coords[1, 0] > 0 and abs(pts.coords[1, 1]) < 1e-12
-        assert pts.coords[2, 1] >= 0
+        assert pts.coords[1][0] > 0 and abs(pts.coords[1][1]) < 1e-12
+        assert pts.coords[2][1] >= 0
 
     def test_round_trip_random(self, rng):
         for _ in range(30):
@@ -82,7 +83,7 @@ class TestRealizePoints:
             dim = rng.randint(1, min(4, m - 1))
             coords = np.array([[rng.uniform(-5, 5) for _ in range(dim)] for _ in range(m)])
             base = EmbeddedPoints(coords)
-            d2 = base.squared_distances()
+            d2 = np.array(base.squared_distances())
             pts = realize_points(distances_of(base), dim)
             assert np.abs(pts.squared_distances() - d2).max() <= 1e-9 * max(d2.max(), 1.0)
 
@@ -93,7 +94,7 @@ class TestRealizePoints:
         moved = coords @ rot.T + np.array([3.0, -2.0])
         a = realize_points(distances_of(EmbeddedPoints(coords)), 2)
         b = realize_points(distances_of(EmbeddedPoints(moved)), 2)
-        assert np.abs(a.coords - b.coords).max() <= 1e-7
+        assert np.abs(np.array(a.coords) - b.coords).max() <= 1e-7
 
     def test_flatness_consistency(self, rng):
         for _ in range(20):
@@ -122,6 +123,44 @@ class TestRealizePoints:
         d = SquaredDistanceMatrix.from_entries([[0, 1], [1, 0]])
         with pytest.raises(DimensionError):
             realize_points(d, 0)
+
+    def test_exact_flat_quadruple_is_exact(self):
+        pts = realize_points(tangency_squared_distances(FLAT_RADII), 2)
+        assert pts.coords == ((0.0, 0.0), (0.5, 0.0), (-0.5, 0.0), (0.0, 2 / 3))
+
+    def test_exact_input_is_checked_exactly(self):
+        # each perturbation is lost when the radii are rounded to floats;
+        # the first makes the residual 16e - e^2 > 0, so the centers need a
+        # third dimension, the second makes it -e^2 < 0, so no Euclidean
+        # space holds them (point 3 cannot keep both distances to the
+        # collinear points 1 and 2)
+        eps = F(1, 10**30)
+        off_plane = validate_radii([-1 - eps, F(1, 2), F(1, 2), F(1, 3)], 2, strict=False)
+        with pytest.raises(RankExceedsDimError):
+            realize_points(tangency_squared_distances(off_plane), 2)
+        assert realize_points(tangency_squared_distances(off_plane), 3).dim == 3
+        impossible = validate_radii([-1, F(1, 2), F(1, 2), F(1, 3) + eps], 2, strict=False)
+        with pytest.raises(NegativeEigenvalueError):
+            realize_points(tangency_squared_distances(impossible), 3)
+
+    def test_unused_dimensions_are_exact_zeros(self):
+        d = SquaredDistanceMatrix.from_entries([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+        pts = realize_points(d, 4)
+        assert pts.coords[0] == (0.0, 0.0, 0.0, 0.0)
+        assert pts.coords[1][1:] == (0.0, 0.0, 0.0)
+        assert pts.coords[2][2:] == (0.0, 0.0)
+        assert pts.coords[1][0] > 0 and pts.coords[2][1] > 0
+
+    @pytest.mark.parametrize("coords", [[1.0, 2.0], [], [[1.0], [1.0, 2.0]]])
+    def test_coordinates_must_be_a_matrix(self, coords):
+        with pytest.raises(DimensionError):
+            EmbeddedPoints(coords)
+
+    def test_float_overflow_is_non_finite(self):
+        s = 1.5e308
+        d = SquaredDistanceMatrix.from_entries([[0 if i == j else s for j in range(4)] for i in range(4)])
+        with pytest.raises(NonFiniteError):
+            realize_points(d, 3)
 
 
 class TestAppendPoint:

@@ -25,16 +25,18 @@ ROOT_TRIPLES = ((-1, 2, 2), (-2, 3, 6), (-3, 5, 8), (-4, 8, 9), (-6, 10, 15))
 SEED_ORDERS = sorted({p for t in ROOT_TRIPLES for p in itertools.permutations(t)})
 
 
-def tangency_error(g: Gasket) -> float:
+def tangency_error(g: Gasket, unit: float = 1.0) -> float:
+    """Worst tangency gap, with lengths measured in ``unit`` so that squares stay in range."""
     worst = 0.0
     scale = max(
-        (c.radius + g.circles[p].radius) ** 2 for c in g.circles for p in c.parents
+        ((c.radius + g.circles[p].radius) / unit) ** 2 for c in g.circles for p in c.parents
     ) if any(c.parents for c in g.circles) else 1.0
     for c in g.circles:
         for p in c.parents:
             pc = g.circles[p]
-            d2 = (c.center[0] - pc.center[0]) ** 2 + (c.center[1] - pc.center[1]) ** 2
-            worst = max(worst, abs(d2 - (c.radius + pc.radius) ** 2))
+            dx, dy = ((a - b) / unit for a, b in zip(c.center, pc.center))
+            d2 = dx**2 + dy**2
+            worst = max(worst, abs(d2 - ((c.radius + pc.radius) / unit) ** 2))
     return worst / scale
 
 
@@ -94,9 +96,9 @@ class TestInitialConfiguration:
     @pytest.mark.parametrize(
         "seed, error",
         [
-            ([1e300] * 3, NonFiniteError),  # S^2 overflows
-            ([1e160] * 3, NonFiniteError),
-            ([1e-300] * 3, NonFiniteError),  # squared distances overflow
+            ([1e308] * 3, NonFiniteError),  # the fourth curvature passes the float range
+            ([1e-308] * 3, NonFiniteError),  # the centers pass the float range
+            ([1e300, 1e300, 1e-300], NonFiniteError),  # 1e-300 / 2^997 underflows to 0
             ([-1, 1, 1e9], GeometryError),  # circles 0 and 1 concentric
         ],
     )
@@ -196,9 +198,33 @@ class TestGenerate:
         assert tangency_error(g) <= 1e-9
 
     def test_overflowing_curvatures_fail_the_audit(self):
-        # the seed places, but by depth 6 curvatures pass 1e156 and k^2 = inf
-        with pytest.raises(SoddyError):
-            generate([1e153] * 3, 6)
+        # the seed places, but by depth 6 curvatures pass the float range
+        with pytest.raises(NonFiniteError):
+            generate([1e305] * 3, 6)
+
+    @pytest.mark.parametrize("j", [-60, 0, 40])
+    def test_power_of_two_scale_is_bit_exact(self, j):
+        base = generate([-1, 2, 2], 4).circles
+        scaled = generate([math.ldexp(k, j) for k in (-1, 2, 2)], 4).circles
+        assert [
+            (c.center, c.radius, c.curvature, c.depth, c.parents) for c in scaled
+        ] == [
+            (
+                (math.ldexp(c.center[0], -j) + 0.0, math.ldexp(c.center[1], -j) + 0.0),
+                math.ldexp(c.radius, -j),
+                math.ldexp(c.curvature, j),
+                c.depth,
+                c.parents,
+            )
+            for c in base
+        ]
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e160])
+    def test_seed_beyond_square_range_generates(self, scale):
+        # k^2 and the squared distances of these seeds pass the float range
+        g = generate([scale] * 3, 3)
+        assert len(g.circles) == 56
+        assert tangency_error(g, unit=1 / scale) <= 1e-9
 
     def test_nan_fails_placement_and_residual_checks(self):
         b, quad = _build_initial((-1.0, 2.0, 2.0))

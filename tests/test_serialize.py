@@ -1,0 +1,29 @@
+"""Bounds on what the CLI parses and prints."""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+
+from soddy.errors import ValidationError
+from soddy.serialize import MAX_EXPONENT, parse_rational, scalar_to_json
+
+
+@pytest.mark.parametrize("text", ["1e4300", "1E+4300", "-2.5e-4300", "1e4_300", "3e04300"])
+def test_exponent_at_the_bound_parses(text):
+    assert parse_rational(text) == Fraction(text.replace("_", ""))
+
+
+@pytest.mark.parametrize("text", ["1e4301", "1E+4301", "-2.5e-4301", "1e10000000", "1e" + "9" * 5000])
+def test_exponent_past_the_bound_is_refused(text):
+    with pytest.raises(ValidationError, match=str(MAX_EXPONENT)):
+        parse_rational(text)
+
+
+def test_rational_too_long_to_print_names_its_digits():
+    assert scalar_to_json(Fraction(10**4299)) == {"num": "1" + "0" * 4299, "den": "1"}
+    with pytest.raises(ValidationError, match="6001 digits"):
+        scalar_to_json(Fraction(-(10**6000)))
+    with pytest.raises(ValidationError, match="4301 digits"):
+        scalar_to_json(Fraction(1, 10**4300))
