@@ -158,7 +158,8 @@ def _cmd_verify_proof(args):
 def _cmd_embed(args):
     r = validate_radii(_parse_scalars(args.radii, FLOAT), args.n)
     pts = realize_points(tangency_squared_distances(r), args.n)
-    return {"dim": args.n, "centers": [list(row) for row in pts.coords]}, 0
+    centers = [list(row) for row in pts.coords]
+    return {"dim": args.n, "centers": centers}, 0
 
 
 def _cmd_gasket(args):

@@ -4,10 +4,13 @@
 G_ij = (d_0i + d_0j - d_ij) / 2, as L diag(p) L^T one point at a time, in
 the input's own mode.  Pivot p_k, the squared distance of point k from the
 span of the points before it, is a ratio of consecutive Cayley-Menger
-determinants.  A point with a positive pivot opens the next axis, and point
-i's coordinate on axis a is L_ia * p_a^(1/2); so point 1 lies on the
-positive first axis, point 2 has a nonnegative second coordinate, and so on,
-and a point that opens no axis is exactly 0.0 on every later one.
+determinants.  A point whose pivot is above the mode's zero opens the next
+axis, and point i's coordinate on axis a is L_ia * p_a^(1/2); so point 1
+lies on the positive first axis, point 2 has a nonnegative second
+coordinate, and so on, and each point that opens an axis is exactly 0.0 on
+every later one.  A point that opens no axis lies within the zero's square
+root of the span before it; it keeps that small offset along the axes opened
+after it (exactly 0 in exact mode), so every distance is reproduced.
 ``append_point`` locates one more point by trilateration.
 
 numpy is imported only inside ``append_point``.
@@ -27,6 +30,7 @@ from .errors import (
     NoSolutionError,
     NonFiniteError,
     RankExceedsDimError,
+    ValidationError,
 )
 from .numeric import EXACT, as_float, coerce
 
@@ -42,10 +46,12 @@ class EmbeddedPoints:
     def __post_init__(self):
         try:
             coords = tuple(tuple(as_float(v) for v in row) for row in self.coords)
-        except TypeError:  # a row or the whole that is not iterable
+        except NonFiniteError:
+            raise
+        except (TypeError, ValidationError):  # not iterable as rows, or an entry nested deeper
             coords = ()
         if not coords or len({len(row) for row in coords}) != 1:
-            raise DimensionError("coordinates must form an (m, dim) array")
+            raise DimensionError("coordinates must form an (m, dim) array of numbers")
         object.__setattr__(self, "coords", coords)
 
     @property
@@ -83,21 +89,37 @@ def realize_points(d: SquaredDistanceMatrix, dim: int) -> EmbeddedPoints:
     e, mode = d.entries, d.mode
     zero = 0 if mode == EXACT else DEFAULT_TOL * d.max_entry()
     pivots, openers = [], []  # per axis: p_a and the point that opened it
-    rows = [[]]  # rows[i][a] = L_ia, zero past the row's end; point 0 is the origin
-    for i in range(1, d.m):
-        row = []
-        for j, p in zip(openers, pivots):
+    # rows[i][a] = L_ia, zero past the row's end; point 0 is the origin
+    rows = [[] for _ in range(d.m)]
+    flat = []  # (i, number of axes before i) for each point that opened no axis
+
+    def extend(i):
+        """Append L_ia for the axes a opened since row i was last extended."""
+        row = rows[i]
+        for j, p in zip(openers[len(row) :], pivots[len(row) :]):
             gram = (e[0][i] + e[0][j] - e[i][j]) / 2
             row.append((gram - _dot(row, rows[j], pivots)) / p)
-        pivot = coerce(e[0][i] - _dot(row, row, pivots), mode)
+
+    for i in range(1, d.m):
+        extend(i)
+        pivot = coerce(e[0][i] - _dot(rows[i], rows[i], pivots), mode)
         # each check is written so that a NaN fails it
         if not -zero <= pivot:
             raise NegativeEigenvalueError(f"distances are non-Euclidean: pivot of point {i} < 0")
-        if not pivot <= zero:
+        if pivot <= zero:
+            flat.append((i, len(pivots)))
+        else:
             pivots.append(pivot)
             openers.append(i)
-            row.append(1)
-        rows.append(row)
+            rows[i].append(1)
+    # A flat point is within zero^(1/2) of the span before it, but its offset
+    # h along the axes opened after it moves its distances to later points by
+    # up to 2 h max d.  An offset that moves none by more than zero / 2 is
+    # roundoff, and is dropped so that exactly flat points stay flat.
+    for i, a in flat:
+        extend(i)
+        if _dot(rows[i][a:], rows[i][a:], pivots[a:]) <= zero * DEFAULT_TOL / 16:
+            del rows[i][a:]
     for i, j in combinations(range(d.m), 2):
         diff = [x - y for x, y in zip_longest(rows[i], rows[j], fillvalue=0)]
         if not abs(coerce(_dot(diff, diff, pivots), mode) - e[i][j]) <= 10 * zero:
@@ -114,15 +136,20 @@ def realize_points(d: SquaredDistanceMatrix, dim: int) -> EmbeddedPoints:
     )
 
 
-def append_point(existing: EmbeddedPoints, sq_dists: Sequence[float]) -> np.ndarray:
+def append_point(
+    existing: EmbeddedPoints,
+    sq_dists: Sequence[float],
+    tol: float = DEFAULT_TOL,
+) -> np.ndarray:
     """Locate one new point from its squared distances to the existing ones.
 
     Differencing the sphere equations against point 0 gives a linear system.
     A full-rank system pins the point; rank dim-1 leaves a single reflection,
     resolved deterministically toward the larger final coordinate (the
-    nonnegative choice for points from :func:`realize_points`).  Anything
-    looser raises :class:`AmbiguousSolutionError`; distances that cannot be
-    met raise :class:`NoSolutionError`.
+    nonnegative choice once the existing points are orientation-normalized).
+    Anything looser raises
+    :class:`AmbiguousSolutionError`; distances that cannot be met raise
+    :class:`NoSolutionError`.
     """
     import numpy as np
 
@@ -138,7 +165,10 @@ def append_point(existing: EmbeddedPoints, sq_dists: Sequence[float]) -> np.ndar
     a = 2.0 * (x[1:] - x[0])
     b = sq[0] - sq[1:] + (x[1:] ** 2).sum(axis=1) - (x[0] ** 2).sum()
     if a.shape[0] == 0:
-        vt, rank, p0 = np.eye(dim), 0, np.zeros(dim)
+        s = np.zeros(0)
+        vt = np.eye(dim)
+        rank = 0
+        p0 = np.zeros(dim)
     else:
         u, s, vt = np.linalg.svd(a, full_matrices=True)
         cutoff = s[0] * 1e-9 if s.size else 0.0
@@ -153,15 +183,17 @@ def append_point(existing: EmbeddedPoints, sq_dists: Sequence[float]) -> np.ndar
         half_b = null_dir @ rel
         c = rel @ rel - sq[0]
         disc = half_b * half_b - c
-        if disc < -DEFAULT_TOL * scale:
+        if disc < -tol * scale:
             raise NoSolutionError("distances are mutually inconsistent")
         root = np.sqrt(max(disc, 0.0))
         cand = [p0 + (-half_b + root) * null_dir, p0 + (-half_b - root) * null_dir]
         p = max(cand, key=lambda v: v[-1])
     else:
-        raise AmbiguousSolutionError(f"anchors determine only {rank} of {dim} coordinates")
+        raise AmbiguousSolutionError(
+            f"anchors determine only {rank} of {dim} coordinates"
+        )
 
     err = np.abs(((p - x) ** 2).sum(axis=1) - sq).max()
-    if err > DEFAULT_TOL * scale:
+    if err > tol * scale:
         raise NoSolutionError(f"distance residual {err:.3e} exceeds tolerance")
     return p

@@ -77,7 +77,8 @@ class _Builder:
     """Mutable working state during generation; frozen into a Gasket at the end."""
 
     def __init__(self, seed: tuple[float, float, float], exp: int):
-        self.seed, self.exp = seed, exp  # the seed as given; circles below are in units of 2^exp
+        self.seed = seed  # as given; the circles below are in units of 2^-exp
+        self.exp = exp
         self.ws: list[complex] = []
         self.centers: list[complex] = []
         self.radii: list[float] = []
@@ -130,16 +131,20 @@ class _Builder:
             ),
         )
         remap = {old: new for new, old in enumerate(order)}
-        try:  # scaled back by 2^exp; + 0.0 keeps negative zeros out of the output
+        # + 0.0 keeps negative zeros out of the output
+        try:
             circles = tuple(
                 Circle(
-                    center=(math.ldexp(z.real, -self.exp) + 0.0, math.ldexp(z.imag, -self.exp) + 0.0),
+                    center=(
+                        math.ldexp(self.centers[i].real, -self.exp) + 0.0,
+                        math.ldexp(self.centers[i].imag, -self.exp) + 0.0,
+                    ),
                     radius=math.ldexp(self.radii[i], -self.exp),
                     curvature=math.ldexp(self.curvatures[i], self.exp),
                     depth=self.depths[i],
                     parents=tuple(sorted(remap[p] for p in self.parents[i])),
                 )
-                for i, z in ((i, self.centers[i]) for i in order)
+                for i in order
             )
         except OverflowError:
             raise NonFiniteError("gasket values pass the float range at this seed scale") from None

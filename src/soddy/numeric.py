@@ -218,6 +218,12 @@ def _round_once(value: Fraction, what: str) -> float:
         raise NonFiniteError(f"{what} overflows a float; use exact mode") from None
 
 
+def _require_square(m: Matrix) -> int:
+    if not m.is_square:
+        raise DimensionError(f"matrix is {m.rows}x{m.cols}, not square")
+    return m.rows
+
+
 def determinant(m: Matrix) -> Scalar:
     """Determinant of a square matrix, exact in both modes.
 
@@ -229,9 +235,7 @@ def determinant(m: Matrix) -> Scalar:
     its entries rounded once, and raises :class:`NonFiniteError` when that
     value overflows a float.
     """
-    if not m.is_square:
-        raise DimensionError(f"matrix is {m.rows}x{m.cols}, not square")
-    n = m.rows
+    n = _require_square(m)
     a, lcms = _integer_rows(m.row(i) for i in range(n))
     sign = 1
     prev = 1

@@ -60,5 +60,9 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_scalar(value) -> str:
-    """repr of a float; '3' or '1/3' for a rational."""
-    return repr(value) if isinstance(value, float) else str(Fraction(value))
+    if isinstance(value, float):
+        return repr(value)
+    f = Fraction(value)
+    if f.denominator == 1:
+        return str(f.numerator)
+    return f"{f.numerator}/{f.denominator}"

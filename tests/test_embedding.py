@@ -151,7 +151,21 @@ class TestRealizePoints:
         assert pts.coords[2][2:] == (0.0, 0.0)
         assert pts.coords[1][0] > 0 and pts.coords[2][1] > 0
 
-    @pytest.mark.parametrize("coords", [[1.0, 2.0], [], [[1.0], [1.0, 2.0]]])
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [(0.0, 0.0), (1.0, 0.0), (2.0, 1e-5), (0.0, 1.0)],  # 2 near the line of 0 and 1
+            [(0.0, 0.0), (1e-5, 0.0), (1.0, 0.0), (0.0, 1.0)],  # 1 near 0
+        ],
+    )
+    def test_point_near_the_span_before_it_keeps_its_height(self, points):
+        # the near point's squared height over the points before it is 1e-10,
+        # below the float zero, so it opens no axis; its height over the axes
+        # opened after it still carries its distances to the later points
+        pts = realize_points(distances_of(EmbeddedPoints(points)), 2)
+        assert np.abs(np.array(pts.coords) - points).max() <= 1e-12
+
+    @pytest.mark.parametrize("coords", [[1.0, 2.0], [], [[1.0], [1.0, 2.0]], [[[1.0]]]])
     def test_coordinates_must_be_a_matrix(self, coords):
         with pytest.raises(DimensionError):
             EmbeddedPoints(coords)
