@@ -25,7 +25,7 @@ from .cayley_menger import (
 from .embedding import realize_points
 from .errors import SoddyError, ValidationError
 from .gasket import gasket_to_dict, generate, render_svg
-from .numeric import EXACT, FLOAT, coerce_vector
+from .numeric import EXACT, FLOAT, coerce
 from .proof_witness import ProofReport, check_reduction_chain, check_S_properties, check_UWU_congruence
 from .serialize import parse_rational, scalar_to_json
 from .tangency import (
@@ -60,7 +60,8 @@ def _parse_scalars(text: str, mode: str) -> tuple:
     parts = [p.strip() for p in text.split(",") if p.strip()]
     if not parts:
         raise ValidationError("empty scalar list")
-    return coerce_vector([parse_rational(p) for p in parts], mode)
+    values = [parse_rational(p) for p in parts]
+    return tuple(coerce(v, mode) for v in values)
 
 
 def _parse_matrix(args) -> SquaredDistanceMatrix:
@@ -134,6 +135,8 @@ def _random_points(rng: random.Random, m: int) -> list[list[Fraction]]:
 def _cmd_verify_proof(args):
     if args.radii is None and args.random is None:
         raise ValidationError("pass --radii or --random N")
+    if args.random is not None and args.random < 1:
+        raise ValidationError(f"--random needs N >= 1, got {args.random}")
     reports = []
     if args.radii is not None:
         values = _parse_scalars(args.radii, EXACT)

@@ -136,11 +136,7 @@ def realize_points(d: SquaredDistanceMatrix, dim: int) -> EmbeddedPoints:
     )
 
 
-def append_point(
-    existing: EmbeddedPoints,
-    sq_dists: Sequence[float],
-    tol: float = DEFAULT_TOL,
-) -> np.ndarray:
+def append_point(existing: EmbeddedPoints, sq_dists: Sequence[float]) -> np.ndarray:
     """Locate one new point from its squared distances to the existing ones.
 
     Differencing the sphere equations against point 0 gives a linear system.
@@ -183,7 +179,7 @@ def append_point(
         half_b = null_dir @ rel
         c = rel @ rel - sq[0]
         disc = half_b * half_b - c
-        if disc < -tol * scale:
+        if disc < -DEFAULT_TOL * scale:
             raise NoSolutionError("distances are mutually inconsistent")
         root = np.sqrt(max(disc, 0.0))
         cand = [p0 + (-half_b + root) * null_dir, p0 + (-half_b - root) * null_dir]
@@ -194,6 +190,6 @@ def append_point(
         )
 
     err = np.abs(((p - x) ** 2).sum(axis=1) - sq).max()
-    if err > tol * scale:
+    if err > DEFAULT_TOL * scale:
         raise NoSolutionError(f"distance residual {err:.3e} exceeds tolerance")
     return p

@@ -101,8 +101,8 @@ class _Builder:
         touching = parents if touching is None else touching
         if touching and not (err := self.misfit(w, curvature, touching)) <= _AUDIT_TOL:
             raise GeometryError(
-                f"circle placement failed: curvature {curvature:.6g} at depth {depth} "
-                f"misses circles {touching} by {err:.3e}"
+                f"circle placement failed: curvature {math.ldexp(curvature, self.exp):.6g} "
+                f"at depth {depth} misses circles {touching} by {err:.3e}"
             )
         self.ws.append(w)
         self.centers.append(w / curvature)
@@ -198,8 +198,7 @@ def _build_initial(seed: tuple[float, float, float]) -> tuple[_Builder, tuple[in
 def initial_configuration(seed) -> Gasket:
     """Place the three seed circles and the tangent circle they determine
     (the larger curvature root, i.e. the inner one)."""
-    b, _ = _build_initial(tuple(seed))
-    return b.freeze(0)
+    return generate(seed, 0)
 
 
 def generate(seed, max_depth: int) -> Gasket:
@@ -245,14 +244,16 @@ def _fmt(value: float) -> str:
 
 def render_svg(g: Gasket) -> str:
     """Deterministic SVG 1.1 document: one circle element per packed circle,
-    in canonical order, coordinates fixed at six decimals.  Negative-radius
-    (enclosing) circles render as unfilled outlines."""
+    in canonical order, drawn in units of the largest radius with coordinates
+    fixed at six decimals, so the picture reads the same at every scale.
+    Negative-radius (enclosing) circles render as unfilled outlines."""
     if not g.circles:
         raise ValidationError("cannot render an empty gasket")
-    xmin = min(c.center[0] - abs(c.radius) for c in g.circles)
-    xmax = max(c.center[0] + abs(c.radius) for c in g.circles)
-    ymin = min(c.center[1] - abs(c.radius) for c in g.circles)
-    ymax = max(c.center[1] + abs(c.radius) for c in g.circles)
+    unit = max(abs(c.radius) for c in g.circles)
+    xmin = min(c.center[0] - abs(c.radius) for c in g.circles) / unit
+    xmax = max(c.center[0] + abs(c.radius) for c in g.circles) / unit
+    ymin = min(c.center[1] - abs(c.radius) for c in g.circles) / unit
+    ymax = max(c.center[1] + abs(c.radius) for c in g.circles) / unit
     pad = 0.02 * max(xmax - xmin, ymax - ymin)
     vx, vy = xmin - pad, ymin - pad
     vw, vh = (xmax - xmin) + 2 * pad, (ymax - ymin) + 2 * pad
@@ -267,8 +268,8 @@ def render_svg(g: Gasket) -> str:
     for c in g.circles:
         fill = "none" if c.radius < 0 else _SVG_PALETTE[c.depth % len(_SVG_PALETTE)]
         lines.append(
-            f'  <circle cx="{_fmt(c.center[0])}" cy="{_fmt(c.center[1])}" '
-            f'r="{_fmt(abs(c.radius))}" fill="{fill}" stroke="{_SVG_STROKE}" '
+            f'  <circle cx="{_fmt(c.center[0] / unit)}" cy="{_fmt(c.center[1] / unit)}" '
+            f'r="{_fmt(abs(c.radius) / unit)}" fill="{fill}" stroke="{_SVG_STROKE}" '
             f'stroke-width="{_fmt(stroke_width)}"/>'
         )
     lines.append("</svg>")

@@ -95,9 +95,8 @@ def infer_mode(values: Iterable) -> str:
     return FLOAT if saw_float else EXACT
 
 
-def coerce_vector(values: Sequence, mode: str | None = None) -> tuple[Scalar, ...]:
-    if mode is None:
-        mode = infer_mode(values)
+def coerce_vector(values: Sequence) -> tuple[Scalar, ...]:
+    mode = infer_mode(values)
     return tuple(coerce(v, mode) for v in values)
 
 
@@ -131,23 +130,8 @@ class Matrix:
         return cls(len(rows), ncols, data, mode)
 
     @classmethod
-    def identity(cls, n: int, mode: str = EXACT) -> "Matrix":
-        return cls.diagonal([1] * n, mode)
-
-    @classmethod
-    def diagonal(cls, entries: Sequence, mode: str | None = None) -> "Matrix":
-        entries = coerce_vector(entries, mode)
-        mode = infer_mode(entries)
-        zero = coerce(0, mode)
-        n = len(entries)
-        data = tuple(
-            entries[i] if i == j else zero for i in range(n) for j in range(n)
-        )
-        return cls(n, n, data, mode)
-
-    @property
-    def is_square(self) -> bool:
-        return self.rows == self.cols
+    def identity(cls, n: int) -> "Matrix":
+        return cls.from_rows([[int(i == j) for j in range(n)] for i in range(n)], EXACT)
 
     def at(self, i: int, j: int) -> Scalar:
         return self.data[i * self.cols + j]
@@ -187,13 +171,6 @@ class Matrix:
             out = [_round_once(v, "matrix product") for v in out]
         return Matrix(self.rows, m, tuple(out), self.mode)
 
-    def scaled(self, factor: Scalar) -> "Matrix":
-        factor = coerce(factor, self.mode)
-        data = tuple(x * factor for x in self.data)
-        if self.mode == FLOAT and not all(map(math.isfinite, data)):
-            raise NonFiniteError("scaled matrix overflows a float; use exact mode")
-        return Matrix(self.rows, self.cols, data, self.mode)
-
 
 def _integer_rows(rows: Iterable[Sequence[Scalar]]) -> tuple[list[list[int]], list[int]]:
     """Each row as integers over one scale: row == int_row / lcm, exactly.
@@ -219,7 +196,7 @@ def _round_once(value: Fraction, what: str) -> float:
 
 
 def _require_square(m: Matrix) -> int:
-    if not m.is_square:
+    if m.rows != m.cols:
         raise DimensionError(f"matrix is {m.rows}x{m.cols}, not square")
     return m.rows
 

@@ -176,7 +176,8 @@ def build_P(r: SignedRadii) -> Matrix:
 
 def build_Q(r: SignedRadii) -> Matrix:
     """diag(1, 1/r_1, ..., 1/r_{n+2}); det(Q) = prod(1/r_i)."""
-    return Matrix.diagonal([1, *(1 / v for v in _require_exact_radii(r).values)], EXACT)
+    q = (1, *(1 / v for v in _require_exact_radii(r).values))
+    return _matrix(len(q), lambda i, j: q[i] if i == j else 0)
 
 
 def build_S(n: int) -> Matrix:
@@ -210,11 +211,10 @@ def check_S_properties(n: int) -> ProofReport:
         ),
     ]
     if n == 2:
-        entries.append(_check("S^2 = 16I", n, s @ s, Matrix.identity(size).scaled(16)))
+        entries.append(_check("S^2 = 16I", n, s @ s, _matrix(size, lambda i, j: 16 * (i == j))))
         entries.append(_check("det(S) = -256", n, determinant(s), -256))
-        entries.append(
-            _check("S^-1 = S/16", n, s_inverse_formula(n), s.scaled(Fraction(1, 16)))
-        )
+        s_over_16 = _matrix(size, lambda i, j: s.at(i, j) / 16)
+        entries.append(_check("S^-1 = S/16", n, s_inverse_formula(n), s_over_16))
     return ProofReport(entries=tuple(entries))
 
 

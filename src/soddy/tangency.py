@@ -54,6 +54,20 @@ class Curvatures:
     mode: str
 
 
+def _validated(values: Sequence, n: int, strict: bool, one: str, many: str) -> tuple[Scalar, ...]:
+    """The checks both validators share, with messages naming ``one``/``many``."""
+    if n < 1:
+        raise DimensionError("sphere dimension n must be >= 1")
+    vals = coerce_vector(values)
+    if len(vals) != n + 2:
+        raise ValidationError(f"need {n + 2} {many} for dimension {n}, got {len(vals)}")
+    if any(v == 0 for v in vals):
+        raise ValidationError(f"zero {one} is not allowed")
+    if strict and sum(1 for v in vals if v < 0) > 1:
+        raise ValidationError(f"at most one {one} may be negative (one enclosing sphere)")
+    return vals
+
+
 def validate_radii(values: Sequence, n: int, strict: bool = True) -> SignedRadii:
     """Check a raw radius list and wrap it.
 
@@ -62,22 +76,14 @@ def validate_radii(values: Sequence, n: int, strict: bool = True) -> SignedRadii
     can enclose the others.  Lenient mode keeps the identity available as a
     purely algebraic fact for any nonzero radii.
     """
-    if n < 1:
-        raise DimensionError("sphere dimension n must be >= 1")
-    vals = coerce_vector(values)
-    if len(vals) != n + 2:
-        raise ValidationError(f"need {n + 2} radii for dimension {n}, got {len(vals)}")
-    if any(v == 0 for v in vals):
-        raise ValidationError("zero radius is not allowed")
-    if strict and sum(1 for v in vals if v < 0) > 1:
-        raise ValidationError("at most one radius may be negative (one enclosing sphere)")
+    vals = _validated(values, n, strict, "radius", "radii")
     return SignedRadii(values=vals, n=n, mode=infer_mode(vals))
 
 
 def validate_curvatures(values: Sequence, n: int, strict: bool = True) -> Curvatures:
     """Same rules as :func:`validate_radii`, applied to curvatures."""
-    r = validate_radii(values, n, strict)
-    return Curvatures(values=r.values, n=n, mode=r.mode)
+    vals = _validated(values, n, strict, "curvature", "curvatures")
+    return Curvatures(values=vals, n=n, mode=infer_mode(vals))
 
 
 def curvatures_from_radii(r: SignedRadii) -> Curvatures:

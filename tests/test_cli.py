@@ -379,7 +379,9 @@ BIG = str(10**400)
 # each printed a traceback before coercion checked its input, except
 # boolean-entry, which returned 2.0 while exact mode rejected booleans, and
 # the *-overflow calls, whose input is in range but whose arithmetic is not:
-# embed printed a traceback, residual and solve printed NaN with exit 0
+# embed printed a traceback, residual and solve printed NaN with exit 0; and
+# the verify-proof-random-* calls, which printed a passing report that
+# audited no random configuration
 MALFORMED_CALLS = {
     "null-entry": ["cm-det", "--mode", "float", "--matrix", "[[0,null],[null,0]]"],
     "list-entry": ["cm-det", "--mode", "float", "--matrix", "[[0,[1]],[[1],0]]"],
@@ -396,9 +398,11 @@ MALFORMED_CALLS = {
     "residual-too-long": ["residual", "--n", "2", "--curvatures", "1e3000,1,1,1"],
     "string-exponent": ["cm-det", "--matrix", '[[0,"1e5000"],["1e5000",0]]'],
     "json-float-exponent": ["cm-det", "--matrix", "[[0,1e4301],[1e4301,0]]"],
+    "verify-proof-random-zero": ["verify-proof", "--random", "0"],
+    "verify-proof-random-negative": ["verify-proof", "--random", "-3"],
 }
-# refused as non-scalars, as exponents past the parse bound or as results
-# too long to print; every other call is refused as non-finite
+# refused as non-scalars, as exponents past the parse bound, as results too
+# long to print or as an empty audit; every other call is refused as non-finite
 VALIDATION_CALLS = {
     "null-entry",
     "list-entry",
@@ -406,6 +410,8 @@ VALIDATION_CALLS = {
     "residual-too-long",
     "string-exponent",
     "json-float-exponent",
+    "verify-proof-random-zero",
+    "verify-proof-random-negative",
 }
 
 

@@ -234,6 +234,12 @@ class TestGenerate:
         with pytest.raises(GeometryError):
             b.audit_residual((0, 1, 2, len(b.curvatures) - 1))
 
+    def test_placement_error_reports_the_true_curvature(self):
+        # the builder works in units of 2^-1 here, where this circle has curvature 6
+        with pytest.raises(GeometryError) as info:
+            generate([-1e-9, 1, 1], 1)
+        assert "curvature 12 at depth 1" in str(info.value)
+
     def test_depth8_fractional_seed(self):
         assert len(generate([2, 3, 6], 8).circles) == 13124
 
@@ -286,6 +292,17 @@ class TestRenderSvg:
             for part in svg.split(token)[1:]:
                 value = part.split('"')[1]
                 assert len(value.split(".")[1]) == 6
+
+    @pytest.mark.parametrize("j", [-60, 0, 40])
+    def test_drawn_in_units_of_the_largest_radius(self, j):
+        scaled = generate([math.ldexp(k, j) for k in (-1, 2, 2)], 4)
+        assert render_svg(scaled) == render_svg(generate([-1, 2, 2], 4))
+
+    def test_tiny_circles_are_drawn(self):
+        svg = render_svg(generate([1e7] * 3, 1))
+        assert svg.count("<circle") == 8
+        assert 'r="0.000000"' not in svg
+        assert 'viewBox="0.000000 0.000000 0.000000 0.000000"' not in svg
 
     def test_empty_gasket_rejected(self):
         empty = Gasket(circles=(), seed_curvatures=(1.0, 1.0, 1.0), max_depth=0)

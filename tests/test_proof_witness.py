@@ -127,7 +127,7 @@ class TestBuildS:
 
     def test_n2_square_is_16I(self):
         s = build_S(2)
-        assert s @ s == Matrix.identity(4).scaled(16)
+        assert (s @ s).to_rows() == [[16 * (i == j) for j in range(4)] for i in range(4)]
 
     def test_n3_pattern(self):
         s = build_S(3)

@@ -60,6 +60,23 @@ class TestValidation:
         with pytest.raises(DimensionError):
             validate_radii([1, 1, 1], 0)
 
+    @pytest.mark.parametrize(
+        "values, strict, message",
+        [
+            ([0, 1, 1, 1], False, "zero {one} is not allowed"),
+            ([1, 2], False, "need 4 {many} for dimension 2, got 2"),
+            ([-1, -2, 2, 3], True, "at most one {one} may be negative (one enclosing sphere)"),
+        ],
+    )
+    def test_messages_name_the_callers_quantity(self, values, strict, message):
+        for validate, one, many in (
+            (validate_radii, "radius", "radii"),
+            (validate_curvatures, "curvature", "curvatures"),
+        ):
+            with pytest.raises(ValidationError) as info:
+                validate(values, 2, strict)
+            assert str(info.value) == message.format(one=one, many=many)
+
 
 class TestConversions:
     @pytest.mark.parametrize(
