@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import math
 from pathlib import Path
 
@@ -316,3 +318,42 @@ def test_gasket_to_dict_roundtrips():
     assert d["seed"] == [-1.0, 2.0, 2.0]
     assert len(d["circles"]) == len(g.circles)
     assert all(len(c["center"]) == 2 for c in d["circles"])
+
+
+# sha256 prefixes of repr(g), render_svg(g) and json.dumps(gasket_to_dict(g))
+# at depth 6: every root triple out of order, non-dyadic scales, an irrational
+# seed, a fractional one and a power-of-two scale.  Any change to a float step
+# of generation, ordering or output shows here.
+PINNED_OUTPUT = {
+    "2,-1,2": ((2, -1, 2), "f2f159aac4f9a1f6", "179b6600c15f324f", "5d4489d73c4e501e"),
+    "6,-2,3": ((6, -2, 3), "7e6b56961c498b7b", "cb6318bdde7545f7", "23790abbb48be3c7"),
+    "8,5,-3": ((8, 5, -3), "38abd8f69248507b", "b62ef96f79d0c1c2", "02f88ae8c0518fa3"),
+    "9,-4,8": ((9, -4, 8), "9adc56a671bd4745", "ae7cd6e2be2c22b6", "e60938e814ad2ff5"),
+    "15,-6,10": ((15, -6, 10), "9424bce4a4836608", "2d7ccf397c95b680", "bde7d9e59f4e1665"),
+    "1e-2*(2,2,-1)": (
+        tuple(k * 1e-2 for k in (2, 2, -1)),
+        "e9fccd9cfbb272a1", "41e58f8b250c5f74", "aa5cf3f61817769e",
+    ),
+    "1e-1*(3,-2,6)": (
+        tuple(k * 1e-1 for k in (3, -2, 6)),
+        "ee857c4d7ad2f925", "e0a726b379b52481", "8b0dadb2cc90eec7",
+    ),
+    "1e2*(5,-3,8)": (
+        tuple(k * 1e2 for k in (5, -3, 8)),
+        "3666e490b9571e56", "654f70c31150f368", "45781a572d39d9a8",
+    ),
+    "1,1,1": ((1, 1, 1), "33da72a05edfceea", "338eefe8ef62a9ac", "37a3e22388b531d0"),
+    "2,3,6": ((2, 3, 6), "8ba48b6951761c55", "0c2c53ea5d2d8acf", "6e4cdd5256a96e5b"),
+    "2^40*(-1,2,2)": (
+        tuple(math.ldexp(k, 40) for k in (-1, 2, 2)),
+        "3210206ca1ec07fe", "5c356cfcb6958cd6", "54ae8947d5119f83",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_OUTPUT)
+def test_output_is_pinned(name):
+    seed, *want = PINNED_OUTPUT[name]
+    g = generate(seed, 6)
+    texts = (repr(g), render_svg(g), json.dumps(gasket_to_dict(g)))
+    assert [hashlib.sha256(t.encode()).hexdigest()[:16] for t in texts] == want
