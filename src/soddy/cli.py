@@ -165,17 +165,22 @@ def _cmd_embed(args):
     return {"dim": args.n, "centers": centers}, 0
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _cmd_gasket(args):
     seed = _parse_scalars(args.seed, FLOAT)
     g = generate(seed, args.depth)
     written = {}
     if args.svg:
-        Path(args.svg).write_text(render_svg(g), encoding="utf-8")
+        _write(args.svg, render_svg(g))
         written["svg"] = args.svg
     if args.json_path:
-        Path(args.json_path).write_text(
-            json.dumps(gasket_to_dict(g), indent=2) + "\n", encoding="utf-8"
-        )
+        _write(args.json_path, json.dumps(gasket_to_dict(g), indent=2) + "\n")
         written["json"] = args.json_path
     if written:
         result = {"circles": len(g.circles), "max_depth": g.max_depth, **written}

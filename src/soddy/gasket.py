@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import GeometryError, NoRealSolutionError, NonFiniteError, SeedError, ValidationError
@@ -90,6 +89,19 @@ class _Builder:
         """Worst error of the squared distances from center w/k to the circles
         ``touching`` against their tangency values, relative to the largest."""
         center, radius = w / curvature, 1.0 / curvature
+        if len(touching) == 3:
+            i, j, k = touching
+            centers, radii = self.centers, self.radii
+            ti = (radius + radii[i]) ** 2
+            tj = (radius + radii[j]) ** 2
+            tk = (radius + radii[k]) ** 2
+            ei = abs(abs(center - centers[i]) ** 2 - ti)
+            ej = abs(abs(center - centers[j]) ** 2 - tj)
+            ek = abs(abs(center - centers[k]) ** 2 - tk)
+            # max keeps only a leading NaN; a NaN in any slot must fail the check
+            if math.isnan(ei + ej + ek):
+                return math.nan
+            return max(ei, ej, ek) / max(ti, tj, tk)
         want = [(radius + self.radii[i]) ** 2 for i in touching]
         got = [abs(center - self.centers[i]) ** 2 for i in touching]
         return max(abs(g - t) for g, t in zip(got, want)) / max(want)
@@ -113,36 +125,32 @@ class _Builder:
         return len(self.ws) - 1
 
     def audit_residual(self, quad: tuple[int, int, int, int]) -> None:
-        ks = [self.curvatures[i] for i in quad]
-        s = sum(ks)
-        res = s * s - 2.0 * sum(k * k for k in ks)
-        scale = max(k * k for k in ks)
+        a, b, c, d = map(self.curvatures.__getitem__, quad)
+        s = a + b + c + d
+        res = s * s - 2.0 * (a * a + b * b + c * c + d * d)
+        scale = max(a * a, b * b, c * c, d * d)
         if not abs(res) <= _AUDIT_TOL * scale:
             raise GeometryError(f"tangency residual {res:.3e} failed the audit")
 
     def freeze(self, max_depth: int) -> Gasket:
-        order = sorted(
-            range(len(self.centers)),
-            key=lambda i: (
-                self.depths[i],
-                self.curvatures[i],
-                self.centers[i].real,
-                self.centers[i].imag,
-            ),
-        )
-        remap = {old: new for new, old in enumerate(order)}
+        centers, radii, ks, depths = self.centers, self.radii, self.curvatures, self.depths
+        keys = [(d, k, z.real, z.imag) for d, k, z in zip(depths, ks, centers)]
+        # stable, so exact ties keep generation order; keys are freed before circles are built
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        del keys
+        remap = [0] * len(order)
+        for new, old in enumerate(order):
+            remap[old] = new
+        ldexp, exp = math.ldexp, self.exp
         # + 0.0 keeps negative zeros out of the output
         try:
             circles = tuple(
                 Circle(
-                    center=(
-                        math.ldexp(self.centers[i].real, -self.exp) + 0.0,
-                        math.ldexp(self.centers[i].imag, -self.exp) + 0.0,
-                    ),
-                    radius=math.ldexp(self.radii[i], -self.exp),
-                    curvature=math.ldexp(self.curvatures[i], self.exp),
-                    depth=self.depths[i],
-                    parents=tuple(sorted(remap[p] for p in self.parents[i])),
+                    (ldexp(centers[i].real, -exp) + 0.0, ldexp(centers[i].imag, -exp) + 0.0),
+                    ldexp(radii[i], -exp),
+                    ldexp(ks[i], exp),
+                    depths[i],
+                    tuple(sorted([remap[p] for p in self.parents[i]])),
                 )
                 for i in order
             )
@@ -213,27 +221,29 @@ def generate(seed, max_depth: int) -> Gasket:
     if not 0 <= max_depth <= MAX_DEPTH:
         raise ValidationError(f"max_depth must be between 0 and {MAX_DEPTH}")
     b, quad0 = _build_initial(tuple(seed))
-    queue: deque[tuple[tuple[int, int, int, int], int | None, int]] = deque()
-    queue.append((quad0, None, 1))
-    while queue:
-        quad, skip, depth = queue.popleft()
-        if depth > max_depth:
-            continue
-        kq = Curvatures(
-            values=tuple(b.curvatures[i] for i in quad), n=2, mode="float"
-        )
-        w_sum = sum(b.ws[i] for i in quad)
-        for pos in range(4):
-            if pos == skip:
-                continue
-            triple = tuple(quad[t] for t in range(4) if t != pos)
-            k_new = vieta_partner(kq, pos)
-            if abs(k_new) < 1e-12 * max(abs(v) for v in kq.values):
-                raise GeometryError("expansion produced a zero-curvature circle")
-            w_pos = b.ws[quad[pos]]
-            idx = b.add(2.0 * (w_sum - w_pos) - w_pos, k_new, depth, triple)
-            b.audit_residual((*triple, idx))
-            queue.append(((*triple, idx), 3, depth + 1))
+    ks, ws = b.curvatures, b.ws
+    # the root spawns across all four members, a child not back across its last (new) circle
+    level, spawn = [quad0], 4
+    for depth in range(1, max_depth + 1):
+        children = []
+        for quad in level:
+            i0, i1, i2, i3 = quad
+            k0, k1, k2, k3 = ks[i0], ks[i1], ks[i2], ks[i3]
+            kq = Curvatures(values=(k0, k1, k2, k3), n=2, mode="float")
+            floor = 1e-12 * max(abs(k0), abs(k1), abs(k2), abs(k3))
+            w_sum = ws[i0] + ws[i1] + ws[i2] + ws[i3]
+            for pos in range(spawn):
+                triple = quad[:pos] + quad[pos + 1 :]
+                k_new = vieta_partner(kq, pos)
+                if abs(k_new) < floor:
+                    raise GeometryError("expansion produced a zero-curvature circle")
+                w_pos = ws[quad[pos]]
+                idx = b.add(2.0 * (w_sum - w_pos) - w_pos, k_new, depth, triple)
+                child = (*triple, idx)
+                b.audit_residual(child)
+                if depth < max_depth:  # leaf quadruples spawn nothing
+                    children.append(child)
+        level, spawn = children, 3
     return b.freeze(max_depth)
 
 
@@ -258,7 +268,7 @@ def render_svg(g: Gasket) -> str:
     vx, vy = xmin - pad, ymin - pad
     vw, vh = (xmax - xmin) + 2 * pad, (ymax - ymin) + 2 * pad
     height = max(1, round(_SVG_WIDTH * vh / vw))
-    stroke_width = vw / _SVG_WIDTH
+    tail = f'stroke="{_SVG_STROKE}" stroke-width="{_fmt(vw / _SVG_WIDTH)}"/>'
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -269,8 +279,7 @@ def render_svg(g: Gasket) -> str:
         fill = "none" if c.radius < 0 else _SVG_PALETTE[c.depth % len(_SVG_PALETTE)]
         lines.append(
             f'  <circle cx="{_fmt(c.center[0] / unit)}" cy="{_fmt(c.center[1] / unit)}" '
-            f'r="{_fmt(abs(c.radius) / unit)}" fill="{fill}" stroke="{_SVG_STROKE}" '
-            f'stroke-width="{_fmt(stroke_width)}"/>'
+            f'r="{_fmt(abs(c.radius) / unit)}" fill="{fill}" {tail}'
         )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -289,6 +289,13 @@ class TestGasket:
         code, out, _ = call(["gasket", "--seed", "-1,2,2", "--depth", "13"])
         assert code == 1
 
+    @pytest.mark.parametrize("flag", ["--svg", "--json"])
+    def test_unwritable_path_is_named(self, call, tmp_path, flag):
+        path = str(tmp_path / "no-such-dir" / "out")
+        code, out, _ = call(["gasket", "--seed", "-1,2,2", "--depth", "1", flag, path])
+        assert code == 1
+        assert path in json.loads(out)["error"]["message"]
+
 
 class TestUsage:
     def test_unknown_command(self, call):
@@ -381,7 +388,10 @@ BIG = str(10**400)
 # the *-overflow calls, whose input is in range but whose arithmetic is not:
 # embed printed a traceback, residual and solve printed NaN with exit 0; and
 # the verify-proof-random-* calls, which printed a passing report that
-# audited no random configuration
+# audited no random configuration; the gasket-*-to-* calls, whose output path
+# cannot be written, printed a traceback
+TESTS_DIR = str(Path(__file__).resolve().parent)
+MISSING_DIR_FILE = str(Path(TESTS_DIR) / "no-such-dir" / "out")
 MALFORMED_CALLS = {
     "null-entry": ["cm-det", "--mode", "float", "--matrix", "[[0,null],[null,0]]"],
     "list-entry": ["cm-det", "--mode", "float", "--matrix", "[[0,[1]],[[1],0]]"],
@@ -400,6 +410,11 @@ MALFORMED_CALLS = {
     "json-float-exponent": ["cm-det", "--matrix", "[[0,1e4301],[1e4301,0]]"],
     "verify-proof-random-zero": ["verify-proof", "--random", "0"],
     "verify-proof-random-negative": ["verify-proof", "--random", "-3"],
+    **{
+        f"gasket-{flag}-to-{target}": ["gasket", "--seed", "-1,2,2", f"--{flag}", path]
+        for flag in ("svg", "json")
+        for target, path in (("missing-dir", MISSING_DIR_FILE), ("directory", TESTS_DIR))
+    },
 }
 # refused as non-scalars, as exponents past the parse bound, as results too
 # long to print or as an empty audit; every other call is refused as non-finite
@@ -412,6 +427,7 @@ VALIDATION_CALLS = {
     "json-float-exponent",
     "verify-proof-random-zero",
     "verify-proof-random-negative",
+    *(f"gasket-{f}-to-{t}" for f in ("svg", "json") for t in ("missing-dir", "directory")),
 }
 
 

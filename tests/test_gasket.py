@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import soddy.gasket
 from soddy.errors import GeometryError, NonFiniteError, SeedError, SoddyError, ValidationError
 from soddy.gasket import (
     Gasket,
@@ -232,6 +233,17 @@ class TestGenerate:
         b, quad = _build_initial((-1.0, 2.0, 2.0))
         with pytest.raises(GeometryError):
             b.add(complex(math.nan, 0.0), 15.0, 1, quad[1:])
+        # the partner of circle 0 places cleanly until any one parent turns NaN
+        parents = quad[1:]
+        k = 2.0 * sum(b.curvatures[i] for i in parents) - b.curvatures[0]
+        w = 2.0 * sum(b.ws[i] for i in parents) - b.ws[0]
+        assert b.misfit(w, k, parents) <= 1e-9
+        for values, nan in ((b.centers, complex(math.nan, 0.0)), (b.radii, math.nan)):
+            for i in parents:
+                kept, values[i] = values[i], nan
+                with pytest.raises(GeometryError):
+                    b.add(w, k, 1, parents)
+                values[i] = kept
         b.curvatures.append(math.nan)
         with pytest.raises(GeometryError):
             b.audit_residual((0, 1, 2, len(b.curvatures) - 1))
@@ -241,6 +253,17 @@ class TestGenerate:
         with pytest.raises(GeometryError) as info:
             generate([-1e-9, 1, 1], 1)
         assert "curvature 12 at depth 1" in str(info.value)
+
+    @pytest.mark.parametrize("depth", [0, 3, 5])
+    def test_one_vieta_partner_call_per_new_circle(self, monkeypatch, depth):
+        # the benchmark's kept_ratio divides new circles by these calls
+        calls = []
+        real = soddy.gasket.vieta_partner
+        monkeypatch.setattr(
+            soddy.gasket, "vieta_partner", lambda k, i: calls.append(i) or real(k, i)
+        )
+        circles = generate([-1, 2, 2], depth).circles
+        assert len(calls) == len(circles) - 4
 
     def test_depth8_fractional_seed(self):
         assert len(generate([2, 3, 6], 8).circles) == 13124
