@@ -410,14 +410,14 @@ MALFORMED_CALLS = {
     "json-float-exponent": ["cm-det", "--matrix", "[[0,1e4301],[1e4301,0]]"],
     "verify-proof-random-zero": ["verify-proof", "--random", "0"],
     "verify-proof-random-negative": ["verify-proof", "--random", "-3"],
-    **{
-        f"gasket-{flag}-to-{target}": ["gasket", "--seed", "-1,2,2", f"--{flag}", path]
-        for flag in ("svg", "json")
-        for target, path in (("missing-dir", MISSING_DIR_FILE), ("directory", TESTS_DIR))
-    },
+    "gasket-svg-to-missing-dir": ["gasket", "--seed", "-1,2,2", "--svg", MISSING_DIR_FILE],
+    "gasket-svg-to-directory": ["gasket", "--seed", "-1,2,2", "--svg", TESTS_DIR],
+    "gasket-json-to-missing-dir": ["gasket", "--seed", "-1,2,2", "--json", MISSING_DIR_FILE],
+    "gasket-json-to-directory": ["gasket", "--seed", "-1,2,2", "--json", TESTS_DIR],
 }
 # refused as non-scalars, as exponents past the parse bound, as results too
-# long to print or as an empty audit; every other call is refused as non-finite
+# long to print, as an empty audit or as an output path that cannot be
+# written; every other call is refused as non-finite
 VALIDATION_CALLS = {
     "null-entry",
     "list-entry",
@@ -427,7 +427,10 @@ VALIDATION_CALLS = {
     "json-float-exponent",
     "verify-proof-random-zero",
     "verify-proof-random-negative",
-    *(f"gasket-{f}-to-{t}" for f in ("svg", "json") for t in ("missing-dir", "directory")),
+    "gasket-svg-to-missing-dir",
+    "gasket-svg-to-directory",
+    "gasket-json-to-missing-dir",
+    "gasket-json-to-directory",
 }
 
 
