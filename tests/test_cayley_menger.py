@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soddy.cayley_menger import (
     SquaredDistanceMatrix,
@@ -17,10 +21,11 @@ from soddy.cayley_menger import (
     volume_squared,
     volume_squared_from_coordinates,
 )
-from soddy.errors import DimensionError, NonFiniteError, ValidationError
+from soddy.errors import DimensionError, NonFiniteError, SoddyError, ValidationError
+from soddy.numeric import determinant
 from soddy.tangency import tangency_squared_distances, validate_radii
 
-from .conftest import rand_points, shoelace_area_squared
+from .conftest import rand_nonzero_fraction, rand_points, shoelace_area_squared
 
 D345 = SquaredDistanceMatrix.from_entries([[0, 9, 16], [9, 0, 25], [16, 25, 0]])
 UNIT_TETRA = SquaredDistanceMatrix.from_entries(
@@ -232,3 +237,139 @@ class TestCoordinateOracle:
         # the determinant 1e200 fits a float; its square does not
         with pytest.raises(NonFiniteError):
             volume_squared_from_coordinates([[0.0, 0.0], [1e100, 0.0], [0.0, 1e100]])
+
+
+# ---------------------------------------------------------------------------
+# Pinned outputs over a seeded corpus.  Each corpus is a list of m x m
+# symmetric zero-diagonal matrices of Fractions; the exact pin covers
+# repr((cm_determinant, volume_squared, is_degenerate)), the float pin covers
+# repr(cm_determinant) of the same matrices as floats (absolute values, since
+# float mode rejects negative squared distances), an overflow shown as the
+# error's type and message.  Any change to a determinant value, or to a float
+# determinant's bits or error, shows here.
+
+
+def _symmetric(m, upper):
+    rows = [[Fraction(0)] * m for _ in range(m)]
+    values = iter(upper)
+    for i in range(m):
+        for j in range(i + 1, m):
+            rows[i][j] = rows[j][i] = next(values)
+    return rows
+
+
+def _squares_of(points):
+    return [
+        [sum((Fraction(a) - b) ** 2 for a, b in zip(p, q)) for q in points] for p in points
+    ]
+
+
+def _pairs(m):
+    return m * (m - 1) // 2
+
+
+def _pin_corpus(name):
+    rng = random.Random(f"cm-pin-{name}")
+    if name == "realizable":
+        return [_squares_of(rand_points(rng, m)) for m in range(2, 25)]
+    if name == "generic":
+        return [
+            _symmetric(m, [Fraction(rng.randint(1, 10**6), rng.randint(1, 2520)) for _ in range(_pairs(m))])
+            for m in range(2, 25)
+        ]
+    if name == "zeros":
+        return [
+            _symmetric(m, [
+                Fraction(0) if rng.random() < 0.6 else rand_nonzero_fraction(rng)
+                for _ in range(_pairs(m))
+            ])
+            for m in list(range(2, 13)) * 4
+        ]
+    if name == "repeated":
+        out = []
+        for m in range(3, 13):
+            pts = rand_points(rng, m)
+            for _ in range(rng.randint(1, m - 1)):
+                pts[rng.randrange(m)] = list(pts[rng.randrange(m)])
+            out.append(_squares_of(pts))
+        return out
+    if name == "collinear":
+        out = []
+        for m in range(3, 13):
+            # affine combinations of dim + 1 points: a flat of dimension < m - 1
+            dim = 1 if m % 2 else rng.randint(1, m - 2)
+            base = rand_points(rng, dim + 1, m - 1)
+            pts = []
+            for _ in range(m):
+                w = [rand_nonzero_fraction(rng) for _ in range(dim)]
+                w.insert(0, 1 - sum(w))
+                pts.append([sum(c * p[k] for c, p in zip(w, base)) for k in range(m - 1)])
+            out.append(_squares_of(pts))
+        return out
+    if name == "non-euclidean":
+        return [
+            _symmetric(m, [rand_nonzero_fraction(rng, span=50) for _ in range(_pairs(m))])
+            for m in list(range(2, 13)) * 2
+        ]
+    if name == "extreme":
+        scales = (1e300, 1.5e300, 1e-300, 3e-300, 1.0, 0.5, 0.0)
+        return [
+            _symmetric(m, [Fraction(rng.choice(scales)) for _ in range(_pairs(m))])
+            for m in list(range(2, 7)) * 6
+        ]
+    raise KeyError(name)
+
+
+def _outcome(f, *args):
+    try:
+        return repr(f(*args))
+    except SoddyError as e:
+        return f"{type(e).__name__}: {e}"
+
+
+def _digest(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
+# name: (exact triple digest, float cm_determinant digest)
+PINNED_CM = {
+    "realizable": ("f318dfc1e611a169", "e862eebbc5f494d1"),
+    "generic": ("32f13eb3bb6d2b9e", "794f83231586cd1f"),
+    "zeros": ("fa62ccbbe33b9919", "8972bae8af455a81"),
+    "repeated": ("e132ac56b4adf6e2", "f3fe21e810bce34e"),
+    "collinear": ("99bb42260affcc83", "e5edc2dc0c84510f"),
+    "non-euclidean": ("3af8ae94b49b365b", "0cb412a3e16cef54"),
+    "extreme": ("a2055f834203f35a", "dbba19d62402ec24"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_CM)
+def test_cm_outputs_are_pinned(name):
+    corpus = _pin_corpus(name)
+    exact, floats = [], []
+    for rows in corpus:
+        d = SquaredDistanceMatrix.from_entries(rows)
+        exact.append(repr((cm_determinant(d), volume_squared(d), is_degenerate(d))))
+        f = SquaredDistanceMatrix.from_entries([[float(abs(v)) for v in r] for r in rows])
+        floats.append(_outcome(cm_determinant, f))
+    assert (_digest(exact), _digest(floats)) == PINNED_CM[name]
+
+
+@st.composite
+def sparse_symmetric(draw):
+    m = draw(st.integers(min_value=2, max_value=7))
+    entry = st.one_of(
+        st.just(Fraction(0)),
+        st.fractions(min_value=-10, max_value=10, max_denominator=10),
+    )
+    return _symmetric(m, draw(st.lists(entry, min_size=_pairs(m), max_size=_pairs(m))))
+
+
+@given(rows=sparse_symmetric())
+@settings(max_examples=300, deadline=None)
+def test_cm_determinant_matches_bordered_determinant(rows):
+    for d in (
+        SquaredDistanceMatrix.from_entries(rows),
+        SquaredDistanceMatrix.from_entries([[float(abs(v)) for v in r] for r in rows]),
+    ):
+        assert repr(cm_determinant(d)) == repr(determinant(build_cm_matrix(d)))
