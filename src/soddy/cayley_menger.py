@@ -9,6 +9,12 @@ so ``volume_squared`` divides the determinant by that constant.  For m = 3
 this is Heron's formula in disguise (det = -16 A^2).  Squared distances are
 the canonical interchange type throughout the library: tangency distances
 (r_i + r_j)^2 stay rational even when the distances themselves do not.
+
+``cm_determinant`` scales every entry by one common L and returns
+-det(M) / L^(m-1), where M_ij = L * (D_ij - D_0i - D_0j), i, j = 1..m-1, is
+-2L times the Gram matrix about point 0 (row and column algebra, so it holds
+for any symmetric zero-diagonal D), by symmetric fraction-free elimination.
+A float determinant, volume or Heron area is its exact value rounded once.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from typing import Sequence
 
 from .errors import DimensionError, NonFiniteError, ValidationError
 from .numeric import EXACT, FLOAT, Matrix, Scalar, coerce, coerce_vector, determinant, infer_mode
+from .numeric import from_exact, symmetric_bareiss
 
 
 @dataclass(frozen=True)
@@ -76,8 +83,21 @@ def build_cm_matrix(d: SquaredDistanceMatrix) -> Matrix:
     return Matrix.from_rows(rows, d.mode)
 
 
+def _exact_cm_determinant(d: SquaredDistanceMatrix) -> Fraction:
+    """The bordered determinant as a Fraction, from the Gram block M (see above)."""
+    upper = [[v.as_integer_ratio() for v in row[i + 1 :]] for i, row in enumerate(d.entries)]
+    scale = math.lcm(*(q for row in upper for _, q in row))
+    ints = [[p * (scale // q) for p, q in row] for row in upper]
+    b = ints[0]  # scale * D_0i for i = 1..m-1
+    block = [
+        [0] * r + [-2 * b[r]] + [x - b[r] - y for x, y in zip(ints[r + 1], b[r + 1 :])]
+        for r in range(d.m - 1)
+    ]
+    return Fraction(-symmetric_bareiss(block), scale ** (d.m - 1))
+
+
 def cm_determinant(d: SquaredDistanceMatrix) -> Scalar:
-    return determinant(build_cm_matrix(d))
+    return from_exact(_exact_cm_determinant(d), d.mode, "determinant")
 
 
 def _volume_constant(m: int) -> Fraction:
@@ -91,15 +111,14 @@ def volume_squared(d: SquaredDistanceMatrix) -> VolumeSquared:
     Nonnegative whenever the distances are realizable in m-1 dimensions; the
     sign is diagnostic otherwise.
     """
-    # + 0 keeps a negative zero out of a degenerate float volume
-    value = _volume_constant(d.m) * cm_determinant(d) + 0
-    return VolumeSquared(value=value, dim=d.m - 1)
+    value = _volume_constant(d.m) * _exact_cm_determinant(d)
+    return VolumeSquared(value=from_exact(value, d.mode, "squared volume"), dim=d.m - 1)
 
 
 def heron_area_squared_from_squares(a2, b2, c2) -> Scalar:
     """Squared triangle area from squared side lengths (exact-friendly form)."""
     d = SquaredDistanceMatrix.from_entries([[0, c2, b2], [c2, 0, a2], [b2, a2, 0]])
-    return Fraction(-1, 16) * cm_determinant(d) + 0  # a float zero area is 0.0, not -0.0
+    return volume_squared(d).value
 
 
 def heron_area_squared(a, b, c) -> Scalar:

@@ -14,7 +14,8 @@ for ``@``, fraction-free (Bareiss) elimination for :func:`determinant` --
 and Fractions are built only for the results.  Exact mode returns them as
 they are; float mode returns the exact result for its (dyadic rational)
 entries rounded once to a float, so a float product or determinant carries
-one rounding, and overflow raises instead of storing inf.
+one rounding, and overflow raises instead of storing inf.  A symmetric
+integer matrix has its own elimination, :func:`symmetric_bareiss`.
 
 The mode is fixed once, where values are coerced (:func:`as_exact`,
 :func:`as_float`): this module alone knows how a scalar of each mode is
@@ -52,6 +53,8 @@ def _check_scalar(value) -> None:
 
 def as_exact(value) -> Fraction:
     """Coerce an int/Fraction to Fraction; floats are rejected (no silent rounding)."""
+    if type(value) is Fraction:  # immutable and already exact: no copy
+        return value
     if isinstance(value, Rational) and not isinstance(value, bool):
         return Fraction(value)
     _check_scalar(value)
@@ -168,7 +171,7 @@ class Matrix:
             for b_j, sb in zip(b, b_scales)
         ]
         if self.mode == FLOAT:
-            out = [_round_once(v, "matrix product") for v in out]
+            out = [from_exact(v, FLOAT, "matrix product") for v in out]
         return Matrix(self.rows, m, tuple(out), self.mode)
 
 
@@ -187,8 +190,10 @@ def _integer_rows(rows: Iterable[Sequence[Scalar]]) -> tuple[list[list[int]], li
     return int_rows, lcms
 
 
-def _round_once(value: Fraction, what: str) -> float:
-    """The float nearest an exact result; overflow is an error, never inf."""
+def from_exact(value: Fraction, mode: str, what: str) -> Scalar:
+    """An exact result in ``mode``: itself, or the nearest float (never inf)."""
+    if mode == EXACT:
+        return value
     try:
         return float(value)
     except OverflowError:
@@ -231,4 +236,34 @@ def determinant(m: Matrix) -> Scalar:
             a[i][k + 1 :] = [(x * pivot - aik * y) // prev for x, y in zip(a[i][k + 1 :], tail)]
         prev = pivot
     det = Fraction(sign * a[n - 1][n - 1], math.prod(lcms))
-    return det if m.mode == EXACT else _round_once(det, "determinant")
+    return from_exact(det, m.mode, "determinant")
+
+
+def symmetric_bareiss(a: list[list[int]]) -> int:
+    """Determinant of a symmetric integer matrix by fraction-free elimination.
+
+    Reads and overwrites only entries j >= i: step k updates row i > k from
+    column i on, with a[k][i] for a[i][k].  A zero pivot a[k][k] is mended by
+    the unimodular congruence "index k += t * index s" on rows and columns, s
+    the first index with a[k][s] != 0: the pivot becomes 2t*a[k][s] + a[s][s],
+    nonzero for t = 1 or, when a[s][s] == -2*a[k][s], for t = -1.  Bareiss
+    intermediates are linear in each row not yet used as a pivot, so this is
+    the same congruence on the input.  No such s: row k is zero, as is det.
+    """
+    n, prev = len(a), 1
+    for k in range(n - 1):
+        row = a[k]
+        if row[k] == 0:
+            s = next((j for j in range(k + 1, n) if row[j] != 0), None)
+            if s is None:
+                return 0
+            t = -1 if a[s][s] == -2 * row[s] else 1
+            row[k] = 2 * t * row[s] + a[s][s]
+            for j in range(k + 1, n):
+                row[j] += t * (a[j][s] if j < s else a[s][j])
+        pivot = row[k]
+        for i in range(k + 1, n):
+            aki, ai = row[i], a[i]
+            ai[i:] = [(x * pivot - aki * y) // prev for x, y in zip(ai[i:], row[i:])]
+        prev = pivot
+    return a[n - 1][n - 1]

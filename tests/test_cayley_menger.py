@@ -158,6 +158,21 @@ class TestVolumeSquared:
             assert via_distances.value == via_coords.value
             assert via_distances.dim == via_coords.dim == m - 1
 
+    def test_float_volume_in_range_does_not_overflow(self):
+        # the determinant 2e308 overflows a float; the volume 1e308 does not
+        d = SquaredDistanceMatrix.from_entries([[0.0, 1e308], [1e308, 0.0]])
+        assert volume_squared(d).value == 1e308
+
+    def test_float_volume_is_rounded_once(self, rng):
+        # the float volume is the exact volume of the float entries, rounded once
+        for _ in range(300):
+            m = rng.randint(2, 6)
+            pts = [[rng.uniform(-10, 10) for _ in range(m - 1)] for _ in range(m)]
+            rows = [[sum((a - b) ** 2 for a, b in zip(p, q)) for q in pts] for p in pts]
+            exact = SquaredDistanceMatrix.from_entries([[Fraction(v) for v in r] for r in rows])
+            got = volume_squared(SquaredDistanceMatrix.from_entries(rows)).value
+            assert got == float(volume_squared(exact).value)
+
 
 class TestHeron:
     def test_345(self):
@@ -175,6 +190,12 @@ class TestHeron:
     def test_float_degenerate_is_positive_zero(self):
         area2 = heron_area_squared(1.0, 1.0, 2.0)
         assert area2 == 0.0 and math.copysign(1.0, area2) == 1.0
+
+    def test_float_area_in_range_does_not_overflow(self):
+        # 16 A^2 overflows a float; A^2 ~ 2.006e307 does not
+        a2 = Fraction(1.017e77 * 1.017e77)
+        area2 = heron_area_squared(1.017e77, 1.017e77, 1.017e77)
+        assert area2 == float(Fraction(3, 16) * a2 * a2) == pytest.approx(2.0058e307, rel=1e-4)
 
     def test_negative_side_rejected(self):
         with pytest.raises(ValidationError):

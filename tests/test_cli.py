@@ -176,6 +176,11 @@ class TestCmDetAndVolume:
         assert code == 0
         assert '"value": 0.0' in out
 
+    def test_float_volume_in_range_does_not_overflow(self, call):
+        code, out, _ = call(["volume", "--mode", "float", "--matrix", "[[0,1e308],[1e308,0]]"])
+        assert code == 0
+        assert json.loads(out)["result"] == {"value": 1e308, "dim": 1}
+
     @pytest.mark.parametrize("command", ["cm-det", "volume"])
     def test_float_overflow_is_non_finite(self, call, command):
         matrix = "[[0,1e200,1e200],[1e200,0,1e200],[1e200,1e200,0]]"

@@ -13,13 +13,14 @@ from soddy.cayley_menger import (
     SquaredDistanceMatrix,
     VolumeSquared,
     build_cm_matrix,
+    cm_determinant,
     heron_area_squared,
     heron_area_squared_from_squares,
     volume_squared,
     volume_squared_from_coordinates,
 )
 from soddy.errors import DimensionError, ModeMismatchError, NonFiniteError, ValidationError
-from soddy.numeric import EXACT, FLOAT, Matrix, as_exact, as_float, determinant
+from soddy.numeric import EXACT, FLOAT, Matrix, as_exact, as_float, determinant, symmetric_bareiss
 from soddy.tangency import (
     Curvatures,
     SignedRadii,
@@ -207,6 +208,58 @@ class TestKernelEdgeCases:
             determinant(m)
 
 
+def symmetric_det(rows, pivot=None) -> int:
+    """symmetric_bareiss(rows), checked against the general kernel; with
+    ``pivot``, also checks the first pivot the elimination used."""
+    a = [list(r) for r in rows]
+    got = symmetric_bareiss(a)
+    assert got == determinant(Matrix.from_rows(rows))
+    if pivot is not None:
+        assert a[0][0] == pivot
+    return got
+
+
+class TestSymmetricBareiss:
+    def test_zero_leading_pivot_adds_next_index(self):
+        # a[0][0] = 0: index 0 += index 1, pivot 2*1 + 3
+        assert symmetric_det([[0, 1, 2], [1, 3, 0], [2, 0, 5]], pivot=5) == -17
+
+    def test_zero_leading_pivot_subtracts_when_adding_cancels(self):
+        # a[1][1] == -2*a[0][1]: t = +1 would give pivot 0, t = -1 gives -4
+        assert symmetric_det([[0, 1, 4], [1, -2, 3], [4, 3, 7]], pivot=-4) == 49
+
+    def test_first_nonzero_entry_of_the_row_is_used(self):
+        # a[0][1] == 0, so index 2 is used: pivot 2*3 + 1
+        assert symmetric_det([[0, 0, 3], [0, 2, 1], [3, 1, 1]], pivot=7) == -18
+
+    def test_zero_trailing_row_gives_zero(self):
+        # after step 0, row 1 of the remaining block is zero
+        assert symmetric_det([[1, 1, 1], [1, 1, 1], [1, 1, 2]]) == 0
+
+    def test_zero_leading_row_gives_zero(self):
+        assert symmetric_det([[0, 0], [0, 5]]) == 0
+
+    @pytest.mark.parametrize("value", [-3, 0, 7])
+    def test_one_by_one(self, value):
+        assert symmetric_det([[value]]) == value
+
+    def test_random_sparse_symmetric(self, rng):
+        for _ in range(500):
+            n = rng.randint(1, 8)
+            rows = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    if rng.random() < 0.5:
+                        rows[i][j] = rows[j][i] = rng.randint(-4, 4)
+            symmetric_det(rows)
+
+    @pytest.mark.parametrize("zero, want", [(0, "Fraction(0, 1)"), (0.0, "0.0")])
+    def test_two_points_at_distance_zero(self, zero, want):
+        # m = 2 with D_01 = 0: the Gram block is [[0]]
+        d = SquaredDistanceMatrix.from_entries([[zero, zero], [zero, zero]])
+        assert repr(cm_determinant(d)) == repr(determinant(build_cm_matrix(d))) == want
+
+
 def schoolbook_product(a, b):
     """Reference product of Fraction-valued rows: the plain triple loop."""
     return [
@@ -302,6 +355,10 @@ class TestCoercion:
         with pytest.raises(ValidationError) as info:
             coerce(value)
         assert info.value.kind == "validation"
+
+    def test_exact_fraction_is_returned_as_is(self):
+        x = Fraction(3, 7)
+        assert as_exact(x) is x
 
     def test_float_in_exact_mode_is_mode_mismatch(self):
         with pytest.raises(ModeMismatchError):
