@@ -25,8 +25,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DimensionError, NonFiniteError, ValidationError
-from .numeric import EXACT, FLOAT, Matrix, Scalar, coerce, coerce_vector, determinant, infer_mode
-from .numeric import from_exact, symmetric_bareiss
+from .numeric import EXACT, FLOAT, REL_TOL, Matrix, Scalar, coerce, coerce_vector, determinant
+from .numeric import from_exact, infer_mode, symmetric_bareiss
 
 
 @dataclass(frozen=True)
@@ -123,7 +123,7 @@ def heron_area_squared_from_squares(a2, b2, c2) -> Scalar:
 
 def heron_area_squared(a, b, c) -> Scalar:
     """Squared area of the triangle with side lengths a, b, c (all >= 0)."""
-    a, b, c = coerce_vector([a, b, c])
+    (a, b, c), _ = coerce_vector([a, b, c])
     if a < 0 or b < 0 or c < 0:
         raise ValidationError("side lengths must be nonnegative")
     return heron_area_squared_from_squares(a * a, b * b, c * c)
@@ -133,15 +133,25 @@ def is_degenerate(d: SquaredDistanceMatrix) -> bool:
     """True when the points fit in a subspace of dimension < m-1.
 
     Exact mode tests ``volume_squared == 0`` exactly.  Float mode compares
-    |v^2| against ``1e-9 * (max d^2)^(m-1)``, the scale matching the
-    determinant's homogeneity degree, exactly on Fractions, so a scale
-    beyond the float range does not overflow.
+    the exact |v^2| against ``REL_TOL * (max d^2)^(m-1)``, the scale matching
+    the determinant's homogeneity degree, on Fractions, so neither a volume
+    nor a scale beyond the float range overflows.
     """
-    v2 = volume_squared(d).value
+    v2 = _volume_constant(d.m) * _exact_cm_determinant(d)
     if d.mode == EXACT:
         return v2 == 0
     scale = Fraction(d.max_entry()) ** (d.m - 1)
-    return abs(Fraction(v2)) <= Fraction(1e-9) * scale
+    return abs(v2) <= Fraction(REL_TOL) * scale
+
+
+def _simplex_size(points: Sequence[Sequence]) -> int:
+    """m, for m >= 2 points of dimension m-1, the vertices of a simplex."""
+    m = len(points)
+    if m < 2:
+        raise DimensionError("need at least two points")
+    if any(len(p) != m - 1 for p in points):
+        raise DimensionError(f"each of the {m} points must have dimension {m - 1}")
+    return m
 
 
 def volume_squared_from_coordinates(points: Sequence[Sequence]) -> VolumeSquared:
@@ -150,11 +160,7 @@ def volume_squared_from_coordinates(points: Sequence[Sequence]) -> VolumeSquared
     Takes m points of dimension m-1 and returns the squared content, bypassing
     distance matrices entirely.
     """
-    m = len(points)
-    if m < 2:
-        raise DimensionError("need at least two points")
-    if any(len(p) != m - 1 for p in points):
-        raise DimensionError(f"each of the {m} points must have dimension {m - 1}")
+    m = _simplex_size(points)
     rows = [[1] * m] + [[p[coord] for p in points] for coord in range(m - 1)]
     det = determinant(Matrix.from_rows(rows))
     try:

@@ -32,9 +32,7 @@ from .errors import (
     RankExceedsDimError,
     ValidationError,
 )
-from .numeric import EXACT, as_float, coerce
-
-DEFAULT_TOL = 1e-9
+from .numeric import EXACT, REL_TOL, as_float, coerce
 
 
 @dataclass(frozen=True)
@@ -77,7 +75,7 @@ def _dot(x, y, w):
 def realize_points(d: SquaredDistanceMatrix, dim: int) -> EmbeddedPoints:
     """Embed the m points of ``d`` into ``dim`` dimensions by one LDL^T pass.
 
-    A pivot is zero when it is 0 in exact mode, or within DEFAULT_TOL * max d^2
+    A pivot is zero when it is 0 in exact mode, or within REL_TOL * max d^2
     of 0 in float mode.  A negative pivot, or a squared distance that L and p
     miss (at all in exact mode, by more than ten times that zero in float
     mode, which means the Gram matrix is indefinite), raises
@@ -87,7 +85,7 @@ def realize_points(d: SquaredDistanceMatrix, dim: int) -> EmbeddedPoints:
     if dim < 1:
         raise DimensionError("target dimension must be >= 1")
     e, mode = d.entries, d.mode
-    zero = 0 if mode == EXACT else DEFAULT_TOL * d.max_entry()
+    zero = 0 if mode == EXACT else REL_TOL * d.max_entry()
     pivots, openers = [], []  # per axis: p_a and the point that opened it
     # rows[i][a] = L_ia, zero past the row's end; point 0 is the origin
     rows = [[] for _ in range(d.m)]
@@ -118,7 +116,7 @@ def realize_points(d: SquaredDistanceMatrix, dim: int) -> EmbeddedPoints:
     # roundoff, and is dropped so that exactly flat points stay flat.
     for i, a in flat:
         extend(i)
-        if _dot(rows[i][a:], rows[i][a:], pivots[a:]) <= zero * DEFAULT_TOL / 16:
+        if _dot(rows[i][a:], rows[i][a:], pivots[a:]) <= zero * REL_TOL / 16:
             del rows[i][a:]
     for i, j in combinations(range(d.m), 2):
         diff = [x - y for x, y in zip_longest(rows[i], rows[j], fillvalue=0)]
@@ -167,7 +165,7 @@ def append_point(existing: EmbeddedPoints, sq_dists: Sequence[float]) -> np.ndar
         p0 = np.zeros(dim)
     else:
         u, s, vt = np.linalg.svd(a, full_matrices=True)
-        cutoff = s[0] * 1e-9 if s.size else 0.0
+        cutoff = s[0] * REL_TOL if s.size else 0.0
         rank = int((s > cutoff).sum())
         p0 = vt[:rank].T @ ((u[:, :rank].T @ b) / s[:rank])
 
@@ -179,7 +177,7 @@ def append_point(existing: EmbeddedPoints, sq_dists: Sequence[float]) -> np.ndar
         half_b = null_dir @ rel
         c = rel @ rel - sq[0]
         disc = half_b * half_b - c
-        if disc < -DEFAULT_TOL * scale:
+        if disc < -REL_TOL * scale:
             raise NoSolutionError("distances are mutually inconsistent")
         root = np.sqrt(max(disc, 0.0))
         cand = [p0 + (-half_b + root) * null_dir, p0 + (-half_b - root) * null_dir]
@@ -190,6 +188,6 @@ def append_point(existing: EmbeddedPoints, sq_dists: Sequence[float]) -> np.ndar
         )
 
     err = np.abs(((p - x) ** 2).sum(axis=1) - sq).max()
-    if err > DEFAULT_TOL * scale:
+    if err > REL_TOL * scale:
         raise NoSolutionError(f"distance residual {err:.3e} exceeds tolerance")
     return p

@@ -18,14 +18,11 @@ import math
 from dataclasses import dataclass
 
 from .errors import GeometryError, NoRealSolutionError, NonFiniteError, SeedError, ValidationError
-from .numeric import as_float
-from .tangency import Curvatures, solve_missing_curvature, vieta_partner
+from .numeric import REL_TOL, as_float
+from .tangency import Curvatures, _validated, solve_missing_curvature, vieta_partner
 
 #: Hard output-size guard on the expansion depth.
 MAX_DEPTH = 12
-
-#: Checks compare as ``not err <= _AUDIT_TOL`` so that a NaN error fails them.
-_AUDIT_TOL = 1e-9
 
 #: SVG width in pixels, circle outline color, and fill color by depth (cycled).
 _SVG_WIDTH = 512
@@ -56,20 +53,6 @@ class Gasket:
             if c.radius < 0:
                 return c
         return None
-
-
-def _validate_seed(seed) -> tuple[float, float, float]:
-    if len(seed) != 3:
-        raise SeedError(f"seed needs exactly 3 curvatures, got {len(seed)}")
-    try:
-        ks = tuple(as_float(v) for v in seed)
-    except ValidationError as exc:
-        raise SeedError(str(exc)) from exc
-    if any(k == 0.0 for k in ks):
-        raise SeedError("zero curvature (a straight line) is not supported")
-    if sum(1 for k in ks if k < 0) > 1:
-        raise SeedError("at most one seed curvature may be negative")
-    return ks
 
 
 class _Builder:
@@ -111,9 +94,14 @@ class _Builder:
     ) -> int:
         """Append the circle (k, w), checked to touch ``touching`` (default: its parents)."""
         touching = parents if touching is None else touching
-        if touching and not (err := self.misfit(w, curvature, touching)) <= _AUDIT_TOL:
+        # not <=, so that a NaN error fails the check
+        if touching and not (err := self.misfit(w, curvature, touching)) <= REL_TOL:
+            try:
+                named = f"{math.ldexp(curvature, self.exp):.6g}"
+            except OverflowError:  # past the float range: the scaled value and its scale
+                named = f"{curvature:.6g}*2^{self.exp}"
             raise GeometryError(
-                f"circle placement failed: curvature {math.ldexp(curvature, self.exp):.6g} "
+                f"circle placement failed: curvature {named} "
                 f"at depth {depth} misses circles {touching} by {err:.3e}"
             )
         self.ws.append(w)
@@ -129,7 +117,7 @@ class _Builder:
         s = a + b + c + d
         res = s * s - 2.0 * (a * a + b * b + c * c + d * d)
         scale = max(a * a, b * b, c * c, d * d)
-        if not abs(res) <= _AUDIT_TOL * scale:
+        if not abs(res) <= REL_TOL * scale:
             raise GeometryError(f"tangency residual {res:.3e} failed the audit")
 
     def freeze(self, max_depth: int) -> Gasket:
@@ -159,8 +147,11 @@ class _Builder:
         return Gasket(circles=circles, seed_curvatures=self.seed, max_depth=max_depth)
 
 
-def _build_initial(seed: tuple[float, float, float]) -> tuple[_Builder, tuple[int, int, int, int]]:
-    seed = _validate_seed(seed)
+def _build_initial(seed) -> tuple[_Builder, tuple[int, int, int, int]]:
+    try:  # the seed as floats: three curvatures, nonzero, at most one negative
+        seed, _ = _validated([as_float(v) for v in seed], 2, 3, True, "curvature", "seed curvatures")
+    except ValidationError as exc:
+        raise SeedError(str(exc)) from exc
     # Place the seed scaled by 2^-exp to bring max |k| into [1/2, 1): every
     # float step commutes exactly with that scale, and freeze undoes it.
     exp = math.frexp(max(abs(k) for k in seed))[1]
@@ -176,7 +167,7 @@ def _build_initial(seed: tuple[float, float, float]) -> tuple[_Builder, tuple[in
     k0, k1, k2 = ks
     r0, r1, r2 = (1.0 / k for k in ks)
     d01, d02, d12 = abs(r0 + r1), abs(r0 + r2), abs(r1 + r2)
-    if d01 == 0.0:
+    if d01 == 0.0 or k0 == -k1:  # d01 is NaN if both radii overflow
         raise GeometryError("circle placement failed: seed circles 0 and 1 are concentric")
     # Law of cosines for x.  By Heron the triangle of centers has area
     # sqrt(k0*k1 + k1*k2 + k2*k0) / |k0*k1*k2|, and k3 - k3_other is four
@@ -196,7 +187,7 @@ def _build_initial(seed: tuple[float, float, float]) -> tuple[_Builder, tuple[in
     root = 2.0 * cmath.sqrt(w0 * w1 + w1 * w2 + w2 * w0)
     w3 = min(
         (w0 + w1 + w2 + root, w0 + w1 + w2 - root),
-        key=lambda w: (not b.misfit(w, k3, (0, 1, 2)) <= _AUDIT_TOL, -(w / k3).imag),
+        key=lambda w: (not b.misfit(w, k3, (0, 1, 2)) <= REL_TOL, -(w / k3).imag),
     )
     b.add(w3, k3, 0, (0, 1, 2))
     b.audit_residual((0, 1, 2, 3))
@@ -220,7 +211,7 @@ def generate(seed, max_depth: int) -> Gasket:
     """
     if not 0 <= max_depth <= MAX_DEPTH:
         raise ValidationError(f"max_depth must be between 0 and {MAX_DEPTH}")
-    b, quad0 = _build_initial(tuple(seed))
+    b, quad0 = _build_initial(seed)
     ks, ws = b.curvatures, b.ws
     # the root spawns across all four members, a child not back across its last (new) circle
     level, spawn = [quad0], 4

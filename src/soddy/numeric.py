@@ -22,7 +22,8 @@ The mode is fixed once, where values are coerced (:func:`as_exact`,
 built.  Other modules write their arithmetic once for both modes, with int
 constants, so ``Fraction op int`` stays a Fraction and ``float op int`` a
 float; they branch on the mode only where the two modes mean different
-checks (a tolerance, an exact square root, a float-only sign check).
+checks (the relative tolerance :data:`REL_TOL`, an exact square root, a
+float-only sign check).
 
 Everything here is a pure function on immutable data.
 """
@@ -42,6 +43,9 @@ Scalar = Union[Fraction, float]
 
 EXACT = "exact"
 FLOAT = "float"
+
+#: The relative error every float-mode tolerance check allows.
+REL_TOL = 1e-9
 
 
 def _check_scalar(value) -> None:
@@ -98,9 +102,10 @@ def infer_mode(values: Iterable) -> str:
     return FLOAT if saw_float else EXACT
 
 
-def coerce_vector(values: Sequence) -> tuple[Scalar, ...]:
+def coerce_vector(values: Sequence) -> tuple[tuple[Scalar, ...], str]:
+    """The values coerced to the mode :func:`infer_mode` finds, and that mode."""
     mode = infer_mode(values)
-    return tuple(coerce(v, mode) for v in values)
+    return tuple(coerce(v, mode) for v in values), mode
 
 
 @dataclass(frozen=True)

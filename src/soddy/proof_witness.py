@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .cayley_menger import SquaredDistanceMatrix, build_cm_matrix
+from .cayley_menger import SquaredDistanceMatrix, _simplex_size, build_cm_matrix
 from .errors import DimensionError, ModeMismatchError
 from .numeric import EXACT, Matrix, as_exact, determinant
 from .serialize import format_scalar, value_to_json
@@ -106,11 +106,7 @@ def _bordered(border: Sequence, core: Matrix) -> Matrix:
 
 
 def _require_exact_points(points: Sequence[Sequence]) -> list[list[Fraction]]:
-    m = len(points)
-    if m < 2:
-        raise DimensionError("need at least two points")
-    if any(len(p) != m - 1 for p in points):
-        raise DimensionError(f"each of the {m} points must have dimension {m - 1}")
+    _simplex_size(points)
     try:
         return [[as_exact(v) for v in p] for p in points]
     except ModeMismatchError:

@@ -1,9 +1,10 @@
-"""JSON-friendly encoding of scalars, matrices, and reports.
+"""JSON-friendly encoding of scalars, matrices, and reports; text of scalars.
 
 Rationals serialize as {"num": str, "den": str} so arbitrary-precision values
 survive; finite floats pass through as JSON numbers, and a NaN or infinite
 float is an error, so no result is written as a non-JSON constant.  Exact
-values are never silently converted to float.
+values are never silently converted to float.  A rational with more digits
+than Python prints (4300) is refused in JSON and shown as its digit count in text.
 """
 
 from __future__ import annotations
@@ -23,18 +24,24 @@ MAX_EXPONENT = 4300
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*$")
 
 
+def _decimal(f: Fraction) -> tuple[str, str] | int:
+    """Numerator and denominator in decimal, or the longer one's digit count past Python's."""
+    try:
+        return str(f.numerator), str(f.denominator)
+    except ValueError:
+        return int(max(abs(f.numerator), f.denominator).bit_length() * math.log10(2)) + 1
+
+
 def scalar_to_json(value):
     """One JSON scalar; a NaN or infinite float raises :class:`NonFiniteError`,
     a rational too long to print a :class:`ValidationError`."""
     if isinstance(value, float):
         return as_float(value)
     if isinstance(value, (Fraction, Integral)):
-        f = Fraction(value)
-        try:
-            return {"num": str(f.numerator), "den": str(f.denominator)}
-        except ValueError:  # Python's int-to-string digit limit
-            digits = int(max(abs(f.numerator), f.denominator).bit_length() * math.log10(2)) + 1
-            raise ValidationError(f"result of about {digits} digits is too long to print") from None
+        parts = _decimal(Fraction(value))
+        if isinstance(parts, int):
+            raise ValidationError(f"result of about {parts} digits is too long to print")
+        return {"num": parts[0], "den": parts[1]}
     raise ValidationError(f"cannot serialize {value!r}")
 
 
@@ -60,9 +67,10 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_scalar(value) -> str:
+    """A float as its repr, a rational as 'p', 'p/q' or, too long to print, '<about N digits>'."""
     if isinstance(value, float):
         return repr(value)
-    f = Fraction(value)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    parts = _decimal(Fraction(value))
+    if isinstance(parts, int):
+        return f"<about {parts} digits>"
+    return parts[0] if parts[1] == "1" else "/".join(parts)

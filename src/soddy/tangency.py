@@ -30,7 +30,8 @@ from .errors import (
     NoRealSolutionError,
     ValidationError,
 )
-from .numeric import EXACT, Scalar, coerce, coerce_vector, infer_mode
+from .numeric import EXACT, REL_TOL, Scalar, coerce, coerce_vector
+from .serialize import format_scalar
 
 
 @dataclass(frozen=True)
@@ -54,18 +55,18 @@ class Curvatures:
     mode: str
 
 
-def _validated(values: Sequence, n: int, strict: bool, one: str, many: str) -> tuple[Scalar, ...]:
-    """The checks both validators share, with messages naming ``one``/``many``."""
+def _validated(values: Sequence, n: int, count: int, strict: bool, one: str, many: str) -> tuple:
+    """(values, mode) of ``count`` nonzero values; messages name ``one``/``many``."""
     if n < 1:
         raise DimensionError("sphere dimension n must be >= 1")
-    vals = coerce_vector(values)
-    if len(vals) != n + 2:
-        raise ValidationError(f"need {n + 2} {many} for dimension {n}, got {len(vals)}")
+    vals, mode = coerce_vector(values)
+    if len(vals) != count:
+        raise ValidationError(f"need {count} {many} for dimension {n}, got {len(vals)}")
     if any(v == 0 for v in vals):
         raise ValidationError(f"zero {one} is not allowed")
     if strict and sum(1 for v in vals if v < 0) > 1:
         raise ValidationError(f"at most one {one} may be negative (one enclosing sphere)")
-    return vals
+    return vals, mode
 
 
 def validate_radii(values: Sequence, n: int, strict: bool = True) -> SignedRadii:
@@ -76,14 +77,14 @@ def validate_radii(values: Sequence, n: int, strict: bool = True) -> SignedRadii
     can enclose the others.  Lenient mode keeps the identity available as a
     purely algebraic fact for any nonzero radii.
     """
-    vals = _validated(values, n, strict, "radius", "radii")
-    return SignedRadii(values=vals, n=n, mode=infer_mode(vals))
+    vals, mode = _validated(values, n, n + 2, strict, "radius", "radii")
+    return SignedRadii(values=vals, n=n, mode=mode)
 
 
 def validate_curvatures(values: Sequence, n: int, strict: bool = True) -> Curvatures:
     """Same rules as :func:`validate_radii`, applied to curvatures."""
-    vals = _validated(values, n, strict, "curvature", "curvatures")
-    return Curvatures(values=vals, n=n, mode=infer_mode(vals))
+    vals, mode = _validated(values, n, n + 2, strict, "curvature", "curvatures")
+    return Curvatures(values=vals, n=n, mode=mode)
 
 
 def curvatures_from_radii(r: SignedRadii) -> Curvatures:
@@ -131,7 +132,7 @@ def _exact_sqrt(x: Fraction) -> Fraction:
     if rn * rn == num and rd * rd == den:
         return Fraction(rn, rd)
     raise FloatModeRequiredError(
-        f"discriminant {x} is not a perfect rational square; rerun in float mode"
+        f"discriminant {format_scalar(x)} is not a perfect rational square; rerun in float mode"
     )
 
 
@@ -146,13 +147,7 @@ def solve_missing_curvature(known: Sequence, n: int) -> tuple[Scalar, Scalar]:
     zero, of either sign, as a double root.  n = 1 collapses to a linear
     equation with a single root, returned twice.
     """
-    if n < 1:
-        raise DimensionError("sphere dimension n must be >= 1")
-    vals = coerce_vector(known)
-    if len(vals) != n + 1:
-        raise ValidationError(f"need {n + 1} known curvatures for dimension {n}")
-    if any(v == 0 for v in vals):
-        raise ValidationError("zero curvature is not allowed")
+    vals, mode = _validated(known, n, n + 1, False, "curvature", "known curvatures")
     s = sum(vals)
     q = sum(v * v for v in vals)
     if n == 1:
@@ -162,7 +157,7 @@ def solve_missing_curvature(known: Sequence, n: int) -> tuple[Scalar, Scalar]:
         root = (q - s * s) / (2 * s)
         return (root, root)
     disc = n * (s * s - (n - 1) * q)
-    if infer_mode(vals) == EXACT:
+    if mode == EXACT:
         root_disc = _exact_sqrt(disc)
     else:
         # Within a few ulps of S^2 the sign of the discriminant is roundoff:
@@ -181,7 +176,7 @@ def vieta_partner(k: Curvatures, index: int) -> Scalar:
 
     partner = 2 * sum(other curvatures) / (n-1) - k[index].  Requires the
     input to satisfy the tangency identity: exactly in exact mode, and in
-    float mode within a relative tolerance, |residual| <= 1e-9 * max k_i^2,
+    float mode within a relative tolerance, |residual| <= REL_TOL * max k_i^2,
     so the test reads the same at every scale.  Replacing k[index] with the
     partner preserves the identity, which is how gaskets grow without ever
     taking a square root.
@@ -194,10 +189,10 @@ def vieta_partner(k: Curvatures, index: int) -> Scalar:
     if k.mode == EXACT:
         if res != 0:
             raise InconsistentConfigurationError(
-                f"curvatures do not satisfy the tangency identity (residual {res})"
+                f"curvatures do not satisfy the tangency identity (residual {format_scalar(res)})"
             )
     else:
-        tol = 1e-9 * max(v * v for v in k.values)
+        tol = REL_TOL * max(v * v for v in k.values)
         # written so that a NaN residual (overflowed squares) fails the check
         if not abs(res) <= tol:
             raise InconsistentConfigurationError(

@@ -236,6 +236,15 @@ class TestIsDegenerate:
         )
         assert is_degenerate(d)
 
+    @pytest.mark.parametrize("side2", [1e200, 1e-200])
+    def test_float_content_beyond_float_range(self, side2):
+        # an equilateral triangle: its squared area 3/16 * side2^2 overflows
+        # or underflows a float, and it is never flat
+        d = SquaredDistanceMatrix.from_entries(
+            [[0.0, side2, side2], [side2, 0.0, side2], [side2, side2, 0.0]]
+        )
+        assert not is_degenerate(d)
+
 
 class TestCoordinateOracle:
     def test_corner_tetrahedron(self):

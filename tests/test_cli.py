@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import soddy.errors
 from soddy.cli import run
 from soddy.gasket import generate, render_svg
 
@@ -490,3 +491,139 @@ def test_any_json_entry_gives_one_envelope(value, mode, command):
     assert out.getvalue().count("\n") == 1
     payload = json.loads(out.getvalue(), parse_constant=_reject_constant)
     assert payload["ok"] is (code == 0)
+
+
+# Each printed a traceback and no envelope: a report line or error message
+# could not show an exact value too long to print, or a gasket curvature
+# past the float range.  Each envelope names the value it cannot show.
+UNPRINTABLE_CALLS = {
+    "verify-proof-long-value": (
+        ["verify-proof", "--radii", "1e3000,1,1,1"], "validation", "about 6001 digits"
+    ),
+    "solve-long-discriminant": (
+        ["solve", "--n", "2", "--curvatures", "1e200,1e4300,1"],
+        "float-required",
+        "<about 4501 digits>",
+    ),
+    "gasket-curvature-past-float-range": (
+        ["gasket", "--seed", "1e155,1e308,1e308", "--depth", "1"],
+        "geometry",
+        "curvature 6.67522*2^1024",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNPRINTABLE_CALLS))
+def test_unprintable_value_gives_one_error_envelope(case):
+    argv, kind, named = UNPRINTABLE_CALLS[case]
+    proc = subprocess.run(
+        [sys.executable, "-m", "soddy", *argv], capture_output=True, text=True, env=CHILD_ENV
+    )
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == (1 if kind == "validation" else 2)
+    assert proc.stdout.count("\n") == 1
+    payload = json.loads(proc.stdout, parse_constant=_reject_constant)
+    assert payload["ok"] is False
+    assert payload["error"]["kind"] == kind
+    assert named in payload["error"]["message"]
+
+
+ERROR_KINDS = {
+    cls.kind
+    for cls in vars(soddy.errors).values()
+    if isinstance(cls, type) and issubclass(cls, soddy.errors.SoddyError)
+}
+
+# Numeric tokens at and past every bound the CLI knows of: zero, the float
+# range and its square root, the parse bound on exponents, the digit limit
+# on printing, non-finite and malformed text.
+NUMBER_TOKENS = (
+    st.sampled_from(["0", "1", "-1", "2", "3", "nan", "inf", "-inf", "x", "1/0"])
+    | st.fractions(-9, 9, max_denominator=9).map(str)
+    | st.builds(
+        "{}1e{}".format,
+        st.sampled_from(["", "-"]),
+        st.sampled_from([155, 308, 4300, -308, -4300]),
+    )
+)
+MATRIX_ENTRIES = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**400), 10**400)
+    | st.floats()
+    | NUMBER_TOKENS
+    | st.lists(st.integers(0, 9) | NUMBER_TOKENS, max_size=2)
+)
+
+
+def _symmetric(m: int, upper: list) -> list:
+    """m x m, zero diagonal, the upper triangle from ``upper`` mirrored below."""
+    it = iter(upper)
+    rows = [[0] * m for _ in range(m)]
+    for i, j in itertools.combinations(range(m), 2):
+        rows[i][j] = rows[j][i] = next(it)
+    return rows
+
+
+MATRICES = (
+    st.integers(1, 4).flatmap(
+        lambda m: st.lists(
+            MATRIX_ENTRIES, min_size=m * (m - 1) // 2, max_size=m * (m - 1) // 2
+        ).map(lambda upper: _symmetric(m, upper))
+    )
+    | st.lists(st.lists(MATRIX_ENTRIES, max_size=4), max_size=4)
+    | MATRIX_ENTRIES
+).map(json.dumps)
+MODES = st.sampled_from(["exact", "float"])
+
+
+def _number_list(size=None):
+    """Comma-joined tokens: ``size`` of them, or any number up to 8."""
+    lo, hi = (0, 8) if size is None else (size, size)
+    return st.lists(NUMBER_TOKENS, min_size=lo, max_size=hi).map(",".join)
+
+
+@st.composite
+def _argv(draw):
+    command = draw(
+        st.sampled_from(
+            ["cm-det", "volume", "residual", "solve", "identity-check", "embed", "verify-proof",
+             "gasket"]
+        )
+    )
+    if command in ("cm-det", "volume"):
+        return [command, "--matrix", draw(MATRICES), "--mode", draw(MODES)]
+    if command == "gasket":
+        seed = draw(_number_list(3) | _number_list())
+        return [command, "--seed", seed, "--depth", str(draw(st.integers(-1, 3)))]
+    if command == "verify-proof":
+        argv = [command, "--dim", str(draw(st.integers(-1, 3)))]
+        argv += ["--rng-seed", str(draw(st.integers(0, 9)))]
+        if draw(st.booleans()):
+            argv += ["--radii", draw(_number_list())]
+        if draw(st.booleans()):
+            argv += ["--random", str(draw(st.integers(-1, 2)))]
+        return argv
+    # n+1 known curvatures to solve, n+2 values otherwise; n is off by one a third of the time
+    n = draw(st.integers(0, 6))
+    values = draw(_number_list(n + (1 if command == "solve" else 2)))
+    flag = "--curvatures" if command in ("residual", "solve") else "--radii"
+    argv = [command, "--n", str(n + draw(st.integers(-1, 1))), flag, values]
+    if command in ("residual", "solve"):
+        argv += ["--mode", draw(MODES)]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_argv())
+def test_any_argv_gives_one_envelope(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)  # an exception escaping run() is the traceback a shell would print
+    assert "Traceback" not in err.getvalue()
+    assert code in (0, 1, 2)
+    assert out.getvalue().count("\n") == 1
+    payload = json.loads(out.getvalue(), parse_constant=_reject_constant)
+    assert payload["ok"] is (code == 0)
+    if not payload["ok"]:
+        assert payload["error"]["kind"] in ERROR_KINDS

@@ -254,6 +254,29 @@ class TestGenerate:
             generate([-1e-9, 1, 1], 1)
         assert "curvature 12 at depth 1" in str(info.value)
 
+    def test_placement_error_past_the_float_range_names_the_scale(self):
+        # the failing circle's true curvature, 6.67522 * 2^1024, is no float
+        with pytest.raises(GeometryError, match=r"curvature 6\.67522\*2\^1024 at depth 1"):
+            generate([1e155, 1e308, 1e308], 1)
+
+    def test_coincident_seed_circles_past_the_float_range(self):
+        # both radii overflow to +-inf, so their distance is NaN, not 0
+        with pytest.raises(GeometryError, match="concentric"):
+            generate([1, -1, 1e308], 1)
+
+    @pytest.mark.parametrize(
+        "seed, message",
+        [
+            ([1, 1], "need 3 seed curvatures for dimension 2, got 2"),
+            ([1, 1, 0], "zero curvature is not allowed"),
+            ([-1, -1, 2], "at most one curvature may be negative (one enclosing sphere)"),
+        ],
+    )
+    def test_seed_is_checked_as_a_curvature_list(self, seed, message):
+        with pytest.raises(SeedError) as info:
+            generate(seed, 1)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("depth", [0, 3, 5])
     def test_one_vieta_partner_call_per_new_circle(self, monkeypatch, depth):
         # the benchmark's kept_ratio divides new circles by these calls

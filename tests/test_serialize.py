@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from soddy.errors import ValidationError
-from soddy.serialize import MAX_EXPONENT, parse_rational, scalar_to_json
+from soddy.serialize import MAX_EXPONENT, format_scalar, parse_rational, scalar_to_json
 
 
 @pytest.mark.parametrize("text", ["1e4300", "1E+4300", "-2.5e-4300", "1e4_300", "3e04300"])
@@ -27,3 +27,11 @@ def test_rational_too_long_to_print_names_its_digits():
         scalar_to_json(Fraction(-(10**6000)))
     with pytest.raises(ValidationError, match="4301 digits"):
         scalar_to_json(Fraction(1, 10**4300))
+
+
+def test_text_of_a_rational_too_long_to_print_names_its_digits():
+    long = Fraction(10**4999, 3)
+    assert format_scalar(long) == "<about 5000 digits>"
+    with pytest.raises(ValidationError, match="5000 digits"):
+        scalar_to_json(long)
+    assert format_scalar(Fraction(-(10**4299), 3)) == "-1" + "0" * 4299 + "/3"

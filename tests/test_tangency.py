@@ -299,6 +299,11 @@ class TestVietaPartner:
         with pytest.raises(InconsistentConfigurationError):
             vieta_partner(k, 0)
 
+    def test_long_exact_residual_is_named_by_its_digits(self):
+        k = Curvatures(values=(Fraction(10**3000), *[Fraction(1)] * 3), n=2, mode="exact")
+        with pytest.raises(InconsistentConfigurationError, match=r"residual <about 6001 digits>"):
+            vieta_partner(k, 0)
+
     @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
     def test_float_tolerance_is_relative(self, scale):
         # residual 40 * scale^2 against max k^2 = 16 * scale^2 at every scale
