@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from numbers import Integral, Rational
 
 import numpy as np
 import pytest
@@ -19,8 +20,17 @@ from soddy.cayley_menger import (
     volume_squared,
     volume_squared_from_coordinates,
 )
-from soddy.errors import DimensionError, ModeMismatchError, NonFiniteError, ValidationError
-from soddy.numeric import EXACT, FLOAT, Matrix, as_exact, as_float, determinant, symmetric_bareiss
+from soddy.errors import DimensionError, ModeMismatchError, NonFiniteError, SoddyError, ValidationError
+from soddy.numeric import (
+    EXACT,
+    FLOAT,
+    Matrix,
+    as_exact,
+    as_float,
+    coerce_vector,
+    determinant,
+    symmetric_bareiss,
+)
 from soddy.tangency import (
     Curvatures,
     SignedRadii,
@@ -363,6 +373,69 @@ class TestCoercion:
     def test_float_in_exact_mode_is_mode_mismatch(self):
         with pytest.raises(ModeMismatchError):
             as_exact(0.5)
+
+
+def two_pass_coerce(values, mode=None):
+    """Reference coercion rule: infer the mode over every value, then coerce each."""
+    if mode is None:
+        saw_float = saw_fraction = False
+        for v in values:
+            if isinstance(v, float):
+                saw_float = True
+            elif isinstance(v, Rational):
+                saw_fraction |= not isinstance(v, Integral)
+            else:
+                raise ValidationError(f"{v!r} is not a scalar")
+        if saw_float and saw_fraction:
+            raise ModeMismatchError("cannot mix floats and fractions in one computation")
+        mode = FLOAT if saw_float else EXACT
+    convert = as_exact if mode == EXACT else as_float
+    return tuple(convert(v) for v in values), mode
+
+
+def outcome(call, *args):
+    """(mode, (type, repr) of each value) of a coercion, or its error's type and message."""
+    try:
+        values, mode = call(*args)
+    except SoddyError as exc:
+        return type(exc), str(exc)
+    return mode, [(type(v), repr(v)) for v in values]
+
+
+def one_row_matrix(values, mode=None):
+    m = Matrix.from_rows([values], mode)
+    return m.data, m.mode
+
+
+MIXED_SCALARS = st.one_of(
+    st.integers(-(10**6), 10**6),
+    st.fractions(max_denominator=50),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([10**400, -(10**400), 2**1024]),  # ints past the float range
+    st.integers(-5, 5).map(np.int64),
+    st.floats(-1e6, 1e6).map(np.float64),
+    st.floats(-10, 10, width=32).map(np.float32),  # a Real that is not Rational
+    st.booleans(),
+    st.none(),
+    st.text(max_size=2),
+)
+
+
+@given(
+    values=st.one_of(
+        st.lists(MIXED_SCALARS, max_size=6),
+        # mostly plain scalars, so that most lists coerce
+        st.lists(st.one_of(st.integers(-9, 9), st.fractions(max_denominator=9), st.floats(-9, 9)), max_size=6),
+    ),
+    mode=st.sampled_from([None, EXACT, FLOAT]),
+)
+@settings(max_examples=400, deadline=None)
+def test_coercion_follows_the_two_pass_rule(values, mode):
+    want = outcome(two_pass_coerce, values, mode)
+    if mode is None:
+        assert outcome(coerce_vector, values) == want
+    if values:
+        assert outcome(one_row_matrix, values, mode) == want
 
 
 def scalars_of(result) -> tuple:
