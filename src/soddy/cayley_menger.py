@@ -14,7 +14,9 @@ the canonical interchange type throughout the library: tangency distances
 -det(M) / L^(m-1), where M_ij = L * (D_ij - D_0i - D_0j), i, j = 1..m-1, is
 -2L times the Gram matrix about point 0 (row and column algebra, so it holds
 for any symmetric zero-diagonal D), by symmetric fraction-free elimination.
-A float determinant, volume or Heron area is its exact value rounded once.
+A float determinant, volume or Heron area, and the float value of the
+coordinate oracle :func:`volume_squared_from_coordinates`, is its exact value
+rounded once.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DimensionError, NonFiniteError, ValidationError
-from .numeric import EXACT, FLOAT, REL_TOL, Matrix, Scalar, coerce, coerce_vector, determinant
-from .numeric import from_exact, infer_mode, symmetric_bareiss
+from .errors import DimensionError, ValidationError
+from .numeric import EXACT, FLOAT, REL_TOL, Matrix, Scalar, _exact_determinant, coerce_vector
+from .numeric import from_exact, symmetric_bareiss
 
 
 @dataclass(frozen=True)
@@ -49,9 +51,8 @@ class SquaredDistanceMatrix:
             raise DimensionError("need at least two points")
         if any(len(r) != m for r in rows):
             raise DimensionError("squared-distance matrix must be square")
-        if mode is None:
-            mode = infer_mode(v for r in rows for v in r)
-        ent = tuple(tuple(coerce(v, mode) for v in r) for r in rows)
+        flat, mode = coerce_vector([v for r in rows for v in r], mode)
+        ent = tuple(flat[i * m : (i + 1) * m] for i in range(m))
         for i in range(m):
             if ent[i][i] != 0:
                 raise ValidationError(f"diagonal entry ({i},{i}) must be zero")
@@ -161,10 +162,6 @@ def volume_squared_from_coordinates(points: Sequence[Sequence]) -> VolumeSquared
     distance matrices entirely.
     """
     m = _simplex_size(points)
-    rows = [[1] * m] + [[p[coord] for p in points] for coord in range(m - 1)]
-    det = determinant(Matrix.from_rows(rows))
-    try:
-        value = (det / math.factorial(m - 1)) ** 2
-    except OverflowError:
-        raise NonFiniteError("squared volume overflows a float; use exact mode") from None
-    return VolumeSquared(value=value, dim=m - 1)
+    a = Matrix.from_rows([[1] * m] + [[p[coord] for p in points] for coord in range(m - 1)])
+    value = (_exact_determinant(a) / math.factorial(m - 1)) ** 2
+    return VolumeSquared(value=from_exact(value, a.mode, "squared volume"), dim=m - 1)

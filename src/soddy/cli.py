@@ -25,7 +25,7 @@ from .cayley_menger import (
 from .embedding import realize_points
 from .errors import SoddyError, ValidationError
 from .gasket import gasket_to_dict, generate, render_svg
-from .numeric import EXACT, FLOAT, coerce
+from .numeric import EXACT, FLOAT, coerce_vector
 from .proof_witness import ProofReport, check_reduction_chain, check_S_properties, check_UWU_congruence
 from .serialize import parse_rational, scalar_to_json
 from .tangency import (
@@ -60,8 +60,7 @@ def _parse_scalars(text: str, mode: str) -> tuple:
     parts = [p.strip() for p in text.split(",") if p.strip()]
     if not parts:
         raise ValidationError("empty scalar list")
-    values = [parse_rational(p) for p in parts]
-    return tuple(coerce(v, mode) for v in values)
+    return coerce_vector([parse_rational(p) for p in parts], mode)[0]
 
 
 def _parse_matrix(args) -> SquaredDistanceMatrix:
@@ -153,9 +152,10 @@ def _cmd_verify_proof(args):
             reports.append(check_reduction_chain(r))
             reports.append(check_UWU_congruence(_random_points(rng, n + 2)))
     report = ProofReport.combine(reports)
+    result = report.to_dict()  # refuses a value too long to print before any line is written
     for line in report.lines():
         print(line, file=sys.stderr)
-    return report.to_dict(), 0 if report.passed else 2
+    return result, 0 if report.passed else 2
 
 
 def _cmd_embed(args):

@@ -227,7 +227,10 @@ def generate(seed, max_depth: int) -> Gasket:
                 triple = quad[:pos] + quad[pos + 1 :]
                 k_new = vieta_partner(kq, pos)
                 if abs(k_new) < floor:
-                    raise GeometryError("expansion produced a zero-curvature circle")
+                    raise GeometryError(
+                        f"expansion produced a zero-curvature circle at depth {depth} "
+                        f"across circles {triple}"
+                    )
                 w_pos = ws[quad[pos]]
                 idx = b.add(2.0 * (w_sum - w_pos) - w_pos, k_new, depth, triple)
                 child = (*triple, idx)

@@ -11,21 +11,22 @@ Both modes share one integer-scaled kernel for products and determinants:
 each row (for a product, each column of the right factor too) is scaled by
 the lcm of its denominators, the work runs on Python ints -- dot products
 for ``@``, fraction-free (Bareiss) elimination for :func:`determinant` --
-and Fractions are built only for the results.  Exact mode returns them as
-they are; float mode returns the exact result for its (dyadic rational)
-entries rounded once to a float, so a float product or determinant carries
-one rounding, and overflow raises instead of storing inf.  A symmetric
-integer matrix has its own elimination, :func:`symmetric_bareiss`.
+and Fractions are built only for the results.  A symmetric integer matrix
+has its own elimination, :func:`symmetric_bareiss`.
 
-The mode is fixed once, where values are coerced (:func:`as_exact`,
-:func:`as_float`): this module alone knows how a scalar of each mode is
-built.  Other modules write their arithmetic once for both modes, with int
-constants, so ``Fraction op int`` stays a Fraction and ``float op int`` a
-float; they branch on the mode only where the two modes mean different
-checks (the relative tolerance :data:`REL_TOL`, an exact square root, a
-float-only sign check).
+Scalars enter and leave their mode only here.  :func:`coerce_vector` is the
+one place a mode is inferred; :func:`as_exact` and :func:`as_float` build a
+scalar of each mode; :func:`from_exact` returns an exact result as it is in
+exact mode and rounded once in float mode, so a float product or determinant
+carries one rounding, and overflow raises instead of storing inf.  Other
+modules write their arithmetic once for both modes, with int constants, so
+``Fraction op int`` stays a Fraction and ``float op int`` a float; they
+branch on the mode only where the two modes mean different checks (the
+relative tolerance :data:`REL_TOL`, an exact square root, a float-only sign
+check).
 
-Everything here is a pure function on immutable data.
+Everything here is a pure function on immutable data, except
+:func:`symmetric_bareiss`, which overwrites the lists it is given.
 """
 
 from __future__ import annotations
@@ -81,31 +82,31 @@ def coerce(value, mode: str) -> Scalar:
     return as_exact(value) if mode == EXACT else as_float(value)
 
 
-def infer_mode(values: Iterable) -> str:
-    """Mode of a homogeneous collection: any float makes it float, else exact.
+def _kind(value) -> type:
+    """int, Fraction or float: which kind of scalar ``value`` is, for mode inference."""
+    if isinstance(value, float):
+        return float
+    if isinstance(value, Rational):
+        return int if isinstance(value, Integral) else Fraction
+    raise ValidationError(f"{value!r} is not a scalar")
 
+
+def coerce_vector(values: Sequence, mode: str | None = None) -> tuple[tuple[Scalar, ...], str]:
+    """The values coerced to ``mode``, and that mode: the one mode inference.
+
+    With no ``mode``, any float makes the values float, else they are exact.
     Mixing floats with non-integer rationals raises, since that almost always
-    signals an accidental loss of exactness.
+    signals an accidental loss of exactness.  Only types other than int,
+    Fraction and float (numpy scalars, bools, ...) take abstract-class checks.
     """
-    saw_float = False
-    saw_fraction = False
-    for v in values:
-        if isinstance(v, float):
-            saw_float = True
-        elif isinstance(v, Rational):
-            if not isinstance(v, Integral):
-                saw_fraction = True
-        else:
-            raise ValidationError(f"{v!r} is not a scalar")
-    if saw_float and saw_fraction:
-        raise ModeMismatchError("cannot mix floats and fractions in one computation")
-    return FLOAT if saw_float else EXACT
-
-
-def coerce_vector(values: Sequence) -> tuple[tuple[Scalar, ...], str]:
-    """The values coerced to the mode :func:`infer_mode` finds, and that mode."""
-    mode = infer_mode(values)
-    return tuple(coerce(v, mode) for v in values), mode
+    if mode is None:
+        kinds = set(map(type, values))
+        if not kinds <= {int, Fraction, float}:
+            kinds = {_kind(v) for v in values}
+        if float in kinds and Fraction in kinds:
+            raise ModeMismatchError("cannot mix floats and fractions in one computation")
+        mode = FLOAT if float in kinds else EXACT
+    return tuple(map(as_exact if mode == EXACT else as_float, values)), mode
 
 
 @dataclass(frozen=True)
@@ -132,9 +133,7 @@ class Matrix:
         ncols = len(rows[0])
         if any(len(r) != ncols for r in rows):
             raise DimensionError("ragged rows")
-        if mode is None:
-            mode = infer_mode(v for r in rows for v in r)
-        data = tuple(coerce(v, mode) for r in rows for v in r)
+        data, mode = coerce_vector([v for r in rows for v in r], mode)
         return cls(len(rows), ncols, data, mode)
 
     @classmethod
@@ -205,24 +204,24 @@ def from_exact(value: Fraction, mode: str, what: str) -> Scalar:
         raise NonFiniteError(f"{what} overflows a float; use exact mode") from None
 
 
-def _require_square(m: Matrix) -> int:
-    if m.rows != m.cols:
-        raise DimensionError(f"matrix is {m.rows}x{m.cols}, not square")
-    return m.rows
-
-
 def determinant(m: Matrix) -> Scalar:
-    """Determinant of a square matrix, exact in both modes.
+    """Determinant of a square matrix: its exact value, which float mode
+    rounds once and refuses with :class:`NonFiniteError` when it overflows."""
+    return from_exact(_exact_determinant(m), m.mode, "determinant")
+
+
+def _exact_determinant(m: Matrix) -> Fraction:
+    """The determinant of a square matrix of either mode, as a Fraction.
 
     Every entry, float or Fraction, is a ratio of integers, so each row is
     scaled by the lcm of its denominators and the integer matrix goes through
     fraction-free (Bareiss) elimination: every intermediate entry is a
     subdeterminant of the input, each division is exact, and integer input
-    gives an integer result.  Float mode returns the exact determinant of
-    its entries rounded once, and raises :class:`NonFiniteError` when that
-    value overflows a float.
+    gives an integer result.
     """
-    n = _require_square(m)
+    n = m.rows
+    if m.cols != n:
+        raise DimensionError(f"matrix is {m.rows}x{m.cols}, not square")
     a, lcms = _integer_rows(m.row(i) for i in range(n))
     sign = 1
     prev = 1
@@ -240,8 +239,7 @@ def determinant(m: Matrix) -> Scalar:
             aik = a[i][k]
             a[i][k + 1 :] = [(x * pivot - aik * y) // prev for x, y in zip(a[i][k + 1 :], tail)]
         prev = pivot
-    det = Fraction(sign * a[n - 1][n - 1], math.prod(lcms))
-    return from_exact(det, m.mode, "determinant")
+    return Fraction(sign * a[n - 1][n - 1], math.prod(lcms))
 
 
 def symmetric_bareiss(a: list[list[int]]) -> int:

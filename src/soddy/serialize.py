@@ -24,12 +24,13 @@ MAX_EXPONENT = 4300
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*$")
 
 
-def _decimal(f: Fraction) -> tuple[str, str] | int:
-    """Numerator and denominator in decimal, or the longer one's digit count past Python's."""
+def _decimal(q) -> tuple[str, str] | int:
+    """A rational's numerator and denominator in decimal, read as they are,
+    or the longer one's digit count past Python's."""
     try:
-        return str(f.numerator), str(f.denominator)
+        return str(q.numerator), str(q.denominator)
     except ValueError:
-        return int(max(abs(f.numerator), f.denominator).bit_length() * math.log10(2)) + 1
+        return int(max(abs(q.numerator), q.denominator).bit_length() * math.log10(2)) + 1
 
 
 def scalar_to_json(value):
@@ -38,7 +39,7 @@ def scalar_to_json(value):
     if isinstance(value, float):
         return as_float(value)
     if isinstance(value, (Fraction, Integral)):
-        parts = _decimal(Fraction(value))
+        parts = _decimal(value)
         if isinstance(parts, int):
             raise ValidationError(f"result of about {parts} digits is too long to print")
         return {"num": parts[0], "den": parts[1]}
@@ -70,7 +71,7 @@ def format_scalar(value) -> str:
     """A float as its repr, a rational as 'p', 'p/q' or, too long to print, '<about N digits>'."""
     if isinstance(value, float):
         return repr(value)
-    parts = _decimal(Fraction(value))
+    parts = _decimal(value)
     if isinstance(parts, int):
         return f"<about {parts} digits>"
     return parts[0] if parts[1] == "1" else "/".join(parts)

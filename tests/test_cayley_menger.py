@@ -268,6 +268,20 @@ class TestCoordinateOracle:
         with pytest.raises(NonFiniteError):
             volume_squared_from_coordinates([[0.0, 0.0], [1e100, 0.0], [0.0, 1e100]])
 
+    def test_float_value_is_the_exact_value_rounded_once(self, rng):
+        for t in range(300):
+            m = 2 + t % 6
+            pts = [[rng.uniform(-1, 1) * 10.0 ** rng.randint(-3, 3) for _ in range(m - 1)] for _ in range(m)]
+            exact = volume_squared_from_coordinates([[Fraction(v) for v in p] for p in pts])
+            assert volume_squared_from_coordinates(pts).value == float(exact.value)
+
+    def test_float_content_past_the_determinant_range(self):
+        # the orthogonal 100-simplex with legs 1259: its determinant 1259^100
+        # (about 1e310) is no float, its squared content (about 1.16e304) is
+        pts = [[0.0] * 100] + [[1259.0 * (c == i) for c in range(100)] for i in range(100)]
+        want = float(Fraction(1259**100, math.factorial(100)) ** 2)
+        assert volume_squared_from_coordinates(pts).value == want == pytest.approx(1.1618e304, rel=1e-4)
+
 
 # ---------------------------------------------------------------------------
 # Pinned outputs over a seeded corpus.  Each corpus is a list of m x m

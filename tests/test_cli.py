@@ -135,6 +135,13 @@ class TestVerifyProof:
         assert code == 1
         assert json.loads(out)["error"]["kind"] == "validation"
 
+    def test_value_too_long_to_print_is_refused_before_any_report_line(self, call):
+        code, out, err = call(["verify-proof", "--radii", "1e3000,1,1,1"])
+        assert code == 1
+        assert out.count("\n") == 1
+        assert json.loads(out)["error"]["kind"] == "validation"
+        assert "PASS" not in err and "FAIL" not in err
+
     def test_reproducible_with_seed(self, call):
         _, out_a, _ = call(["verify-proof", "--random", "3", "--rng-seed", "7"])
         _, out_b, _ = call(["verify-proof", "--random", "3", "--rng-seed", "7"])
@@ -290,6 +297,15 @@ class TestGasket:
         code, out, _ = call(["gasket", "--seed", "1,1,0", "--depth", "1"])
         assert code == 1
         assert json.loads(out)["error"]["kind"] == "seed"
+
+    def test_zero_curvature_circle_names_depth_and_parents(self, call):
+        # the partner of curvature 12 across the seed (1, 1, 4) is a line
+        code, out, _ = call(["gasket", "--seed", "1,1,4", "--depth", "1"])
+        assert code == 2
+        assert out.count("\n") == 1
+        error = json.loads(out)["error"]
+        assert error["kind"] == "geometry"
+        assert "zero-curvature circle at depth 1 across circles (0, 1, 2)" in error["message"]
 
     def test_depth_guard_exit_1(self, call):
         code, out, _ = call(["gasket", "--seed", "-1,2,2", "--depth", "13"])

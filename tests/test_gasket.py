@@ -259,6 +259,13 @@ class TestGenerate:
         with pytest.raises(GeometryError, match=r"curvature 6\.67522\*2\^1024 at depth 1"):
             generate([1e155, 1e308, 1e308], 1)
 
+    def test_zero_curvature_error_names_depth_and_parents(self):
+        # the fourth circle of (1, 1, 4) has curvature 12; its partner across
+        # the seed circles is a straight line
+        assert [c.curvature for c in generate([1, 1, 4], 0).circles] == [1.0, 1.0, 4.0, 12.0]
+        with pytest.raises(GeometryError, match=r"zero-curvature circle at depth 1 across circles \(0, 1, 2\)"):
+            generate([1, 1, 4], 1)
+
     def test_coincident_seed_circles_past_the_float_range(self):
         # both radii overflow to +-inf, so their distance is NaN, not 0
         with pytest.raises(GeometryError, match="concentric"):

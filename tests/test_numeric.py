@@ -432,8 +432,7 @@ MIXED_SCALARS = st.one_of(
 @settings(max_examples=400, deadline=None)
 def test_coercion_follows_the_two_pass_rule(values, mode):
     want = outcome(two_pass_coerce, values, mode)
-    if mode is None:
-        assert outcome(coerce_vector, values) == want
+    assert outcome(coerce_vector, values, mode) == want
     if values:
         assert outcome(one_row_matrix, values, mode) == want
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from soddy.errors import ValidationError
@@ -35,3 +36,8 @@ def test_text_of_a_rational_too_long_to_print_names_its_digits():
     with pytest.raises(ValidationError, match="5000 digits"):
         scalar_to_json(long)
     assert format_scalar(Fraction(-(10**4299), 3)) == "-1" + "0" * 4299 + "/3"
+
+
+def test_numpy_ints_print_as_rationals():
+    assert scalar_to_json(np.int64(3)) == {"num": "3", "den": "1"}
+    assert format_scalar(np.int64(-7)) == "-7"
