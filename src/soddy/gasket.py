@@ -4,11 +4,12 @@ Each circle carries its curvature k and w = k*z, with z its center as a
 complex number.  By the complex Descartes theorem (Lagarias-Mallows-Wilks)
 the other circle tangent to three members of a quadruple has
 k' = 2*(k_a + k_b + k_c) - k and w' = 2*(w_a + w_b + w_c) - w, so expansion
-takes no square root and integer seeds keep integer curvatures.  Every new
-circle is checked to touch its three parents and every quadruple is audited
-against the tangency residual.  The gasket is canonically ordered by (depth,
-curvature, center): generation is a pure function of (seed, max_depth) and
-the SVG output is byte-reproducible.
+takes no square root and integer seeds keep integer curvatures.  One check
+places every circle: a seed circle touches those before it, a new circle its
+three parents.  Every quadruple is audited against the tangency residual.
+The gasket is canonically ordered by (depth, curvature, center): generation
+is a pure function of (seed, max_depth) and the SVG output is
+byte-reproducible.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import GeometryError, NoRealSolutionError, NonFiniteError, SeedError, ValidationError
-from .numeric import REL_TOL, as_float
+from .numeric import FLOAT, REL_TOL, as_float
 from .tangency import Curvatures, _validated, solve_missing_curvature, vieta_partner
 
 #: Hard output-size guard on the expansion depth.
@@ -70,24 +71,21 @@ class _Builder:
 
     def misfit(self, w: complex, curvature: float, touching: tuple[int, ...]) -> float:
         """Worst error of the squared distances from center w/k to the circles
-        ``touching`` against their tangency values, relative to the largest."""
+        ``touching`` against their tangency values, relative to the largest.
+        One or two circles fill the three slots by repetition."""
         center, radius = w / curvature, 1.0 / curvature
-        if len(touching) == 3:
-            i, j, k = touching
-            centers, radii = self.centers, self.radii
-            ti = (radius + radii[i]) ** 2
-            tj = (radius + radii[j]) ** 2
-            tk = (radius + radii[k]) ** 2
-            ei = abs(abs(center - centers[i]) ** 2 - ti)
-            ej = abs(abs(center - centers[j]) ** 2 - tj)
-            ek = abs(abs(center - centers[k]) ** 2 - tk)
-            # max keeps only a leading NaN; a NaN in any slot must fail the check
-            if math.isnan(ei + ej + ek):
-                return math.nan
-            return max(ei, ej, ek) / max(ti, tj, tk)
-        want = [(radius + self.radii[i]) ** 2 for i in touching]
-        got = [abs(center - self.centers[i]) ** 2 for i in touching]
-        return max(abs(g - t) for g, t in zip(got, want)) / max(want)
+        i, j, k = (touching * 3)[:3]
+        centers, radii = self.centers, self.radii
+        ti = (radius + radii[i]) ** 2
+        tj = (radius + radii[j]) ** 2
+        tk = (radius + radii[k]) ** 2
+        ei = abs(abs(center - centers[i]) ** 2 - ti)
+        ej = abs(abs(center - centers[j]) ** 2 - tj)
+        ek = abs(abs(center - centers[k]) ** 2 - tk)
+        # max keeps only a leading NaN; a NaN in any slot must fail the check
+        if math.isnan(ei + ej + ek):
+            return math.nan
+        return max(ei, ej, ek) / max(ti, tj, tk)
 
     def add(
         self, w: complex, curvature: float, depth: int, parents: tuple[int, ...], touching=None
@@ -220,7 +218,7 @@ def generate(seed, max_depth: int) -> Gasket:
         for quad in level:
             i0, i1, i2, i3 = quad
             k0, k1, k2, k3 = ks[i0], ks[i1], ks[i2], ks[i3]
-            kq = Curvatures(values=(k0, k1, k2, k3), n=2, mode="float")
+            kq = Curvatures(values=(k0, k1, k2, k3), n=2, mode=FLOAT)
             floor = 1e-12 * max(abs(k0), abs(k1), abs(k2), abs(k3))
             w_sum = ws[i0] + ws[i1] + ws[i2] + ws[i3]
             for pos in range(spawn):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .cayley_menger import SquaredDistanceMatrix, _simplex_size, build_cm_matrix
+from .cayley_menger import _simplex_size, build_cm_matrix
 from .errors import DimensionError, ModeMismatchError
 from .numeric import EXACT, Matrix, as_exact, determinant
 from .serialize import format_scalar, value_to_json
@@ -121,7 +121,7 @@ def build_U(points: Sequence[Sequence]) -> Matrix:
     m = len(pts)
     # column j > 0 is the lifted point (|x_j|^2, 1, x_j)
     columns = [(1, *[0] * m)] + [(sum(c * c for c in p), 1, *p) for p in pts]
-    return Matrix.from_rows(columns, EXACT).transpose()
+    return _matrix(m + 1, lambda i, j: columns[j][i])
 
 
 def build_W(m: int) -> Matrix:
@@ -133,18 +133,14 @@ def build_W(m: int) -> Matrix:
     return _matrix(m + 1, lambda i, j: 1 if {i, j} == {0, 1} else -2 if i == j > 1 else 0)
 
 
-def _distances_from_points(pts: list[list[Fraction]]) -> SquaredDistanceMatrix:
-    rows = [[sum((a - b) ** 2 for a, b in zip(p, q)) for q in pts] for p in pts]
-    return SquaredDistanceMatrix.from_entries(rows, EXACT)
-
-
 def check_UWU_congruence(points: Sequence[Sequence]) -> ProofReport:
     """U^T W U = D entrywise, and det(D) = det(U)^2 det(W)."""
     pts = _require_exact_points(points)
     m = len(pts)
     u = build_U(pts)
     w = build_W(m)
-    d = build_cm_matrix(_distances_from_points(pts))
+    squared = _matrix(m, lambda i, j: sum((a - b) ** 2 for a, b in zip(pts[i], pts[j])))
+    d = _bordered([1] * m, squared)
     return ProofReport(
         entries=(
             _check("UtWU equals distance matrix", m - 2, u.transpose() @ w @ u, d),

@@ -30,7 +30,7 @@ from .errors import (
     NoRealSolutionError,
     ValidationError,
 )
-from .numeric import EXACT, REL_TOL, Scalar, coerce, coerce_vector
+from .numeric import EXACT, REL_TOL, Scalar, coerce_vector, from_exact
 from .serialize import format_scalar
 
 
@@ -115,13 +115,14 @@ def factored_volume_squared(r: SignedRadii) -> VolumeSquared:
     """Squared simplex content of the centers, via the factored identity.
 
     Equals ``volume_squared(tangency_squared_distances(r))`` exactly for all
-    rational radii: 2^n * (prod r_i / (n+1)!)^2 * residual.
+    rational radii: 2^n * (prod r_i / (n+1)!)^2 * residual, evaluated on the
+    exact values of the radii; a float value is that result rounded once.
     """
-    res = descartes_residual(curvatures_from_radii(r))
-    c = r.product() / math.factorial(r.n + 1)
-    # coercion turns a float overflow into NonFiniteError, as volume_squared does
-    value = coerce(2**r.n * (c * c) * res, r.mode)
-    return VolumeSquared(value=value, dim=r.n + 1)
+    exact = SignedRadii(values=tuple(map(Fraction, r.values)), n=r.n, mode=EXACT)
+    res = descartes_residual(curvatures_from_radii(exact))
+    c = exact.product() / math.factorial(r.n + 1)
+    value = 2**r.n * (c * c) * res
+    return VolumeSquared(value=from_exact(value, r.mode, "squared volume"), dim=r.n + 1)
 
 
 def _exact_sqrt(x: Fraction) -> Fraction:

@@ -248,6 +248,20 @@ class TestGenerate:
         with pytest.raises(GeometryError):
             b.audit_residual((0, 1, 2, len(b.curvatures) - 1))
 
+    @pytest.mark.parametrize("field", ["centers", "radii"])
+    @pytest.mark.parametrize("slot", [0, 1])
+    def test_nan_fails_the_seed_placement_checks(self, field, slot):
+        # circle 2 is checked against two circles, circle 1 against one; a NaN
+        # in either slot must fail, not only a leading one
+        b, _ = _build_initial((-1.0, 2.0, 2.0))
+        values = getattr(b, field)
+        values[slot] = complex(math.nan, 0.0) if field == "centers" else math.nan
+        with pytest.raises(GeometryError, match=r"misses circles \(0, 1\) by nan"):
+            b.add(b.ws[2], b.curvatures[2], 0, (), touching=(0, 1))
+        if slot == 0:
+            with pytest.raises(GeometryError, match=r"misses circles \(0,\) by nan"):
+                b.add(b.ws[1], b.curvatures[1], 0, (), touching=(0,))
+
     def test_placement_error_reports_the_true_curvature(self):
         # the builder works in units of 2^-1 here, where this circle has curvature 6
         with pytest.raises(GeometryError) as info:

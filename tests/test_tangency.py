@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -165,6 +166,17 @@ class TestFactoredVolume:
                 factored_volume_squared(r).value
                 == volume_squared(tangency_squared_distances(r)).value
             )
+
+    def test_float_value_is_the_exact_value_rounded_once(self):
+        rng = random.Random(7)
+        for _ in range(2000):
+            n = rng.randint(1, 4)
+            radii = [rng.uniform(0.1, 10.0) for _ in range(n + 2)]
+            k = [1 / F(v) for v in radii]
+            residual = sum(k) ** 2 - n * sum(v * v for v in k)
+            c = math.prod(map(F, radii)) / math.factorial(n + 1)
+            value = factored_volume_squared(validate_radii(radii, n, strict=False)).value
+            assert value == float(2**n * c * c * residual)
 
     def test_float_overflow_is_non_finite_on_both_routes(self):
         # (r_i + r_j)^2 and (prod r)^2 pass the float range; ** raised OverflowError
