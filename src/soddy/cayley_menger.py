@@ -16,7 +16,10 @@ the canonical interchange type throughout the library: tangency distances
 for any symmetric zero-diagonal D), by symmetric fraction-free elimination.
 A float determinant, volume or Heron area, and the float value of the
 coordinate oracle :func:`volume_squared_from_coordinates`, is its exact value
-rounded once.
+rounded once.  The exact bordered determinant is computed on first use and
+kept on the :class:`SquaredDistanceMatrix`, so ``cm_determinant``,
+``volume_squared`` and ``is_degenerate`` on one matrix share one elimination;
+each still applies its own constant, rounding and tolerance.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .errors import DimensionError, ValidationError
@@ -37,7 +41,9 @@ class SquaredDistanceMatrix:
 
     Diagonal entries are zero.  Float mode additionally requires entries to
     be nonnegative and finite; exact mode permits any rational, since the
-    algebraic identities hold regardless of realizability.
+    algebraic identities hold regardless of realizability.  The exact
+    bordered determinant is computed on first use and kept (not a field), so
+    ``entries`` must stay the immutable tuples ``from_entries`` builds.
     """
 
     m: int
@@ -69,6 +75,10 @@ class SquaredDistanceMatrix:
     def max_entry(self) -> Scalar:
         return max(v for row in self.entries for v in row)
 
+    @cached_property
+    def _exact_det(self) -> Fraction:
+        return _exact_cm_determinant(self)
+
 
 @dataclass(frozen=True)
 class VolumeSquared:
@@ -98,7 +108,7 @@ def _exact_cm_determinant(d: SquaredDistanceMatrix) -> Fraction:
 
 
 def cm_determinant(d: SquaredDistanceMatrix) -> Scalar:
-    return from_exact(_exact_cm_determinant(d), d.mode, "determinant")
+    return from_exact(d._exact_det, d.mode, "determinant")
 
 
 def _volume_constant(m: int) -> Fraction:
@@ -112,7 +122,7 @@ def volume_squared(d: SquaredDistanceMatrix) -> VolumeSquared:
     Nonnegative whenever the distances are realizable in m-1 dimensions; the
     sign is diagnostic otherwise.
     """
-    value = _volume_constant(d.m) * _exact_cm_determinant(d)
+    value = _volume_constant(d.m) * d._exact_det
     return VolumeSquared(value=from_exact(value, d.mode, "squared volume"), dim=d.m - 1)
 
 
@@ -138,7 +148,7 @@ def is_degenerate(d: SquaredDistanceMatrix) -> bool:
     the determinant's homogeneity degree, on Fractions, so neither a volume
     nor a scale beyond the float range overflows.
     """
-    v2 = _volume_constant(d.m) * _exact_cm_determinant(d)
+    v2 = _volume_constant(d.m) * d._exact_det
     if d.mode == EXACT:
         return v2 == 0
     scale = Fraction(d.max_entry()) ** (d.m - 1)

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import itertools
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -22,7 +25,7 @@ from soddy.cayley_menger import (
     volume_squared_from_coordinates,
 )
 from soddy.errors import DimensionError, NonFiniteError, SoddyError, ValidationError
-from soddy.numeric import determinant
+from soddy.numeric import determinant, symmetric_bareiss
 from soddy.tangency import tangency_squared_distances, validate_radii
 
 from .conftest import rand_nonzero_fraction, rand_points, shoelace_area_squared
@@ -417,3 +420,79 @@ def test_cm_determinant_matches_bordered_determinant(rows):
         SquaredDistanceMatrix.from_entries([[float(abs(v)) for v in r] for r in rows]),
     ):
         assert repr(cm_determinant(d)) == repr(determinant(build_cm_matrix(d)))
+
+
+# ---------------------------------------------------------------------------
+# One elimination per matrix.  The exact bordered determinant is kept on the
+# SquaredDistanceMatrix after its first use; cm_determinant, volume_squared
+# and is_degenerate then answer exactly as they do on fresh matrices, each
+# with its own constant, rounding and tolerance.
+
+CALLS = {"cm_determinant": cm_determinant, "volume_squared": volume_squared, "is_degenerate": is_degenerate}
+SHARED_ROWS = _symmetric(5, [Fraction(k, k % 3 + 1) for k in range(1, 11)])
+OTHER_ROWS = _squares_of([[0, 0, 0, 0], [1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 3, 0], [1, 1, 1, 4]])
+
+
+def _in_mode(rows, mode):
+    return rows if mode == "exact" else [[float(abs(v)) for v in r] for r in rows]
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("order", list(itertools.permutations(CALLS)), ids="-".join)
+def test_one_elimination_per_matrix(monkeypatch, order, mode):
+    calls = []
+    monkeypatch.setattr(
+        "soddy.cayley_menger.symmetric_bareiss", lambda a: calls.append(len(a)) or symmetric_bareiss(a)
+    )
+    rows = _in_mode(SHARED_ROWS, mode)
+    d = SquaredDistanceMatrix.from_entries(rows)
+    shared = [repr(CALLS[name](d)) for name in order]
+    assert len(calls) == 1
+    fresh = [repr(CALLS[name](SquaredDistanceMatrix.from_entries(rows))) for name in order]
+    assert shared == fresh
+    assert len(calls) == 1 + len(order)
+
+
+def test_kept_determinant_is_invisible():
+    d = SquaredDistanceMatrix.from_entries(SHARED_ROWS)
+    twin = SquaredDistanceMatrix.from_entries(SHARED_ROWS)
+    before = (repr(d), hash(d), dataclasses.astuple(d))
+    det = cm_determinant(d)
+    assert (repr(d), hash(d), dataclasses.astuple(d)) == before
+    assert d == twin and twin == d and hash(twin) == hash(d)
+    back = pickle.loads(pickle.dumps(d))
+    assert back == d and cm_determinant(back) == det
+    other = SquaredDistanceMatrix.from_entries(OTHER_ROWS)
+    moved = dataclasses.replace(d, entries=other.entries)
+    assert moved == other
+    # OTHER_ROWS span a 4-simplex of content 1: det = (-1)^5 * 2^4 * (4!)^2
+    assert cm_determinant(moved) == cm_determinant(other) == -16 * 24**2
+    assert det != cm_determinant(moved)
+
+
+def test_rounding_stays_per_function():
+    # the orthogonal 100-simplex with legs 1259 (as in the coordinate oracle
+    # test above): its bordered determinant is past the float range, its
+    # squared content is not
+    leg2 = 1259.0**2
+    rows = [[0.0 if i == j else leg2 if 0 in (i, j) else 2 * leg2 for j in range(101)] for i in range(101)]
+    d = SquaredDistanceMatrix.from_entries(rows)
+    with pytest.raises(NonFiniteError):
+        cm_determinant(d)
+    v = volume_squared(d)
+    assert v.value == float(Fraction(1259**100, math.factorial(100)) ** 2)
+    with pytest.raises(NonFiniteError):
+        cm_determinant(d)
+    assert volume_squared(d) == v
+    assert is_degenerate(d) is is_degenerate(SquaredDistanceMatrix.from_entries(rows))
+
+
+@given(rows=sparse_symmetric(), order=st.permutations(list(CALLS)))
+@settings(max_examples=300, deadline=None)
+def test_shared_matrix_answers_as_fresh_matrices(rows, order):
+    for mode in ("exact", "float"):
+        moded = _in_mode(rows, mode)
+        d = SquaredDistanceMatrix.from_entries(moded)
+        shared = [repr(CALLS[name](d)) for name in order]
+        fresh = [repr(CALLS[name](SquaredDistanceMatrix.from_entries(moded))) for name in order]
+        assert shared == fresh
