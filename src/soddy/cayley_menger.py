@@ -16,10 +16,11 @@ the canonical interchange type throughout the library: tangency distances
 for any symmetric zero-diagonal D), by symmetric fraction-free elimination.
 A float determinant, volume or Heron area, and the float value of the
 coordinate oracle :func:`volume_squared_from_coordinates`, is its exact value
-rounded once.  The exact bordered determinant is computed on first use and
-kept on the :class:`SquaredDistanceMatrix`, so ``cm_determinant``,
-``volume_squared`` and ``is_degenerate`` on one matrix share one elimination;
-each still applies its own constant, rounding and tolerance.
+rounded once.  On first use the :class:`SquaredDistanceMatrix` keeps L and
+the leading minors Δ_k of M, so ``cm_determinant``, ``volume_squared`` and
+``is_degenerate`` on one matrix share one elimination.  Pivots p_k =
+Δ_k / (-2L Δ_{k-1}) are squared heights, and a point is flat when |p_k| is at
+most the mode's zero, in ``is_degenerate`` as in ``embedding.realize_points``.
 """
 
 from __future__ import annotations
@@ -41,9 +42,9 @@ class SquaredDistanceMatrix:
 
     Diagonal entries are zero.  Float mode additionally requires entries to
     be nonnegative and finite; exact mode permits any rational, since the
-    algebraic identities hold regardless of realizability.  The exact
-    bordered determinant is computed on first use and kept (not a field), so
-    ``entries`` must stay the immutable tuples ``from_entries`` builds.
+    algebraic identities hold regardless of realizability.  The elimination's
+    minors and the exact bordered determinant are computed on first use and
+    kept (not fields), so ``entries`` must stay the tuples ``from_entries`` builds.
     """
 
     m: int
@@ -75,9 +76,30 @@ class SquaredDistanceMatrix:
     def max_entry(self) -> Scalar:
         return max(v for row in self.entries for v in row)
 
+    def _pivot_zero(self) -> Scalar:
+        """The mode's zero for a pivot: 0 in exact mode, REL_TOL * max d^2 in float mode."""
+        return 0 if self.mode == EXACT else REL_TOL * self.max_entry()
+
+    @cached_property
+    def _gram(self) -> tuple[int, list[int]]:
+        """L and the leading minors Δ_1.. of the Gram block M (see above), up to
+        and including the first zero; the last is det(M) either way."""
+        upper = [[v.as_integer_ratio() for v in row[i + 1 :]] for i, row in enumerate(self.entries)]
+        scale = math.lcm(*(q for row in upper for _, q in row))
+        ints = [[p * (scale // q) for p, q in row] for row in upper]
+        b = ints[0]  # scale * D_0i for i = 1..m-1
+        block = [
+            [0] * r + [-2 * b[r]] + [x - b[r] - y for x, y in zip(ints[r + 1], b[r + 1 :])]
+            for r in range(self.m - 1)
+        ]
+        det = symmetric_bareiss(block)
+        minors = [row[k] for k, row in enumerate(block)]
+        return scale, minors[: minors.index(0) + 1] if det == 0 else minors
+
     @cached_property
     def _exact_det(self) -> Fraction:
-        return _exact_cm_determinant(self)
+        scale, minors = self._gram
+        return Fraction(-minors[-1], scale ** (self.m - 1))
 
 
 @dataclass(frozen=True)
@@ -92,19 +114,6 @@ def build_cm_matrix(d: SquaredDistanceMatrix) -> Matrix:
     """Bordered (m+1)x(m+1) matrix: zero corner, ones border, d^2 block."""
     rows = [[0] + [1] * d.m] + [[1, *row] for row in d.entries]
     return Matrix.from_rows(rows, d.mode)
-
-
-def _exact_cm_determinant(d: SquaredDistanceMatrix) -> Fraction:
-    """The bordered determinant as a Fraction, from the Gram block M (see above)."""
-    upper = [[v.as_integer_ratio() for v in row[i + 1 :]] for i, row in enumerate(d.entries)]
-    scale = math.lcm(*(q for row in upper for _, q in row))
-    ints = [[p * (scale // q) for p, q in row] for row in upper]
-    b = ints[0]  # scale * D_0i for i = 1..m-1
-    block = [
-        [0] * r + [-2 * b[r]] + [x - b[r] - y for x, y in zip(ints[r + 1], b[r + 1 :])]
-        for r in range(d.m - 1)
-    ]
-    return Fraction(-symmetric_bareiss(block), scale ** (d.m - 1))
 
 
 def cm_determinant(d: SquaredDistanceMatrix) -> Scalar:
@@ -143,16 +152,14 @@ def heron_area_squared(a, b, c) -> Scalar:
 def is_degenerate(d: SquaredDistanceMatrix) -> bool:
     """True when the points fit in a subspace of dimension < m-1.
 
-    Exact mode tests ``volume_squared == 0`` exactly.  Float mode compares
-    the exact |v^2| against ``REL_TOL * (max d^2)^(m-1)``, the scale matching
-    the determinant's homogeneity degree, on Fractions, so neither a volume
-    nor a scale beyond the float range overflows.
+    That is, when some pivot p_k = Δ_k / (-2L Δ_{k-1}), Δ_0 = 1, has |p_k| at
+    most the zero of ``realize_points``: some Δ_k = 0 in exact mode, which is
+    volume 0, and |p_k| <= REL_TOL * max d^2 in float mode.  The test
+    cross-multiplies ints, so no scale overflows.
     """
-    v2 = _volume_constant(d.m) * d._exact_det
-    if d.mode == EXACT:
-        return v2 == 0
-    scale = Fraction(d.max_entry()) ** (d.m - 1)
-    return abs(v2) <= Fraction(REL_TOL) * scale
+    scale, minors = d._gram
+    p, q = d._pivot_zero().as_integer_ratio()
+    return any(abs(dk) * q <= p * abs(2 * scale * dj) for dj, dk in zip([1, *minors], minors))
 
 
 def _simplex_size(points: Sequence[Sequence]) -> int:

@@ -32,7 +32,8 @@ from .errors import (
     RankExceedsDimError,
     ValidationError,
 )
-from .numeric import EXACT, REL_TOL, as_float, coerce
+from .numeric import REL_TOL, as_float, coerce
+from .serialize import format_scalar
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,7 @@ def realize_points(d: SquaredDistanceMatrix, dim: int) -> EmbeddedPoints:
     if dim < 1:
         raise DimensionError("target dimension must be >= 1")
     e, mode = d.entries, d.mode
-    zero = 0 if mode == EXACT else REL_TOL * d.max_entry()
+    zero = d._pivot_zero()
     pivots, openers = [], []  # per axis: p_a and the point that opened it
     # rows[i][a] = L_ia, zero past the row's end; point 0 is the origin
     rows = [[] for _ in range(d.m)]
@@ -123,7 +124,10 @@ def realize_points(d: SquaredDistanceMatrix, dim: int) -> EmbeddedPoints:
         if not abs(coerce(_dot(diff, diff, pivots), mode) - e[i][j]) <= 10 * zero:
             raise NegativeEigenvalueError(f"distances are non-Euclidean: d[{i}][{j}] is not reproduced")
     if len(pivots) > dim:
-        raise RankExceedsDimError(f"distances need more than {dim} dimensions")
+        raise RankExceedsDimError(
+            f"distances need more than {dim} dimensions: point {openers[dim]} opens axis {dim + 1}"
+            f" at squared height {format_scalar(pivots[dim])} > zero {format_scalar(zero)}"
+        )
     roots = [as_float(p) ** 0.5 for p in pivots]
     # + 0.0 keeps negative zeros out of the coordinates
     return EmbeddedPoints(

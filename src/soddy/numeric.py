@@ -252,6 +252,8 @@ def symmetric_bareiss(a: list[list[int]]) -> int:
     nonzero for t = 1 or, when a[s][s] == -2*a[k][s], for t = -1.  Bareiss
     intermediates are linear in each row not yet used as a pivot, so this is
     the same congruence on the input.  No such s: row k is zero, as is det.
+    Afterwards a[k][k] is the k+1st leading minor of the mended matrix, up to
+    and including the first zero; entries past an early exit are not minors.
     """
     n, prev = len(a), 1
     for k in range(n - 1):

@@ -24,7 +24,8 @@ from soddy.cayley_menger import (
     volume_squared,
     volume_squared_from_coordinates,
 )
-from soddy.errors import DimensionError, NonFiniteError, SoddyError, ValidationError
+from soddy.embedding import realize_points
+from soddy.errors import DimensionError, NonFiniteError, RankExceedsDimError, SoddyError, ValidationError
 from soddy.numeric import determinant, symmetric_bareiss
 from soddy.tangency import tangency_squared_distances, validate_radii
 
@@ -247,6 +248,51 @@ class TestIsDegenerate:
             [[0.0, side2, side2], [side2, 0.0, side2], [side2, side2, 0.0]]
         )
         assert not is_degenerate(d)
+
+    # Float flatness is one rule, the pivot test of realize_points: point k
+    # is flat when its squared height over the points before it is at most
+    # REL_TOL * max d^2, whatever m is.
+
+    def test_float_regular_simplex_is_not_flat(self):
+        for m in range(2, 25):
+            d = SquaredDistanceMatrix.from_entries([[float(i != j) for j in range(m)] for i in range(m)])
+            assert not is_degenerate(d), m
+
+    def test_float_orthogonal_100_simplex_is_not_flat(self):
+        leg2 = 1259.0**2
+        rows = [[0.0 if i == j else leg2 if 0 in (i, j) else 2 * leg2 for j in range(101)] for i in range(101)]
+        assert not is_degenerate(SquaredDistanceMatrix.from_entries(rows))
+
+    def test_float_copies_of_euclidean_corpora_answer_as_exact(self):
+        for name in ("realizable", "repeated", "collinear"):
+            for rows in _pin_corpus(name):
+                exact = is_degenerate(SquaredDistanceMatrix.from_entries(rows))
+                floats = SquaredDistanceMatrix.from_entries([[float(v) for v in r] for r in rows])
+                assert is_degenerate(floats) is exact, (name, len(rows))
+
+    def test_flat_exactly_when_realize_points_fits_one_dimension_less(self):
+        # m points on a flat of dimension 1..m-1; in half of the sets below
+        # full dimension one point is lifted off the flat by a height whose
+        # square is 0.1x or 10x the float zero
+        rng = random.Random("one-rank-rule")
+        answers = set()
+        for _ in range(600):
+            m = rng.randint(3, 9)
+            dim = rng.randint(1, m - 1)
+            pts = [[rng.uniform(-5, 5) for _ in range(dim)] + [0.0] for _ in range(m)]
+            d = pairwise_squares(pts)
+            if dim < m - 1 and rng.random() < 0.5:
+                zero = 1e-9 * d.max_entry()
+                pts[rng.randrange(m)][dim] = (rng.choice([0.1, 10.0]) * zero) ** 0.5
+                d = pairwise_squares(pts)
+            try:
+                realize_points(d, m - 2)
+                fits = True
+            except RankExceedsDimError:
+                fits = False
+            assert is_degenerate(d) is fits, d
+            answers.add(fits)
+        assert answers == {True, False}
 
 
 class TestCoordinateOracle:

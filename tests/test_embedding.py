@@ -64,6 +64,17 @@ class TestRealizePoints:
         pts = realize_points(d, 3)
         assert np.allclose(pts.squared_distances(), d2_array(d), atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "one, want",
+        [(1, "point 3 opens axis 3 at squared height 2/3 > zero 0"),
+         (1.0, "point 3 opens axis 3 at squared height 0.6666666666666667 > zero 1e-09")],
+        ids=["exact", "float"],
+    )
+    def test_rank_error_names_the_point_and_its_height(self, one, want):
+        d = SquaredDistanceMatrix.from_entries([[one * (i != j) for j in range(4)] for i in range(4)])
+        with pytest.raises(RankExceedsDimError, match=want):
+            realize_points(d, 2)
+
     def test_non_euclidean_distances(self):
         # 1 + 1 < 3: triangle inequality fails, Gram matrix indefinite
         d = SquaredDistanceMatrix.from_entries([[0, 1, 1], [1, 0, 9], [1, 9, 0]])

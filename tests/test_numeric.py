@@ -263,6 +263,29 @@ class TestSymmetricBareiss:
                         rows[i][j] = rows[j][i] = rng.randint(-4, 4)
             symmetric_det(rows)
 
+    def test_diagonal_holds_the_leading_minors(self, rng):
+        # cut at its first zero, the diagonal ends in the determinant; with
+        # no zero leading minor in the input nothing is mended, and it holds
+        # the input's leading minors
+        unmended = 0
+        for _ in range(500):
+            n = rng.randint(1, 8)
+            rows = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    if rng.random() < 0.7:
+                        rows[i][j] = rows[j][i] = rng.randint(-4, 4)
+            a = [list(r) for r in rows]
+            det = symmetric_bareiss(a)
+            diag = [a[k][k] for k in range(n)]
+            cut = diag[: diag.index(0) + 1] if 0 in diag else diag
+            assert cut[-1] == det
+            minors = [determinant(Matrix.from_rows([r[:k] for r in rows[:k]])) for k in range(1, n + 1)]
+            if 0 not in minors:
+                unmended += 1
+                assert cut == minors
+        assert unmended >= 100
+
     @pytest.mark.parametrize("zero, want", [(0, "Fraction(0, 1)"), (0.0, "0.0")])
     def test_two_points_at_distance_zero(self, zero, want):
         # m = 2 with D_01 = 0: the Gram block is [[0]]
