@@ -10,7 +10,7 @@ this is Heron's formula in disguise (det = -16 A^2).  Squared distances are
 the canonical interchange type throughout the library: tangency distances
 (r_i + r_j)^2 stay rational even when the distances themselves do not.
 
-``cm_determinant`` scales every entry by one common L and returns
+``cm_determinant`` puts the entries over one denominator L and returns
 -det(M) / L^(m-1), where M_ij = L * (D_ij - D_0i - D_0j), i, j = 1..m-1, is
 -2L times the Gram matrix about point 0 (row and column algebra, so it holds
 for any symmetric zero-diagonal D), by symmetric fraction-free elimination.
@@ -32,8 +32,8 @@ from functools import cached_property
 from typing import Sequence
 
 from .errors import DimensionError, ValidationError
-from .numeric import EXACT, FLOAT, REL_TOL, Matrix, Scalar, _exact_determinant, coerce_vector
-from .numeric import from_exact, symmetric_bareiss
+from .numeric import EXACT, FLOAT, REL_TOL, Matrix, Scalar, _exact_determinant, _integer_rows
+from .numeric import coerce_vector, from_exact, symmetric_bareiss
 
 
 @dataclass(frozen=True)
@@ -84,9 +84,7 @@ class SquaredDistanceMatrix:
     def _gram(self) -> tuple[int, list[int]]:
         """L and the leading minors Δ_1.. of the Gram block M (see above), up to
         and including the first zero; the last is det(M) either way."""
-        upper = [[v.as_integer_ratio() for v in row[i + 1 :]] for i, row in enumerate(self.entries)]
-        scale = math.lcm(*(q for row in upper for _, q in row))
-        ints = [[p * (scale // q) for p, q in row] for row in upper]
+        ints, scale = _integer_rows(row[i + 1 :] for i, row in enumerate(self.entries))
         b = ints[0]  # scale * D_0i for i = 1..m-1
         block = [
             [0] * r + [-2 * b[r]] + [x - b[r] - y for x, y in zip(ints[r + 1], b[r + 1 :])]

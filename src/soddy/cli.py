@@ -26,9 +26,11 @@ from .embedding import realize_points
 from .errors import SoddyError, ValidationError
 from .gasket import gasket_to_dict, generate, render_svg
 from .numeric import EXACT, FLOAT, coerce_vector
-from .proof_witness import ProofReport, check_reduction_chain, check_S_properties, check_UWU_congruence
-from .serialize import parse_rational, scalar_to_json
+from .proof_witness import ProofReport, _closed_forms, check_reduction_chain, check_S_properties
+from .proof_witness import check_UWU_congruence
+from .serialize import parse_rational, scalar_to_json, value_to_json
 from .tangency import (
+    _factored_determinant,
     curvatures_from_radii,
     descartes_residual,
     solve_missing_curvature,
@@ -101,13 +103,12 @@ def _cmd_solve(args):
 def _cmd_identity_check(args):
     r = validate_radii(_parse_scalars(args.radii, EXACT), args.n, strict=False)
     lhs = cm_determinant(tangency_squared_distances(r))
-    res = descartes_residual(curvatures_from_radii(r))
-    rhs = (-1) ** args.n * 2 ** (2 * args.n + 1) * r.product() ** 2 * res
+    rhs = _factored_determinant(r)
     equal = lhs == rhs
     result = {
         "lhs": scalar_to_json(lhs),
         "rhs": scalar_to_json(rhs),
-        "residual": scalar_to_json(res),
+        "residual": scalar_to_json(descartes_residual(curvatures_from_radii(r))),
         "equal": equal,
     }
     return result, 0 if equal else 2
@@ -141,6 +142,8 @@ def _cmd_verify_proof(args):
         values = _parse_scalars(args.radii, EXACT)
         n = len(values) - 2
         r = validate_radii(values, n, strict=False)
+        for _, value in _closed_forms(r):  # refuse before the audit what to_dict would refuse
+            value_to_json(value)
         reports.append(check_S_properties(n))
         reports.append(check_reduction_chain(r))
     if args.random is not None:

@@ -7,12 +7,12 @@ Two computation modes, never mixed inside one object or operation:
 * ``"float"`` -- entries are finite 64-bit floats; NaN/inf is rejected at
   construction.
 
-Both modes share one integer-scaled kernel for products and determinants:
-each row (for a product, each column of the right factor too) is scaled by
-the lcm of its denominators, the work runs on Python ints -- dot products
-for ``@``, fraction-free (Bareiss) elimination for :func:`determinant` --
-and Fractions are built only for the results.  A symmetric integer matrix
-has its own elimination, :func:`symmetric_bareiss`.
+Both modes share one integer form for products and determinants: an
+operand is its integer rows over one denominator, the lcm of all its
+entries' denominators (:func:`_integer_rows`).  The work runs on Python
+ints -- dot products for ``@``, fraction-free (Bareiss) elimination for
+:func:`determinant` -- and Fractions are built only for the results.  A
+symmetric integer matrix has its own elimination, :func:`symmetric_bareiss`.
 
 Scalars enter and leave their mode only here.  :func:`coerce_vector` is the
 one place a mode is inferred; :func:`as_exact` and :func:`as_float` build a
@@ -156,9 +156,10 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         """Matrix product, exact in both modes.
 
-        A's rows and B's columns are scaled to integers, so entry (i, j) is
-        one integer dot product over the two scales; float mode returns it
-        rounded once and raises :class:`NonFiniteError` when it overflows.
+        A and B are each integer rows over one denominator, so entry (i, j)
+        is one integer dot product over the product of the two; float mode
+        returns it rounded once and raises :class:`NonFiniteError` when it
+        overflows.
         """
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -166,32 +167,25 @@ class Matrix:
             raise ModeMismatchError("matrix product across modes")
         if self.cols != other.rows:
             raise DimensionError(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        m = other.cols
-        a, a_scales = _integer_rows(self.row(i) for i in range(self.rows))
-        b, b_scales = _integer_rows(other.data[j::m] for j in range(m))
-        out = [
-            Fraction(sum(map(operator.mul, a_i, b_j)), sa * sb)
-            for a_i, sa in zip(a, a_scales)
-            for b_j, sb in zip(b, b_scales)
-        ]
+        a, a_den = _integer_rows(self.row(i) for i in range(self.rows))
+        b, b_den = _integer_rows(other.row(i) for i in range(other.rows))
+        b_cols = list(zip(*b))
+        den = a_den * b_den
+        out = [Fraction(sum(map(operator.mul, a_i, b_j)), den) for a_i in a for b_j in b_cols]
         if self.mode == FLOAT:
             out = [from_exact(v, FLOAT, "matrix product") for v in out]
-        return Matrix(self.rows, m, tuple(out), self.mode)
+        return Matrix(self.rows, other.cols, tuple(out), self.mode)
 
 
-def _integer_rows(rows: Iterable[Sequence[Scalar]]) -> tuple[list[list[int]], list[int]]:
-    """Each row as integers over one scale: row == int_row / lcm, exactly.
+def _integer_rows(rows: Iterable[Sequence[Scalar]]) -> tuple[list[list[int]], int]:
+    """The rows as integer rows over one denominator: rows == int_rows / den, exactly.
 
-    Every entry, float or Fraction, is a ratio of integers; a row is scaled
-    by the lcm of its denominators.
+    Every entry, float or Fraction, is a ratio of integers; den is the lcm of
+    all their denominators, so it is positive.  Rows may differ in length.
     """
-    int_rows, lcms = [], []
-    for row in rows:
-        ratios = [v.as_integer_ratio() for v in row]
-        lcm = math.lcm(*(q for _, q in ratios))
-        int_rows.append([p * (lcm // q) for p, q in ratios])
-        lcms.append(lcm)
-    return int_rows, lcms
+    ratios = [[v.as_integer_ratio() for v in row] for row in rows]
+    den = math.lcm(*(q for row in ratios for _, q in row))
+    return [[p * (den // q) for p, q in row] for row in ratios], den
 
 
 def from_exact(value: Fraction, mode: str, what: str) -> Scalar:
@@ -213,16 +207,15 @@ def determinant(m: Matrix) -> Scalar:
 def _exact_determinant(m: Matrix) -> Fraction:
     """The determinant of a square matrix of either mode, as a Fraction.
 
-    Every entry, float or Fraction, is a ratio of integers, so each row is
-    scaled by the lcm of its denominators and the integer matrix goes through
-    fraction-free (Bareiss) elimination: every intermediate entry is a
-    subdeterminant of the input, each division is exact, and integer input
-    gives an integer result.
+    The matrix is its integer rows over one denominator L, so this is their
+    determinant, by fraction-free (Bareiss) elimination, over L^n.  Every
+    intermediate entry is a subdeterminant of the integer rows, each division
+    is exact, and integer input gives an integer result.
     """
     n = m.rows
     if m.cols != n:
         raise DimensionError(f"matrix is {m.rows}x{m.cols}, not square")
-    a, lcms = _integer_rows(m.row(i) for i in range(n))
+    a, den = _integer_rows(m.row(i) for i in range(n))
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -239,7 +232,7 @@ def _exact_determinant(m: Matrix) -> Fraction:
             aik = a[i][k]
             a[i][k + 1 :] = [(x * pivot - aik * y) // prev for x, y in zip(a[i][k + 1 :], tail)]
         prev = pivot
-    return Fraction(sign * a[n - 1][n - 1], math.prod(lcms))
+    return Fraction(sign * a[n - 1][n - 1], den**n)
 
 
 def symmetric_bareiss(a: list[list[int]]) -> int:

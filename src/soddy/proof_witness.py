@@ -9,10 +9,11 @@ pair of congruence transforms, to a closed form in the curvatures:
     det = -det(S) * R^T S^-1 R = (-1)^n * 2^(2n+1) * residual
 
 Every step is re-checked here as an exact entrywise or determinant equality
-on concrete rational instances.  Checks never raise on failure; both sides
-of each identity land in the report so a red entry is diagnosable on its
-own.  Exact mode only: a float witness would conflate algebra bugs with
-roundoff.
+on concrete rational instances; det(D) is ``cm_determinant``, checked against
+the general kernel and the factored value ``tangency._factored_determinant``.
+Checks never raise on failure; both sides of each identity land in the report
+so a red entry is diagnosable on its own.  Exact mode only: a float witness
+would conflate algebra bugs with roundoff.
 """
 
 from __future__ import annotations
@@ -21,15 +22,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .cayley_menger import _simplex_size, build_cm_matrix
+from .cayley_menger import SquaredDistanceMatrix, _simplex_size, build_cm_matrix, cm_determinant
 from .errors import DimensionError, ModeMismatchError
 from .numeric import EXACT, Matrix, as_exact, determinant
 from .serialize import format_scalar, value_to_json
 from .tangency import (
-    Curvatures,
     SignedRadii,
+    _factored_determinant,
     curvatures_from_radii,
-    descartes_residual,
     tangency_squared_distances,
 )
 
@@ -139,15 +139,17 @@ def check_UWU_congruence(points: Sequence[Sequence]) -> ProofReport:
     m = len(pts)
     u = build_U(pts)
     w = build_W(m)
-    squared = _matrix(m, lambda i, j: sum((a - b) ** 2 for a, b in zip(pts[i], pts[j])))
-    d = _bordered([1] * m, squared)
+    dist = SquaredDistanceMatrix.from_entries(
+        [[sum((a - b) ** 2 for a, b in zip(p, q)) for q in pts] for p in pts], EXACT
+    )
+    d = build_cm_matrix(dist)
     return ProofReport(
         entries=(
             _check("UtWU equals distance matrix", m - 2, u.transpose() @ w @ u, d),
             _check(
                 "det(D) = det(U)^2 det(W)",
                 m - 2,
-                determinant(d),
+                cm_determinant(dist),
                 determinant(u) ** 2 * determinant(w),
             ),
         )
@@ -210,6 +212,26 @@ def check_S_properties(n: int) -> ProofReport:
     return ProofReport(entries=tuple(entries))
 
 
+def _closed_forms(r: SignedRadii) -> tuple:
+    """(name, closed-form side) of each step of :func:`check_reduction_chain`,
+    in report order.  Nothing here multiplies or eliminates D, so it is cheap."""
+    _require_exact_radii(r)
+    n, m = r.n, len(r.values)
+    k = curvatures_from_radii(r)
+    s = build_S(n)
+    r_s_r = _matrix(m, lambda i, j: r.values[i] * s.at(i, j) * r.values[j])
+    k_col = Matrix(m, 1, k.values, EXACT)
+    kt_sinv_k = (k_col.transpose() @ s_inverse_formula(n) @ k_col).at(0, 0)
+    factored = _factored_determinant(r)
+    return (
+        ("PtDP matches eliminated form", _bordered([1] * m, r_s_r)),
+        ("QtPtDPQ matches bordered block form", _bordered(k.values, s)),
+        ("block determinant rule", -determinant(s) * kt_sinv_k),
+        ("block value is scaled residual", factored / r.product() ** 2),
+        ("det(D) recovers scaled residual", factored),
+    )
+
+
 def check_reduction_chain(r: SignedRadii) -> ProofReport:
     """Replay the whole determinant reduction on one rational configuration.
 
@@ -219,35 +241,13 @@ def check_reduction_chain(r: SignedRadii) -> ProofReport:
     with the closed-form S^-1, (d) the block value is the scaled tangency
     residual, (e) det(D) recovers it through det(P)^2 det(Q)^2.
     """
-    _require_exact_radii(r)
-    n = r.n
-    m = len(r.values)
-    k = curvatures_from_radii(r)
-    s = build_S(n)
-    d = build_cm_matrix(tangency_squared_distances(r))
-    p = build_P(r)
-    q = build_Q(r)
-
-    eliminated = p.transpose() @ d @ p
+    closed = _closed_forms(r)
+    dist = tangency_squared_distances(r)
+    p, q = build_P(r), build_Q(r)
+    eliminated = p.transpose() @ build_cm_matrix(dist) @ p
     block = q.transpose() @ eliminated @ q
-    r_s_r = _matrix(m, lambda i, j: r.values[i] * s.at(i, j) * r.values[j])
-
     det_block = determinant(block)
-    k_col = Matrix(m, 1, k.values, EXACT)
-    kt_sinv_k = (k_col.transpose() @ s_inverse_formula(n) @ k_col).at(0, 0)
-    scaled_residual = (-1) ** n * 2 ** (2 * n + 1) * descartes_residual(k)
-
+    computed = (eliminated, block, det_block, det_block, cm_determinant(dist))
     return ProofReport(
-        entries=(
-            _check("PtDP matches eliminated form", n, eliminated, _bordered([1] * m, r_s_r)),
-            _check("QtPtDPQ matches bordered block form", n, block, _bordered(k.values, s)),
-            _check("block determinant rule", n, det_block, -determinant(s) * kt_sinv_k),
-            _check("block value is scaled residual", n, det_block, scaled_residual),
-            _check(
-                "det(D) recovers scaled residual",
-                n,
-                determinant(d),
-                r.product() ** 2 * scaled_residual,
-            ),
-        )
+        entries=tuple(_check(name, r.n, lhs, rhs) for (name, rhs), lhs in zip(closed, computed))
     )

@@ -7,11 +7,12 @@ distance determinant factors completely:
 
     det = (-1)^n * 2^(2n+1) * (prod r_i)^2 * [(sum k_i)^2 - n * sum k_i^2]
 
-with curvatures k_i = 1/r_i.  The bracket is the tangency residual computed
-by :func:`descartes_residual`; it vanishes exactly when the configuration is
-flat, which for real circle/sphere packings it always is.  Curvature is the
-interchange unit for solving (the identity is quadratic in each k_i); radii
-are the unit for building distances.  Conversions are explicit.
+with curvatures k_i = 1/r_i, stated once as :func:`_factored_determinant`.
+The bracket is the tangency residual computed by :func:`descartes_residual`;
+it vanishes exactly when the configuration is flat, which for real
+circle/sphere packings it always is.  Curvature is the interchange unit for
+solving (the identity is quadratic in each k_i); radii are the unit for
+building distances.  Conversions are explicit.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .cayley_menger import SquaredDistanceMatrix, VolumeSquared
+from .cayley_menger import SquaredDistanceMatrix, VolumeSquared, _volume_constant
 from .errors import (
     DimensionError,
     FloatModeRequiredError,
@@ -111,17 +112,21 @@ def descartes_residual(k: Curvatures) -> Scalar:
     return s * s - k.n * q
 
 
+def _factored_determinant(r: SignedRadii) -> Fraction:
+    """The right side of the factored identity, exactly, on the exact values
+    of the radii: (-1)^n * 2^(2n+1) * (prod r_i)^2 * residual."""
+    exact = SignedRadii(values=tuple(map(Fraction, r.values)), n=r.n, mode=EXACT)
+    p, res = exact.product(), descartes_residual(curvatures_from_radii(exact))
+    return (-1) ** r.n * 2 ** (2 * r.n + 1) * (p * p) * res
+
+
 def factored_volume_squared(r: SignedRadii) -> VolumeSquared:
     """Squared simplex content of the centers, via the factored identity.
 
     Equals ``volume_squared(tangency_squared_distances(r))`` exactly for all
-    rational radii: 2^n * (prod r_i / (n+1)!)^2 * residual, evaluated on the
-    exact values of the radii; a float value is that result rounded once.
+    rational radii; a float value is that exact result rounded once.
     """
-    exact = SignedRadii(values=tuple(map(Fraction, r.values)), n=r.n, mode=EXACT)
-    res = descartes_residual(curvatures_from_radii(exact))
-    c = exact.product() / math.factorial(r.n + 1)
-    value = 2**r.n * (c * c) * res
+    value = _volume_constant(r.n + 2) * _factored_determinant(r)
     return VolumeSquared(value=from_exact(value, r.mode, "squared volume"), dim=r.n + 1)
 
 

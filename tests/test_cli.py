@@ -142,6 +142,20 @@ class TestVerifyProof:
         assert json.loads(out)["error"]["kind"] == "validation"
         assert "PASS" not in err and "FAIL" not in err
 
+    def test_unprintable_radii_are_refused_before_the_audit(self, call, monkeypatch):
+        def audit(*_):
+            raise AssertionError("the audit ran")
+
+        monkeypatch.setattr("soddy.cli.check_S_properties", audit)
+        monkeypatch.setattr("soddy.cli.check_reduction_chain", audit)
+        radii = "1e4300,1e-4300,1e3000,1,1e308,1e-308,1e155,2"
+        code, out, _ = call(["verify-proof", "--radii", radii])
+        assert code == 1
+        assert out.count("\n") == 1
+        error = json.loads(out)["error"]
+        # the value the report's to_dict refuses first, once the audit has run
+        assert error == {"kind": "validation", "message": "result of about 8601 digits is too long to print"}
+
     def test_reproducible_with_seed(self, call):
         _, out_a, _ = call(["verify-proof", "--random", "3", "--rng-seed", "7"])
         _, out_b, _ = call(["verify-proof", "--random", "3", "--rng-seed", "7"])

@@ -206,6 +206,39 @@ class TestKernelAgainstSympy:
             assert type(got) is float and got == want
 
 
+def float_rows(rng, n, k, exps=None, axis=0):
+    """n x k floats in [-1, 1); with ``exps``, row i (axis 0) or column j
+    (axis 1) is scaled by 10^exps[i] or 10^exps[j]."""
+    scale = [10.0 ** e for e in exps] if exps else [1.0] * max(n, k)
+    return [[rng.uniform(-1, 1) * scale[(i, j)[axis]] for j in range(k)] for i in range(n)]
+
+
+class TestKernelWideExponents:
+    """One operand spans 1e-300..1e300, by scales 10^(+-300) and 10^(+-e)
+    that cancel in pairs, so its products and determinant fit a float."""
+
+    def test_determinant_is_exact_value_rounded_once(self, rng):
+        for t in range(120):
+            n, e = 1 + t % 4, rng.randint(0, 300)
+            rows = float_rows(rng, n, n, [300, -300, e, -e][:n], t // 4 % 2)
+            want = float(sympy_det([[Fraction(v) for v in r] for r in rows]))
+            assert determinant(Matrix.from_rows(rows, FLOAT)) == want
+
+    def test_product_is_exact_value_rounded_once(self, rng):
+        for t in range(120):
+            n, k, m = (rng.randint(1, 4) for _ in range(3))
+            e = rng.randint(0, 300)
+            if t % 2:  # the rows of the left factor are wide
+                a, b = float_rows(rng, n, k, [300, -300, e, -e][:n]), float_rows(rng, k, m)
+            else:  # the columns of the right factor are wide
+                a, b = float_rows(rng, n, k), float_rows(rng, k, m, [300, -300, e, -e][:m], 1)
+            want = schoolbook_product(
+                [[Fraction(v) for v in r] for r in a], [[Fraction(v) for v in r] for r in b]
+            )
+            got = Matrix.from_rows(a, FLOAT) @ Matrix.from_rows(b, FLOAT)
+            assert got.to_rows() == [[float(v) for v in row] for row in want]
+
+
 class TestKernelEdgeCases:
     def test_singular_float_integers_give_exact_zero(self):
         m = Matrix.from_rows([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]])

@@ -10,7 +10,7 @@ import pytest
 from soddy import proof_witness
 from soddy.cayley_menger import build_cm_matrix
 from soddy.errors import ModeMismatchError
-from soddy.numeric import EXACT, Matrix, determinant
+from soddy.numeric import EXACT, Matrix, determinant, symmetric_bareiss
 from soddy.proof_witness import (
     build_P,
     build_Q,
@@ -316,3 +316,20 @@ def test_wrong_ingredient_fails_its_checks(target, monkeypatch, capsys):
     fail_lines = [line for line in captured.err.splitlines() if line.startswith("FAIL")]
     assert len(fail_lines) == len(expected_failures)
     assert all("  lhs=" in line and "  rhs=" in line for line in fail_lines)
+
+
+def test_audit_checks_the_kernel_that_serves_cm_determinant(monkeypatch, rng):
+    # the last diagonal entry symmetric_bareiss leaves is the determinant
+    # cm_determinant reads; one off by one must turn exactly det(D) red
+    def off_by_one(a):
+        symmetric_bareiss(a)
+        a[-1][-1] += 1
+        return a[-1][-1]
+
+    monkeypatch.setattr("soddy.cayley_menger.symmetric_bareiss", off_by_one)
+    for n in (1, 2, 3):
+        uwu = check_UWU_congruence(rand_points(rng, n + 2))
+        chain = check_reduction_chain(validate_radii(rand_radii(rng, n), n))
+        assert [e.name for e in uwu.entries if not e.passed] == ["det(D) = det(U)^2 det(W)"]
+        assert [e.name for e in chain.entries if not e.passed] == ["det(D) recovers scaled residual"]
+        assert len(uwu.entries) == 2 and len(chain.entries) == 5
