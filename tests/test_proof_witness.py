@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from soddy import proof_witness
 from soddy.cayley_menger import build_cm_matrix
-from soddy.errors import ModeMismatchError
+from soddy.errors import ModeMismatchError, SoddyError
 from soddy.numeric import EXACT, Matrix, determinant, symmetric_bareiss
 from soddy.proof_witness import (
     build_P,
@@ -333,3 +335,79 @@ def test_audit_checks_the_kernel_that_serves_cm_determinant(monkeypatch, rng):
         assert [e.name for e in uwu.entries if not e.passed] == ["det(D) = det(U)^2 det(W)"]
         assert [e.name for e in chain.entries if not e.passed] == ["det(D) recovers scaled residual"]
         assert len(uwu.entries) == 2 and len(chain.entries) == 5
+
+
+def _pin_outcome(f, *args) -> str:
+    try:
+        return repr(f(*args))
+    except SoddyError as e:
+        return f"{type(e).__name__}: {e}"
+
+
+def _pin_radii_corpus() -> list[tuple[int, list]]:
+    """(n, radii) for n = 1..6: small and wide rationals, mixed signs, and
+    floats near 1e154, where (r_i + r_j)^2 passes the float range or not."""
+    rng = random.Random(18)
+    corpus = []
+    for n in range(1, 7):
+        for _ in range(3):
+            corpus.append((n, rand_radii(rng, n)))
+        corpus.append((n, [rand_nonzero_fraction(rng, span=10**6, max_den=10**4) for _ in range(n + 2)]))
+        for _ in range(2):
+            big = [rng.choice((-1, 1)) * rng.uniform(0.2, 0.9) * 1e154 for _ in range(n + 1)]
+            corpus.append((n, [*big, rng.uniform(-1.0, 1.0) or 1.0]))
+    return corpus
+
+
+def _pin_cli_text(argvs, capsys) -> list[str]:
+    texts = []
+    for argv in argvs:
+        code = run(argv)
+        captured = capsys.readouterr()
+        texts.append(f"{argv} -> {code}\n{captured.out}{captured.err}")
+    return texts
+
+
+def _pinned_texts(name, capsys) -> list[str]:
+    if name == "verify-proof-random":
+        argvs = [
+            ["verify-proof", "--random", "3", "--dim", str(d), "--rng-seed", "5"] for d in range(1, 7)
+        ]
+        return _pin_cli_text(argvs, capsys)
+    if name == "identity-check":
+        rng = random.Random(6)
+        argvs = [
+            ["identity-check", "--n", str(n), "--radii", ",".join(map(str, rand_radii(rng, n)))]
+            for n in range(1, 7)
+            for _ in range(2)
+        ]
+        return _pin_cli_text(argvs, capsys)
+    if name == "tangency-distances":
+        texts = []
+        for n, values in _pin_radii_corpus():
+            exact = validate_radii([Fraction(v) for v in values], n, strict=False)
+            texts.append(_pin_outcome(lambda r: tangency_squared_distances(r).entries, exact))
+            texts.append(
+                _pin_outcome(
+                    lambda v: tangency_squared_distances(validate_radii(v, n, strict=False)).entries,
+                    [float(v) for v in values],
+                )
+            )
+        return texts
+    raise KeyError(name)
+
+
+# sha256 prefixes of the audit's reports for every n the audit bench draws,
+# of identity-check at n = 1..6, and of exact and float tangency distances
+PINNED_ENTRY_RULES = {
+    "verify-proof-random": "24c6c53fcd3a83f2",
+    "identity-check": "bf9429c4373876f5",
+    "tangency-distances": "1da2de476978dc32",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_ENTRY_RULES))
+def test_entry_rule_outputs_are_pinned(name, capsys):
+    texts = _pinned_texts(name, capsys)
+    digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()[:16]
+    assert digest == PINNED_ENTRY_RULES[name]
