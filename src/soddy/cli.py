@@ -114,6 +114,19 @@ def _cmd_identity_check(args):
     return result, 0 if equal else 2
 
 
+#: The most values (both sides of every identity, each matrix entry one value)
+#: a ``verify-proof --random`` report may hold; a larger request is refused
+#: before any configuration is drawn.
+_MAX_REPORT_VALUES = 10**6
+
+
+def _random_report_values(count: int, n: int) -> int:
+    """Values in the report of ``verify-proof --random count --dim n``: per
+    configuration 6 matrices of (n+3)^2 entries and 8 scalars, once the 2
+    matrices of (n+2)^2 entries and 2 scalars of S (n = 2 adds 66 more)."""
+    return count * (6 * (n + 3) ** 2 + 8) + 2 * (n + 2) ** 2 + 2
+
+
 def _random_nonzero(rng: random.Random) -> Fraction:
     num = rng.choice([i for i in range(-10, 11) if i != 0])
     den = rng.randint(1, 10)
@@ -137,6 +150,13 @@ def _cmd_verify_proof(args):
         raise ValidationError("pass --radii or --random N")
     if args.random is not None and args.random < 1:
         raise ValidationError(f"--random needs N >= 1, got {args.random}")
+    if args.random is not None and args.dim >= 1:  # n < 1 is build_S's dimension error
+        size = _random_report_values(args.random, args.dim)
+        if size > _MAX_REPORT_VALUES:
+            raise ValidationError(
+                f"--random {args.random} --dim {args.dim} would report about {size} values, "
+                f"more than the {_MAX_REPORT_VALUES} one audit may print"
+            )
     reports = []
     if args.radii is not None:
         values = _parse_scalars(args.radii, EXACT)

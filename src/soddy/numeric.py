@@ -60,6 +60,8 @@ def as_exact(value) -> Fraction:
     """Coerce an int/Fraction to Fraction; floats are rejected (no silent rounding)."""
     if type(value) is Fraction:  # immutable and already exact: no copy
         return value
+    if type(value) is int:  # bool is a subclass, so it takes the checks below
+        return Fraction(value)
     if isinstance(value, Rational) and not isinstance(value, bool):
         return Fraction(value)
     _check_scalar(value)

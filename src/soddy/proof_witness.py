@@ -11,6 +11,9 @@ pair of congruence transforms, to a closed form in the curvatures:
 Every step is re-checked here as an exact entrywise or determinant equality
 on concrete rational instances; det(D) is ``cm_determinant``, checked against
 the general kernel and the factored value ``tangency._factored_determinant``.
+The coordinate rules scale the points once, to integer coordinates over the
+lcm L of their denominators, so each |x_j|^2 of U and each |x_i - x_j|^2 of D
+is an integer sum over L^2, the latter computed once per pair i < j.
 Checks never raise on failure; both sides of each identity land in the report
 so a red entry is diagnosable on its own.  Exact mode only: a float witness
 would conflate algebra bugs with roundoff.
@@ -24,7 +27,7 @@ from typing import Callable, Sequence
 
 from .cayley_menger import SquaredDistanceMatrix, _simplex_size, build_cm_matrix, cm_determinant
 from .errors import DimensionError, ModeMismatchError
-from .numeric import EXACT, Matrix, as_exact, determinant
+from .numeric import EXACT, Matrix, _integer_rows, as_exact, determinant
 from .serialize import format_scalar, value_to_json
 from .tangency import (
     SignedRadii,
@@ -105,23 +108,32 @@ def _bordered(border: Sequence, core: Matrix) -> Matrix:
     return _matrix(core.rows + 1, lambda i, j: core.at(i - 1, j - 1) if i and j else b[i + j])
 
 
-def _require_exact_points(points: Sequence[Sequence]) -> list[list[Fraction]]:
+def _scaled_points(points: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[list[int]], int]:
+    """The points checked and made exact once, and the same points as integer
+    coordinates over one L: x == X / L, so |x|^2 and |x - y|^2 are integer
+    sums over L^2."""
     _simplex_size(points)
     try:
-        return [[as_exact(v) for v in p] for p in points]
+        pts = [[as_exact(v) for v in p] for p in points]
     except ModeMismatchError:
         raise ModeMismatchError("proof witness runs in exact mode only") from None
+    return (pts, *_integer_rows(pts))
+
+
+def _lifted_U(pts: list[list[Fraction]], scaled: list[list[int]], den: int) -> Matrix:
+    m, den2 = len(pts), den * den
+    # column j > 0 is the lifted point (|x_j|^2, 1, x_j)
+    columns = [(1, *[0] * m)] + [
+        (Fraction(sum(c * c for c in x), den2), 1, *p) for p, x in zip(pts, scaled)
+    ]
+    return _matrix(m + 1, lambda i, j: columns[j][i])
 
 
 def build_U(points: Sequence[Sequence]) -> Matrix:
     """(m+1)x(m+1): top row (1, |x_1|^2, ..., |x_m|^2), then the ones row,
     then one row per coordinate.  Expanding its first column shows
     det(U) = +-(m-1)! * volume."""
-    pts = _require_exact_points(points)
-    m = len(pts)
-    # column j > 0 is the lifted point (|x_j|^2, 1, x_j)
-    columns = [(1, *[0] * m)] + [(sum(c * c for c in p), 1, *p) for p in pts]
-    return _matrix(m + 1, lambda i, j: columns[j][i])
+    return _lifted_U(*_scaled_points(points))
 
 
 def build_W(m: int) -> Matrix:
@@ -135,13 +147,17 @@ def build_W(m: int) -> Matrix:
 
 def check_UWU_congruence(points: Sequence[Sequence]) -> ProofReport:
     """U^T W U = D entrywise, and det(D) = det(U)^2 det(W)."""
-    pts = _require_exact_points(points)
-    m = len(pts)
-    u = build_U(pts)
+    pts, scaled, den = _scaled_points(points)
+    m, den2 = len(pts), den * den
+    u = _lifted_U(pts, scaled, den)
     w = build_W(m)
-    dist = SquaredDistanceMatrix.from_entries(
-        [[sum((a - b) ** 2 for a, b in zip(p, q)) for q in pts] for p in pts], EXACT
-    )
+    squared = [[0] * m for _ in range(m)]
+    for i, x in enumerate(scaled):
+        for j in range(i + 1, m):
+            squared[i][j] = squared[j][i] = Fraction(
+                sum((a - b) ** 2 for a, b in zip(x, scaled[j])), den2
+            )
+    dist = SquaredDistanceMatrix.from_entries(squared, EXACT)
     d = build_cm_matrix(dist)
     return ProofReport(
         entries=(

@@ -98,10 +98,14 @@ def radii_from_curvatures(k: Curvatures) -> SignedRadii:
 
 def tangency_squared_distances(r: SignedRadii) -> SquaredDistanceMatrix:
     """Squared center distances (r_i + r_j)^2 of the tangent configuration."""
-    # s * s, not s ** 2: a float square past the float range is then inf,
-    # which coercion rejects as non-finite, instead of an OverflowError
-    sums = [[a + b for b in r.values] for a in r.values]
-    rows = [[s * s if i != j else 0 for j, s in enumerate(row)] for i, row in enumerate(sums)]
+    vals = r.values
+    rows = [[0] * len(vals) for _ in vals]
+    for i, a in enumerate(vals):
+        for j in range(i + 1, len(vals)):
+            # s * s, not s ** 2: a float square past the float range is then inf,
+            # which coercion rejects as non-finite, instead of an OverflowError
+            s = a + vals[j]
+            rows[i][j] = rows[j][i] = s * s
     return SquaredDistanceMatrix.from_entries(rows, r.mode)
 
 

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import soddy.cli
 import soddy.errors
 from soddy.cli import run
 from soddy.gasket import generate, render_svg
@@ -155,6 +156,37 @@ class TestVerifyProof:
         error = json.loads(out)["error"]
         # the value the report's to_dict refuses first, once the audit has run
         assert error == {"kind": "validation", "message": "result of about 8601 digits is too long to print"}
+
+    @pytest.mark.parametrize(
+        "argv, size",
+        [
+            (["--random", "1", "--dim", "100000"], 80004400072),
+            (["--random", "1000000000"], 158000000034),
+        ],
+    )
+    def test_oversized_random_audit_is_refused_before_any_work(self, call, monkeypatch, argv, size):
+        def audit(*_):
+            raise AssertionError("the audit ran")
+
+        for name in ("check_S_properties", "check_reduction_chain", "check_UWU_congruence"):
+            monkeypatch.setattr(f"soddy.cli.{name}", audit)
+        code, out, err = call(["verify-proof", *argv])
+        assert code == 1
+        assert out.count("\n") == 1
+        error = json.loads(out)["error"]
+        assert error["kind"] == "validation"
+        assert f"about {size} values" in error["message"]
+        assert str(soddy.cli._MAX_REPORT_VALUES) in error["message"]
+        assert "PASS" not in err
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_work_size_counts_the_report(self, call, dim):
+        code, out, _ = call(["verify-proof", "--random", "2", "--dim", str(dim)])
+        assert code == 0
+        sides = [e[side] for e in json.loads(out)["result"]["identities"] for side in ("lhs", "rhs")]
+        values = sum(len(v) * len(v[0]) if isinstance(v, list) else 1 for v in sides)
+        # n = 2 adds three checks of S the estimate leaves out
+        assert values == soddy.cli._random_report_values(2, dim) + (66 if dim == 2 else 0)
 
     def test_reproducible_with_seed(self, call):
         _, out_a, _ = call(["verify-proof", "--random", "3", "--rng-seed", "7"])

@@ -430,6 +430,14 @@ class TestCoercion:
         with pytest.raises(ModeMismatchError):
             as_exact(0.5)
 
+    # int takes its own fast path and numpy's integers the abstract-class
+    # one; bools are ints too, and test_non_scalar_is_validation_error
+    # shows that as_exact still refuses them
+    @pytest.mark.parametrize("value", [7, -(10**400), np.int64(-3), np.uint8(200)])
+    def test_integers_become_equal_fractions(self, value):
+        x = as_exact(value)
+        assert type(x) is Fraction and x == int(value)
+
 
 def two_pass_coerce(values, mode=None):
     """Reference coercion rule: infer the mode over every value, then coerce each."""

@@ -8,6 +8,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soddy import proof_witness
 from soddy.cayley_menger import build_cm_matrix
@@ -411,3 +413,30 @@ def test_entry_rule_outputs_are_pinned(name, capsys):
     texts = _pinned_texts(name, capsys)
     digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()[:16]
     assert digest == PINNED_ENTRY_RULES[name]
+
+
+# coordinates of mixed sign over denominators that differ
+COORDINATES = st.one_of(
+    st.fractions(min_value=-50, max_value=50, max_denominator=30),
+    st.integers(-(10**6), 10**6),
+)
+
+
+@st.composite
+def _point_sets(draw):
+    m = draw(st.integers(2, 6))
+    # half the sets have integer coordinates only, so L = 1
+    coordinate = draw(st.sampled_from([COORDINATES, st.integers(-9, 9)]))
+    return [draw(st.lists(coordinate, min_size=m - 1, max_size=m - 1)) for _ in range(m)]
+
+
+@given(points=_point_sets())
+@settings(max_examples=150, deadline=None)
+def test_integer_entry_rules_match_fraction_sums(points):
+    pts = [[Fraction(c) for c in p] for p in points]
+    d = check_UWU_congruence(points).entries[0].rhs
+    for i, p in enumerate(pts):
+        for j, q in enumerate(pts):
+            assert d.at(i + 1, j + 1) == sum((a - b) ** 2 for a, b in zip(p, q))
+    assert build_U(points).row(0) == (1, *(sum(c * c for c in p) for p in pts))
+    assert all(type(v) is Fraction for v in d.data)

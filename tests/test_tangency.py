@@ -7,6 +7,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soddy.cayley_menger import cm_determinant, volume_squared
 from soddy.errors import (
@@ -339,3 +341,24 @@ class TestVietaPartner:
             quad = random_solved_quadruple(rng)
             k = validate_curvatures(quad, 2, strict=False)
             assert descartes_residual(k) == 0
+
+
+# magnitudes on both sides of 1e154, where (r_i + r_j)^2 passes the float range
+NEAR_OVERFLOW = st.floats(1e153, 1e155) | st.floats(1e-3, 1e3)
+
+
+@given(
+    magnitudes=st.lists(NEAR_OVERFLOW, min_size=3, max_size=8),
+    negative=st.integers(-1, 7),
+)
+@settings(max_examples=200, deadline=None)
+def test_float_squared_distances_are_squared_sums_or_non_finite(magnitudes, negative):
+    values = [-v if i == negative else v for i, v in enumerate(magnitudes)]
+    r = validate_radii(values, len(values) - 2)
+    squares = [[(a + b) * (a + b) if i != j else 0.0 for j, b in enumerate(values)] for i, a in enumerate(values)]
+    if any(math.isinf(v) for row in squares for v in row):
+        with pytest.raises(NonFiniteError) as info:
+            tangency_squared_distances(r)
+        assert info.value.kind == "non-finite"
+    else:
+        assert tangency_squared_distances(r).entries == tuple(map(tuple, squares))
