@@ -119,12 +119,22 @@ def _cmd_identity_check(args):
 #: before any configuration is drawn.
 _MAX_REPORT_VALUES = 10**6
 
+#: The most work a ``verify-proof --random`` audit may take, in units of one
+#: configuration's (n+3)^2 entry products and eliminations, (n+3)^3 each; a
+#: larger request is refused before any configuration is drawn.
+_MAX_AUDIT_WORK = 1_500_000
+
 
 def _random_report_values(count: int, n: int) -> int:
     """Values in the report of ``verify-proof --random count --dim n``: per
     configuration 6 matrices of (n+3)^2 entries and 8 scalars, once the 2
     matrices of (n+2)^2 entries and 2 scalars of S (n = 2 adds 66 more)."""
     return count * (6 * (n + 3) ** 2 + 8) + 2 * (n + 2) ** 2 + 2
+
+
+def _random_audit_work(count: int, n: int) -> int:
+    """Work of ``verify-proof --random count --dim n``: (n+3)^3 per configuration."""
+    return count * (n + 3) ** 3
 
 
 def _random_nonzero(rng: random.Random) -> Fraction:
@@ -156,6 +166,12 @@ def _cmd_verify_proof(args):
             raise ValidationError(
                 f"--random {args.random} --dim {args.dim} would report about {size} values, "
                 f"more than the {_MAX_REPORT_VALUES} one audit may print"
+            )
+        work = _random_audit_work(args.random, args.dim)
+        if work > _MAX_AUDIT_WORK:
+            raise ValidationError(
+                f"--random {args.random} --dim {args.dim} would take about {work} "
+                f"entry operations, more than the {_MAX_AUDIT_WORK} one audit may run"
             )
     reports = []
     if args.radii is not None:

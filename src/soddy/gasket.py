@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .errors import GeometryError, NoRealSolutionError, NonFiniteError, SeedError, ValidationError
 from .numeric import FLOAT, REL_TOL, as_float
-from .tangency import Curvatures, _validated, solve_missing_curvature, vieta_partner
+from .tangency import Curvatures, _tangency_residual, _validated, solve_missing_curvature, vieta_partner
 
 #: Hard output-size guard on the expansion depth.
 MAX_DEPTH = 12
@@ -111,11 +111,8 @@ class _Builder:
         return len(self.ws) - 1
 
     def audit_residual(self, quad: tuple[int, int, int, int]) -> None:
-        a, b, c, d = map(self.curvatures.__getitem__, quad)
-        s = a + b + c + d
-        res = s * s - 2.0 * (a * a + b * b + c * c + d * d)
-        scale = max(a * a, b * b, c * c, d * d)
-        if not abs(res) <= REL_TOL * scale:
+        res, zero = _tangency_residual([self.curvatures[i] for i in quad], 2, FLOAT)
+        if not abs(res) <= zero:
             raise GeometryError(f"tangency residual {res:.3e} failed the audit")
 
     def freeze(self, max_depth: int) -> Gasket:

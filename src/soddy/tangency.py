@@ -8,11 +8,11 @@ distance determinant factors completely:
     det = (-1)^n * 2^(2n+1) * (prod r_i)^2 * [(sum k_i)^2 - n * sum k_i^2]
 
 with curvatures k_i = 1/r_i, stated once as :func:`_factored_determinant`.
-The bracket is the tangency residual computed by :func:`descartes_residual`;
-it vanishes exactly when the configuration is flat, which for real
-circle/sphere packings it always is.  Curvature is the interchange unit for
-solving (the identity is quadratic in each k_i); radii are the unit for
-building distances.  Conversions are explicit.
+The bracket is the tangency residual, which vanishes exactly when the
+configuration is flat; every tangency test reads it and its zero from
+:func:`_tangency_residual`.  Curvature is the interchange unit for solving
+(the identity is quadratic in each k_i); radii are the unit for building
+distances.  Conversions are explicit.
 """
 
 from __future__ import annotations
@@ -109,11 +109,18 @@ def tangency_squared_distances(r: SignedRadii) -> SquaredDistanceMatrix:
     return SquaredDistanceMatrix.from_entries(rows, r.mode)
 
 
+def _tangency_residual(values: Sequence[Scalar], n: int, mode: str) -> tuple[Scalar, Scalar]:
+    """(sum k_i)^2 - n * sum k_i^2 and the mode's zero for it: 0 exact, REL_TOL *
+    max k_i^2 float, the same at every scale.  The tangency test is
+    ``not abs(residual) <= zero``, so a NaN residual (overflowed squares) fails."""
+    s = sum(values)
+    squares = [v * v for v in values]
+    return s * s - n * sum(squares), 0 if mode == EXACT else REL_TOL * max(squares)
+
+
 def descartes_residual(k: Curvatures) -> Scalar:
     """(sum k_i)^2 - n * sum k_i^2; zero iff the tangency identity holds."""
-    s = sum(k.values)
-    q = sum(v * v for v in k.values)
-    return s * s - k.n * q
+    return _tangency_residual(k.values, k.n, k.mode)[0]
 
 
 def _factored_determinant(r: SignedRadii) -> Fraction:
@@ -135,8 +142,6 @@ def factored_volume_squared(r: SignedRadii) -> VolumeSquared:
 
 
 def _exact_sqrt(x: Fraction) -> Fraction:
-    if x < 0:
-        raise NoRealSolutionError("negative discriminant")
     num, den = x.numerator, x.denominator
     rn, rd = math.isqrt(num), math.isqrt(den)
     if rn * rn == num and rd * rd == den:
@@ -167,17 +172,14 @@ def solve_missing_curvature(known: Sequence, n: int) -> tuple[Scalar, Scalar]:
         root = (q - s * s) / (2 * s)
         return (root, root)
     disc = n * (s * s - (n - 1) * q)
-    if mode == EXACT:
-        root_disc = _exact_sqrt(disc)
-    else:
-        # Within a few ulps of S^2 the sign of the discriminant is roundoff:
-        # treat it as a double root rather than fail, or take a square root
-        # of noise that moves both roots by ~1e-8.
-        if abs(disc) <= 8 * n * sys.float_info.epsilon * s * s:
-            disc = 0.0
-        if disc < 0:
-            raise NoRealSolutionError(f"negative discriminant {disc}")
-        root_disc = math.sqrt(disc)
+    # Within a few ulps of S^2 the sign of a float discriminant is roundoff:
+    # treat it as a double root rather than fail, or take a square root of
+    # noise that moves both roots by ~1e-8.
+    if mode != EXACT and abs(disc) <= 8 * n * sys.float_info.epsilon * s * s:
+        disc = 0.0
+    if disc < 0:
+        raise NoRealSolutionError(f"negative discriminant {format_scalar(disc)}")
+    root_disc = _exact_sqrt(disc) if mode == EXACT else math.sqrt(disc)
     return ((s + root_disc) / (n - 1), (s - root_disc) / (n - 1))
 
 
@@ -185,9 +187,9 @@ def vieta_partner(k: Curvatures, index: int) -> Scalar:
     """The other root of the missing-curvature quadratic at ``index``.
 
     partner = 2 * sum(other curvatures) / (n-1) - k[index].  Requires the
-    input to satisfy the tangency identity: exactly in exact mode, and in
-    float mode within a relative tolerance, |residual| <= REL_TOL * max k_i^2,
-    so the test reads the same at every scale.  Replacing k[index] with the
+    input to satisfy the tangency identity by the one test of
+    :func:`_tangency_residual`: |residual| <= 0 in exact mode and
+    <= REL_TOL * max k_i^2 in float mode.  Replacing k[index] with the
     partner preserves the identity, which is how gaskets grow without ever
     taking a square root.
     """
@@ -195,17 +197,9 @@ def vieta_partner(k: Curvatures, index: int) -> Scalar:
         raise DimensionError("the quadratic degenerates for n = 1; no partner exists")
     if not 0 <= index < len(k.values):
         raise ValidationError(f"index {index} out of range")
-    res = descartes_residual(k)
-    if k.mode == EXACT:
-        if res != 0:
-            raise InconsistentConfigurationError(
-                f"curvatures do not satisfy the tangency identity (residual {format_scalar(res)})"
-            )
-    else:
-        tol = REL_TOL * max(v * v for v in k.values)
-        # written so that a NaN residual (overflowed squares) fails the check
-        if not abs(res) <= tol:
-            raise InconsistentConfigurationError(
-                f"tangency residual {res} exceeds tolerance {tol}"
-            )
+    res, zero = _tangency_residual(k.values, k.n, k.mode)
+    if not abs(res) <= zero:
+        raise InconsistentConfigurationError(
+            f"tangency residual {format_scalar(res)} exceeds tolerance {format_scalar(zero)}"
+        )
     return 2 * (sum(k.values) - k.values[index]) / (k.n - 1) - k.values[index]

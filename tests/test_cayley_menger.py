@@ -312,6 +312,10 @@ class TestCoordinateOracle:
         with pytest.raises(DimensionError):
             volume_squared_from_coordinates([(0, 0), (1, 0), (0, 1), (1, 1)])
 
+    def test_one_point_of_no_dimension_rejected(self):
+        with pytest.raises(DimensionError):
+            volume_squared_from_coordinates([[]])
+
     def test_float_overflow_is_non_finite_error(self):
         # the determinant 1e200 fits a float; its square does not
         with pytest.raises(NonFiniteError):

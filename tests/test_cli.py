@@ -179,6 +179,45 @@ class TestVerifyProof:
         assert str(soddy.cli._MAX_REPORT_VALUES) in error["message"]
         assert "PASS" not in err
 
+    @pytest.mark.parametrize(
+        "argv, work",
+        [(["--random", "1", "--dim", "112"], 1520875), (["--random", "77", "--dim", "24"], 1515591)],
+    )
+    def test_costly_random_audit_is_refused_before_any_work(self, call, monkeypatch, argv, work):
+        def audit(*_):
+            raise AssertionError("the audit ran")
+
+        for name in ("check_S_properties", "check_reduction_chain", "check_UWU_congruence"):
+            monkeypatch.setattr(f"soddy.cli.{name}", audit)
+        code, out, err = call(["verify-proof", *argv])
+        assert code == 1
+        assert out.count("\n") == 1
+        error = json.loads(out)["error"]
+        assert error["kind"] == "validation"
+        assert f"about {work} entry operations" in error["message"]
+        assert str(soddy.cli._MAX_AUDIT_WORK) in error["message"]
+        assert "PASS" not in err
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_work_bound_admits_every_printable_request_up_to_n6(self, n):
+        # the largest N whose report fits is admitted by the work bound too
+        count = (soddy.cli._MAX_REPORT_VALUES - soddy.cli._random_report_values(0, n)) // (
+            soddy.cli._random_report_values(1, n) - soddy.cli._random_report_values(0, n)
+        )
+        assert soddy.cli._random_report_values(count, n) <= soddy.cli._MAX_REPORT_VALUES
+        assert soddy.cli._random_report_values(count + 1, n) > soddy.cli._MAX_REPORT_VALUES
+        assert soddy.cli._random_audit_work(count, n) <= soddy.cli._MAX_AUDIT_WORK
+
+    def test_work_bound_admits_the_neighbours_of_the_refused_requests(self):
+        assert soddy.cli._random_audit_work(1, 111) <= soddy.cli._MAX_AUDIT_WORK
+        assert soddy.cli._random_audit_work(76, 24) <= soddy.cli._MAX_AUDIT_WORK
+
+    def test_random_dim_zero_is_a_dimension_error(self, call):
+        code, out, _ = call(["verify-proof", "--random", "1", "--dim", "0"])
+        assert code == 1
+        assert out.count("\n") == 1
+        assert json.loads(out)["error"] == {"kind": "dimension", "message": "sphere dimension n must be >= 1"}
+
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_work_size_counts_the_report(self, call, dim):
         code, out, _ = call(["verify-proof", "--random", "2", "--dim", str(dim)])

@@ -42,6 +42,11 @@ def distances_of(pts: EmbeddedPoints) -> SquaredDistanceMatrix:
     return SquaredDistanceMatrix.from_entries(pts.squared_distances(), "float")
 
 
+def test_embedded_points_refuse_infinite_coordinates():
+    with pytest.raises(NonFiniteError):
+        EmbeddedPoints(((math.inf, 0.0),))
+
+
 class TestRealizePoints:
     def test_flat_tangent_quadruple_in_plane(self):
         d = tangency_squared_distances(FLAT_RADII)

@@ -63,6 +63,9 @@ class TestInitialConfiguration:
         two = sorted(c.center[0] for c in g.circles if c.curvature == 2.0)
         assert two == pytest.approx([-0.5, 0.5])
 
+    def test_positive_seed_has_no_enclosing_circle(self):
+        assert generate([1, 1, 1], 0).enclosing() is None
+
     def test_unit_seed_inner_soddy(self):
         g = initial_configuration([1, 1, 1])
         ks = sorted(c.curvature for c in g.circles)

@@ -75,6 +75,19 @@ class TestMatrixConstruction:
         with pytest.raises(DimensionError):
             Matrix.from_rows([[1, 2], [3]])
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Matrix(0, 1, (), EXACT),
+            lambda: Matrix(2, 2, (Fraction(1),), EXACT),
+            lambda: Matrix.from_rows([]),
+        ],
+        ids=["no-rows", "short-data", "empty-rows"],
+    )
+    def test_empty_or_short_matrix_rejected(self, build):
+        with pytest.raises(DimensionError):
+            build()
+
     def test_transpose_roundtrip(self):
         m = Matrix.from_rows([[1, 2, 3], [4, 5, 6]])
         assert m.transpose().transpose() == m

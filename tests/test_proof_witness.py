@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from soddy import proof_witness
 from soddy.cayley_menger import build_cm_matrix
-from soddy.errors import ModeMismatchError, SoddyError
+from soddy.errors import DimensionError, ModeMismatchError, SoddyError
 from soddy.numeric import EXACT, Matrix, determinant, symmetric_bareiss
 from soddy.proof_witness import (
     build_P,
@@ -69,6 +69,10 @@ class TestBuildW:
     @pytest.mark.parametrize("m", range(2, 8))
     def test_closed_form(self, m):
         assert determinant(build_W(m)) == (-1) * (-2) ** (m - 1)
+
+    def test_one_point_rejected(self):
+        with pytest.raises(DimensionError):
+            build_W(1)
 
 
 class TestUWUCongruence:

@@ -41,3 +41,8 @@ def test_text_of_a_rational_too_long_to_print_names_its_digits():
 def test_numpy_ints_print_as_rationals():
     assert scalar_to_json(np.int64(3)) == {"num": "3", "den": "1"}
     assert format_scalar(np.int64(-7)) == "-7"
+
+
+def test_non_number_is_refused():
+    with pytest.raises(ValidationError, match="cannot serialize 'x'"):
+        scalar_to_json("x")

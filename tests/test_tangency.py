@@ -14,11 +14,13 @@ from soddy.cayley_menger import cm_determinant, volume_squared
 from soddy.errors import (
     DimensionError,
     FloatModeRequiredError,
+    GeometryError,
     InconsistentConfigurationError,
     NonFiniteError,
     NoRealSolutionError,
     ValidationError,
 )
+from soddy.gasket import _build_initial
 from soddy.tangency import (
     Curvatures,
     curvatures_from_radii,
@@ -270,6 +272,16 @@ class TestSolveMissingCurvature:
         with pytest.raises(NoRealSolutionError):
             solve_missing_curvature([F(1), 1, -1], 2)
 
+    @pytest.mark.parametrize("known", [[1, 1, -1], [1.0, 1.0, -1.0]], ids=["exact", "float"])
+    def test_negative_discriminant_is_named_in_both_modes(self, known):
+        # S = 1, Q = 3: n * (S^2 - (n-1) * Q) = -4
+        with pytest.raises(NoRealSolutionError, match=r"^negative discriminant -4(\.0)?$"):
+            solve_missing_curvature(known, 2)
+
+    def test_n1_zero_sum_is_degenerate(self):
+        with pytest.raises(NoRealSolutionError, match="degenerate linear equation"):
+            solve_missing_curvature([1, -1], 1)
+
     def test_n1_linear_single_root(self):
         # n = 1: -2Sk + (Q - S^2) = 0
         root, other = solve_missing_curvature([F(1), F(2)], 1)
@@ -341,6 +353,78 @@ class TestVietaPartner:
             quad = random_solved_quadruple(rng)
             k = validate_curvatures(quad, 2, strict=False)
             assert descartes_residual(k) == 0
+
+    def test_n1_has_no_partner(self):
+        with pytest.raises(DimensionError):
+            vieta_partner(Curvatures(values=(F(1), F(1), F(1)), n=1, mode="exact"), 0)
+
+    @pytest.mark.parametrize("index", [4, -1])
+    def test_index_out_of_range_rejected(self, index):
+        with pytest.raises(ValidationError, match=f"index {index} out of range"):
+            vieta_partner(validate_curvatures([-1, 2, 2, 3], 2), index)
+
+    def test_exact_test_is_residual_against_zero(self, rng):
+        for _ in range(30):
+            quad = random_solved_quadruple(rng)
+            vieta_partner(validate_curvatures(quad, 2, strict=False), 0)
+            # k0 + d moves the residual by d * (2S - 4k0 - d), which is not
+            # zero for both d = 1 and d = 2
+            for d in (1, 2):
+                moved = [quad[0] + d, *quad[1:]]
+                residual = sum(moved) ** 2 - 2 * sum(v * v for v in moved)
+                if residual != 0:
+                    break
+            text = f"{residual.numerator}" + ("" if residual.denominator == 1 else f"/{residual.denominator}")
+            with pytest.raises(InconsistentConfigurationError) as info:
+                vieta_partner(Curvatures(values=tuple(moved), n=2, mode="exact"), 0)
+            assert str(info.value) == f"tangency residual {text} exceeds tolerance 0"
+
+
+def tangency_verdicts(values: tuple[float, float, float, float]) -> tuple[bool, bool]:
+    """Whether vieta_partner refuses the four float curvatures, and whether the
+    gasket's residual audit refuses them."""
+    try:
+        vieta_partner(Curvatures(values=values, n=2, mode="float"), 0)
+        partner_refused = False
+    except InconsistentConfigurationError:
+        partner_refused = True
+    b, _ = _build_initial((-1.0, 2.0, 2.0))
+    b.curvatures.extend(values)
+    try:
+        b.audit_residual(tuple(range(len(b.curvatures) - 4, len(b.curvatures))))
+        audit_refused = False
+    except GeometryError:
+        audit_refused = True
+    return partner_refused, audit_refused
+
+
+def moved_root_quadruple(scale: float, index: int, offset: float) -> tuple[float, ...]:
+    """(-1, 2, 2, 3) * scale with entry ``index`` moved by the relative ``offset``."""
+    values = [scale * v for v in (-1.0, 2.0, 2.0, 3.0)]
+    values[index] *= 1.0 + offset
+    return tuple(values)
+
+
+@given(
+    exponent=st.floats(-6, 6),
+    index=st.integers(0, 3),
+    # relative offsets from 1e-13 to 1e-2: the tolerance's edge is near 5e-10
+    # for the first entry and near 3e-5 for the last, whose residual is quadratic
+    magnitude=st.floats(-13, -2),
+    sign=st.sampled_from([-1.0, 1.0]),
+)
+@settings(max_examples=300, deadline=None)
+def test_partner_and_gasket_audit_refuse_the_same_quadruples(exponent, index, magnitude, sign):
+    values = moved_root_quadruple(10.0**exponent, index, sign * 10.0**magnitude)
+    partner_refused, audit_refused = tangency_verdicts(values)
+    assert partner_refused == audit_refused
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+@pytest.mark.parametrize("index", range(4))
+def test_moved_quadruples_reach_both_verdicts(scale, index):
+    assert tangency_verdicts(moved_root_quadruple(scale, index, 1e-13)) == (False, False)
+    assert tangency_verdicts(moved_root_quadruple(scale, index, 1e-2)) == (True, True)
 
 
 # magnitudes on both sides of 1e154, where (r_i + r_j)^2 passes the float range
