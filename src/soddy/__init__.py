@@ -4,127 +4,62 @@ Exact rational Cayley-Menger determinants, curvature solving for tangent
 configurations in any dimension, an executable audit of the matrix
 identities behind them, float realization of centers, and Apollonian gasket
 generation with deterministic SVG output.
+
+``import soddy`` loads no submodule: each public name, and each submodule
+attribute such as ``soddy.gasket``, imports its defining submodule on first
+use (PEP 562), so a caller pays only for the modules it touches.
 """
 
-from .cayley_menger import (
-    SquaredDistanceMatrix,
-    VolumeSquared,
-    build_cm_matrix,
-    cm_determinant,
-    heron_area_squared,
-    heron_area_squared_from_squares,
-    is_degenerate,
-    volume_squared,
-    volume_squared_from_coordinates,
-)
-from .embedding import EmbeddedPoints, append_point, realize_points
-from .errors import (
-    AmbiguousSolutionError,
-    DimensionError,
-    FloatModeRequiredError,
-    GeometryError,
-    InconsistentConfigurationError,
-    ModeMismatchError,
-    NegativeEigenvalueError,
-    NonFiniteError,
-    NoRealSolutionError,
-    NoSolutionError,
-    RankExceedsDimError,
-    SeedError,
-    SoddyError,
-    ValidationError,
-)
-from .gasket import Circle, Gasket, gasket_to_dict, generate, initial_configuration, render_svg
-from .numeric import EXACT, FLOAT, Matrix, Scalar, determinant
-from .proof_witness import (
-    IdentityCheck,
-    ProofReport,
-    build_P,
-    build_Q,
-    build_S,
-    build_U,
-    build_W,
-    check_reduction_chain,
-    check_S_properties,
-    check_UWU_congruence,
-    s_determinant_formula,
-    s_inverse_formula,
-)
-from .tangency import (
-    Curvatures,
-    SignedRadii,
-    curvatures_from_radii,
-    descartes_residual,
-    factored_volume_squared,
-    radii_from_curvatures,
-    solve_missing_curvature,
-    tangency_squared_distances,
-    validate_curvatures,
-    validate_radii,
-    vieta_partner,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "EXACT",
-    "FLOAT",
-    "AmbiguousSolutionError",
-    "Circle",
-    "Curvatures",
-    "DimensionError",
-    "EmbeddedPoints",
-    "FloatModeRequiredError",
-    "Gasket",
-    "GeometryError",
-    "IdentityCheck",
-    "InconsistentConfigurationError",
-    "Matrix",
-    "ModeMismatchError",
-    "NegativeEigenvalueError",
-    "NonFiniteError",
-    "NoRealSolutionError",
-    "NoSolutionError",
-    "ProofReport",
-    "RankExceedsDimError",
-    "Scalar",
-    "SeedError",
-    "SignedRadii",
-    "SoddyError",
-    "SquaredDistanceMatrix",
-    "ValidationError",
-    "VolumeSquared",
-    "append_point",
-    "build_P",
-    "build_Q",
-    "build_S",
-    "build_U",
-    "build_W",
-    "build_cm_matrix",
-    "check_S_properties",
-    "check_UWU_congruence",
-    "check_reduction_chain",
-    "cm_determinant",
-    "curvatures_from_radii",
-    "descartes_residual",
-    "determinant",
-    "factored_volume_squared",
-    "gasket_to_dict",
-    "generate",
-    "heron_area_squared",
-    "heron_area_squared_from_squares",
-    "initial_configuration",
-    "is_degenerate",
-    "radii_from_curvatures",
-    "realize_points",
-    "render_svg",
-    "s_determinant_formula",
-    "s_inverse_formula",
-    "solve_missing_curvature",
-    "tangency_squared_distances",
-    "validate_curvatures",
-    "validate_radii",
-    "vieta_partner",
-    "volume_squared",
-    "volume_squared_from_coordinates",
-]
+#: Each public name under the submodule that defines it.
+_EXPORTS = {
+    "cayley_menger": (
+        "SquaredDistanceMatrix", "VolumeSquared", "build_cm_matrix", "cm_determinant",
+        "heron_area_squared", "heron_area_squared_from_squares", "is_degenerate", "volume_squared",
+        "volume_squared_from_coordinates",
+    ),
+    "embedding": ("EmbeddedPoints", "append_point", "realize_points"),
+    "errors": (
+        "AmbiguousSolutionError", "DimensionError", "FloatModeRequiredError", "GeometryError",
+        "InconsistentConfigurationError", "ModeMismatchError", "NegativeEigenvalueError",
+        "NonFiniteError", "NoRealSolutionError", "NoSolutionError", "RankExceedsDimError",
+        "SeedError", "SoddyError", "ValidationError",
+    ),
+    "gasket": (
+        "Circle", "Gasket", "gasket_to_dict", "generate", "initial_configuration", "render_svg",
+    ),
+    "numeric": ("EXACT", "FLOAT", "Matrix", "Scalar", "determinant"),
+    "proof_witness": (
+        "IdentityCheck", "ProofReport", "build_P", "build_Q", "build_S", "build_U", "build_W",
+        "check_reduction_chain", "check_S_properties", "check_UWU_congruence",
+        "s_determinant_formula", "s_inverse_formula",
+    ),
+    "serialize": (),  # no public names; listed so that soddy.serialize resolves
+    "tangency": (
+        "Curvatures", "SignedRadii", "curvatures_from_radii", "descartes_residual",
+        "factored_volume_squared", "radii_from_curvatures", "solve_missing_curvature",
+        "tangency_squared_distances", "validate_curvatures", "validate_radii", "vieta_partner",
+    ),
+}
+
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_OWNER)
+
+
+def __getattr__(name: str):
+    if name in _OWNER:
+        value = getattr(importlib.import_module(f".{_OWNER[name]}", __name__), name)
+    elif name in _EXPORTS:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -6,6 +6,9 @@ Rationals serialize as ``{"num": "...", "den": "..."}`` strings so exact
 values are never silently converted to float.  Diagnostics go to stderr,
 SVG to a file path.  Exit codes: 0 success, 1 validation/usage error,
 2 computational failure.
+
+``gasket`` and ``proof_witness`` are imported only by the ``gasket`` and
+``verify-proof`` subcommands, so no other call loads them.
 """
 
 from __future__ import annotations
@@ -24,10 +27,7 @@ from .cayley_menger import (
 )
 from .embedding import realize_points
 from .errors import SoddyError, ValidationError
-from .gasket import gasket_to_dict, generate, render_svg
 from .numeric import EXACT, FLOAT, coerce_vector
-from .proof_witness import ProofReport, _closed_forms, check_reduction_chain, check_S_properties
-from .proof_witness import check_UWU_congruence
 from .serialize import parse_rational, scalar_to_json, value_to_json
 from .tangency import (
     _factored_determinant,
@@ -72,6 +72,8 @@ def _parse_matrix(args) -> SquaredDistanceMatrix:
         raw = json.loads(text, parse_float=parse_rational)
     except ValueError as exc:
         raise ValidationError(f"matrix is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ValidationError("matrix is nested too deeply to parse") from exc
     if not isinstance(raw, list) or not all(isinstance(r, list) for r in raw):
         raise ValidationError("matrix must be a JSON array of arrays")
     rows = [[parse_rational(v) if isinstance(v, str) else v for v in r] for r in raw]
@@ -156,6 +158,8 @@ def _random_points(rng: random.Random, m: int) -> list[list[Fraction]]:
 
 
 def _cmd_verify_proof(args):
+    from . import proof_witness
+
     if args.radii is None and args.random is None:
         raise ValidationError("pass --radii or --random N")
     if args.random is not None and args.random < 1:
@@ -178,19 +182,19 @@ def _cmd_verify_proof(args):
         values = _parse_scalars(args.radii, EXACT)
         n = len(values) - 2
         r = validate_radii(values, n, strict=False)
-        for _, value in _closed_forms(r):  # refuse before the audit what to_dict would refuse
+        for _, value in proof_witness._closed_forms(r):  # refuse before the audit what to_dict would refuse
             value_to_json(value)
-        reports.append(check_S_properties(n))
-        reports.append(check_reduction_chain(r))
+        reports.append(proof_witness.check_S_properties(n))
+        reports.append(proof_witness.check_reduction_chain(r))
     if args.random is not None:
         n = args.dim
         rng = random.Random(args.rng_seed)
-        reports.append(check_S_properties(n))
+        reports.append(proof_witness.check_S_properties(n))
         for _ in range(args.random):
             r = validate_radii(_random_radii(rng, n), n, strict=False)
-            reports.append(check_reduction_chain(r))
-            reports.append(check_UWU_congruence(_random_points(rng, n + 2)))
-    report = ProofReport.combine(reports)
+            reports.append(proof_witness.check_reduction_chain(r))
+            reports.append(proof_witness.check_UWU_congruence(_random_points(rng, n + 2)))
+    report = proof_witness.ProofReport.combine(reports)
     result = report.to_dict()  # refuses a value too long to print before any line is written
     for line in report.lines():
         print(line, file=sys.stderr)
@@ -212,6 +216,8 @@ def _write(path: str, text: str) -> None:
 
 
 def _cmd_gasket(args):
+    from .gasket import gasket_to_dict, generate, render_svg
+
     seed = _parse_scalars(args.seed, FLOAT)
     g = generate(seed, args.depth)
     written = {}

@@ -147,8 +147,8 @@ class TestVerifyProof:
         def audit(*_):
             raise AssertionError("the audit ran")
 
-        monkeypatch.setattr("soddy.cli.check_S_properties", audit)
-        monkeypatch.setattr("soddy.cli.check_reduction_chain", audit)
+        monkeypatch.setattr("soddy.proof_witness.check_S_properties", audit)
+        monkeypatch.setattr("soddy.proof_witness.check_reduction_chain", audit)
         radii = "1e4300,1e-4300,1e3000,1,1e308,1e-308,1e155,2"
         code, out, _ = call(["verify-proof", "--radii", radii])
         assert code == 1
@@ -169,7 +169,7 @@ class TestVerifyProof:
             raise AssertionError("the audit ran")
 
         for name in ("check_S_properties", "check_reduction_chain", "check_UWU_congruence"):
-            monkeypatch.setattr(f"soddy.cli.{name}", audit)
+            monkeypatch.setattr(f"soddy.proof_witness.{name}", audit)
         code, out, err = call(["verify-proof", *argv])
         assert code == 1
         assert out.count("\n") == 1
@@ -188,7 +188,7 @@ class TestVerifyProof:
             raise AssertionError("the audit ran")
 
         for name in ("check_S_properties", "check_reduction_chain", "check_UWU_congruence"):
-            monkeypatch.setattr(f"soddy.cli.{name}", audit)
+            monkeypatch.setattr(f"soddy.proof_witness.{name}", audit)
         code, out, err = call(["verify-proof", *argv])
         assert code == 1
         assert out.count("\n") == 1
@@ -289,6 +289,12 @@ class TestCmDetAndVolume:
     def test_bad_json_rejected(self, call):
         code, out, _ = call(["cm-det", "--matrix", "not json"])
         assert code == 1
+
+    @pytest.mark.parametrize("command", ["cm-det", "volume"])
+    def test_deeply_nested_matrix_is_one_validation_envelope(self, call, command):
+        code, out, _ = call([command, "--matrix", "[" * 100_000 + "]" * 100_000])
+        assert code == 1
+        assert json.loads(out)["error"] == {"kind": "validation", "message": "matrix is nested too deeply to parse"}
 
 
 class TestIdentityCheck:
@@ -454,6 +460,47 @@ def test_import_leaves_numpy_unloaded_until_embed():
     embed, _ = decoder.raw_decode(proc.stdout, end + 1)
     assert verify["ok"] is True
     assert len(embed["result"]["centers"]) == 4
+
+
+def test_deeply_nested_matrix_from_stdin_subprocess():
+    proc = subprocess.run(
+        [sys.executable, "-m", "soddy", "cm-det"],
+        input="[" * 100_000 + "]" * 100_000,
+        capture_output=True,
+        text=True,
+        env=CHILD_ENV,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["error"] == {"kind": "validation", "message": "matrix is nested too deeply to parse"}
+
+
+def test_each_subcommand_loads_gasket_and_proof_witness_only_when_it_runs_them():
+    script = (
+        "import sys\n"
+        "import soddy.cli\n"
+        "def loaded():\n"
+        "    return sorted(m for m in ('soddy.gasket', 'soddy.proof_witness') if m in sys.modules)\n"
+        "assert loaded() == [], f'import soddy.cli loaded {loaded()}'\n"
+        "for argv in (\n"
+        "    ['residual', '--n', '2', '--curvatures', '-1,2,2,3'],\n"
+        "    ['solve', '--n', '2', '--curvatures', '-1,2,2'],\n"
+        "    ['cm-det', '--matrix', '[[0,9,16],[9,0,25],[16,25,0]]'],\n"
+        "    ['volume', '--matrix', '[[0,9,16],[9,0,25],[16,25,0]]'],\n"
+        "    ['identity-check', '--n', '2', '--radii', '-1,1/2,1/2,1/3'],\n"
+        "    ['embed', '--n', '2', '--radii', '-1,1/2,1/2,1/3'],\n"
+        "):\n"
+        "    assert soddy.cli.run(argv) == 0, argv\n"
+        "    assert loaded() == [], f'{argv[0]} loaded {loaded()}'\n"
+        "assert soddy.cli.run(['gasket', '--seed', '-1,2,2', '--depth', '1']) == 0\n"
+        "assert loaded() == ['soddy.gasket'], f'gasket loaded {loaded()}'\n"
+        "assert soddy.cli.run(['verify-proof', '--radii', '-1,1/2,1/2,1/3']) == 0\n"
+        "assert loaded() == ['soddy.gasket', 'soddy.proof_witness'], f'verify-proof loaded {loaded()}'\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=CHILD_ENV
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_matrix_from_stdin_subprocess():

@@ -4,11 +4,18 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import soddy
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_every_public_name_resolves():
@@ -33,3 +40,36 @@ def test_every_traced_name_resolves():
             assert name in owner, f"{module_name}.{attr}"
         else:
             assert hasattr(owner, name), f"{module_name}.{attr}"
+
+
+def test_import_loads_no_submodule():
+    script = "import sys, soddy; print(sorted(m for m in sys.modules if m.startswith('soddy.')))"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_every_public_name_is_its_defining_module_object():
+    for name in soddy.__all__:
+        owner = importlib.import_module(f"soddy.{soddy._OWNER[name]}")
+        value = getattr(soddy, name)
+        assert value is getattr(owner, name), name
+        if inspect.isclass(value) or inspect.isfunction(value):
+            assert value.__module__ == owner.__name__, name
+
+
+def test_submodules_resolve_as_attributes():
+    assert soddy.gasket is importlib.import_module("soddy.gasket")
+    assert soddy.numeric is importlib.import_module("soddy.numeric")
+
+
+def test_unknown_name_is_refused():
+    with pytest.raises(AttributeError):
+        soddy.no_such_name
+    with pytest.raises(ImportError):
+        exec("from soddy import no_such_name", {})
+
+
+def test_dir_lists_the_public_names():
+    assert set(soddy.__all__) <= set(dir(soddy))
