@@ -2,17 +2,21 @@
 
 Two computation modes, never mixed inside one object or operation:
 
-* ``"exact"`` -- entries are :class:`fractions.Fraction`; arithmetic is
-  closed and roundoff-free.
+* ``"exact"`` -- entries are rationals, given as ints or Fractions and read
+  back as :class:`fractions.Fraction`; arithmetic is closed and roundoff-free.
 * ``"float"`` -- entries are finite 64-bit floats; NaN/inf is rejected at
   construction.
 
-Both modes share one integer form for products and determinants: an
-operand is its integer rows over one denominator, the lcm of all its
-entries' denominators (:func:`_integer_rows`).  The work runs on Python
-ints -- dot products for ``@``, fraction-free (Bareiss) elimination for
-:func:`determinant` -- and Fractions are built only for the results.  A
-symmetric integer matrix has its own elimination, :func:`symmetric_bareiss`.
+Products and determinants run on one integer form: integer rows over one
+positive denominator.  Exact matrices *are* that form, normalised so the
+gcd of the entries and the denominator is 1 (equal values, equal forms);
+a float matrix is put in it, over the lcm of its entries' denominators
+(:func:`_integer_rows`), for each product or determinant.  The work runs on
+Python ints -- dot products for ``@``, fraction-free (Bareiss) elimination
+for :func:`determinant` -- and a Fraction is built only where a caller asks
+for one: an exact matrix's ``data``, ``at``, ``row``, ``to_rows``, ``repr``
+and ``hash``, and an exact determinant.  A symmetric integer matrix has its
+own elimination, :func:`symmetric_bareiss`.
 
 Scalars enter and leave their mode only here.  :func:`coerce_vector` is the
 one place a mode is inferred; :func:`as_exact` and :func:`as_float` build a
@@ -33,8 +37,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from numbers import Integral, Rational, Real
 from typing import Iterable, Sequence, Union
 
@@ -100,6 +104,7 @@ def coerce_vector(values: Sequence, mode: str | None = None) -> tuple[tuple[Scal
     Mixing floats with non-integer rationals raises, since that almost always
     signals an accidental loss of exactness.  Only types other than int,
     Fraction and float (numpy scalars, bools, ...) take abstract-class checks.
+    A mode other than ``"exact"`` or ``"float"`` is a :class:`ValidationError`.
     """
     if mode is None:
         kinds = set(map(type, values))
@@ -108,25 +113,27 @@ def coerce_vector(values: Sequence, mode: str | None = None) -> tuple[tuple[Scal
         if float in kinds and Fraction in kinds:
             raise ModeMismatchError("cannot mix floats and fractions in one computation")
         mode = FLOAT if float in kinds else EXACT
-    return tuple(map(as_exact if mode == EXACT else as_float, values)), mode
+    return tuple(map(as_exact if _known(mode) == EXACT else as_float, values)), mode
 
 
-@dataclass(frozen=True)
 class Matrix:
-    """Immutable dense row-major matrix with a uniform scalar mode."""
+    """Immutable dense row-major matrix with a uniform scalar mode.
 
-    rows: int
-    cols: int
-    data: tuple[Scalar, ...]
-    mode: str
+    Stored as ``_num``, the entries row by row, over ``_den``: integers over
+    a positive denominator in lowest terms in exact mode, floats over 1 in
+    float mode.  The constructor coerces ``data`` as :meth:`from_rows` does.
+    """
 
-    def __post_init__(self):
-        if self.rows <= 0 or self.cols <= 0:
+    def __init__(self, rows: int, cols: int, data: Sequence, mode: str):
+        if rows <= 0 or cols <= 0:
             raise DimensionError("matrix dimensions must be positive")
-        if len(self.data) != self.rows * self.cols:
-            raise DimensionError(
-                f"expected {self.rows * self.cols} entries, got {len(self.data)}"
-            )
+        if len(data) != rows * cols:
+            raise DimensionError(f"expected {rows * cols} entries, got {len(data)}")
+        self._set(rows, cols, *_entries(data, _known(mode)))
+
+    def _set(self, rows: int, cols: int, num: tuple, den: int, mode: str) -> "Matrix":
+        self.__dict__.update(rows=rows, cols=cols, mode=mode, _num=num, _den=den)
+        return self
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence], mode: str | None = None) -> "Matrix":
@@ -135,25 +142,59 @@ class Matrix:
         ncols = len(rows[0])
         if any(len(r) != ncols for r in rows):
             raise DimensionError("ragged rows")
-        data, mode = coerce_vector([v for r in rows for v in r], mode)
-        return cls(len(rows), ncols, data, mode)
+        return object.__new__(cls)._set(len(rows), ncols, *_entries([v for r in rows for v in r], mode))
+
+    @classmethod
+    def _from_integer_rows(cls, rows: Sequence[Sequence[int]], den: int) -> "Matrix":
+        """The exact matrix rows / den, for integer rows and den > 0."""
+        num = [v for r in rows for v in r]
+        g = math.gcd(den, *num)
+        if g > 1:
+            num, den = [v // g for v in num], den // g
+        return object.__new__(cls)._set(len(rows), len(rows[0]), tuple(num), den, EXACT)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
         return cls.from_rows([[int(i == j) for j in range(n)] for i in range(n)], EXACT)
 
+    def _scalars(self, values: Iterable) -> tuple[Scalar, ...]:
+        if self.mode == FLOAT:
+            return tuple(values)
+        den = self._den
+        return tuple(Fraction(v, den) for v in values)
+
+    @property
+    def data(self) -> tuple[Scalar, ...]:
+        return self._scalars(self._num)
+
     def at(self, i: int, j: int) -> Scalar:
-        return self.data[i * self.cols + j]
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError(f"entry ({i}, {j}) is outside a {self.rows}x{self.cols} matrix")
+        return self._scalars((self._num[i * self.cols + j],))[0]
 
     def row(self, i: int) -> tuple[Scalar, ...]:
-        return self.data[i * self.cols : (i + 1) * self.cols]
+        if not 0 <= i < self.rows:
+            raise IndexError(f"row {i} is outside a {self.rows}x{self.cols} matrix")
+        return self._scalars(self._num[i * self.cols : (i + 1) * self.cols])
 
     def to_rows(self) -> list[list[Scalar]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
+    def _ratio_rows(self) -> list[list[tuple[int, int]]]:
+        """An exact matrix's rows of (numerator, denominator) pairs in lowest terms."""
+        den, c = self._den, self.cols
+        pairs = [(v // g, den // g) for v in self._num for g in (math.gcd(v, den),)]
+        return [pairs[k : k + c] for k in range(0, len(pairs), c)]
+
+    def _as_integer_rows(self) -> tuple[list[list[int]], int]:
+        """Fresh integer rows and one positive denominator: rows / den is the matrix."""
+        c, num = self.cols, self._num
+        rows = [list(num[k : k + c]) for k in range(0, len(num), c)]
+        return _integer_rows(rows) if self.mode == FLOAT else (rows, self._den)
+
     def transpose(self) -> "Matrix":
-        data = tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows))
-        return Matrix(self.cols, self.rows, data, self.mode)
+        num = tuple(chain.from_iterable(self._num[j :: self.cols] for j in range(self.cols)))
+        return object.__new__(Matrix)._set(self.cols, self.rows, num, self._den, self.mode)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         """Matrix product, exact in both modes.
@@ -169,14 +210,49 @@ class Matrix:
             raise ModeMismatchError("matrix product across modes")
         if self.cols != other.rows:
             raise DimensionError(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        a, a_den = _integer_rows(self.row(i) for i in range(self.rows))
-        b, b_den = _integer_rows(other.row(i) for i in range(other.rows))
+        a, a_den = self._as_integer_rows()
+        b, b_den = other._as_integer_rows()
         b_cols = list(zip(*b))
+        out = [[sum(map(operator.mul, a_i, b_j)) for b_j in b_cols] for a_i in a]
+        if self.mode == EXACT:
+            return Matrix._from_integer_rows(out, a_den * b_den)
         den = a_den * b_den
-        out = [Fraction(sum(map(operator.mul, a_i, b_j)), den) for a_i in a for b_j in b_cols]
-        if self.mode == FLOAT:
-            out = [from_exact(v, FLOAT, "matrix product") for v in out]
-        return Matrix(self.rows, other.cols, tuple(out), self.mode)
+        data = tuple(from_exact(Fraction(v, den), FLOAT, "matrix product") for r in out for v in r)
+        return object.__new__(Matrix)._set(self.rows, other.cols, data, 1, FLOAT)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__  # rows, cols, mode and the stored form
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols, self.data, self.mode))
+
+    def __repr__(self) -> str:
+        return f"Matrix(rows={self.rows!r}, cols={self.cols!r}, data={self.data!r}, mode={self.mode!r})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"Matrix is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+
+def _known(mode: str) -> str:
+    if mode not in (EXACT, FLOAT):
+        raise ValidationError(f"unknown mode {mode!r}")
+    return mode
+
+
+def _entries(values: Sequence, mode: str | None) -> tuple[tuple, int, str]:
+    """Numerators, denominator and mode of the values coerced as by
+    :func:`coerce_vector`: exact values as integers over one denominator, with
+    no Fraction built for int or Fraction input; floats as they are, over 1."""
+    if mode not in (None, EXACT) or not set(map(type, values)) <= {int, Fraction}:
+        values, mode = coerce_vector(values, mode)
+        if mode == FLOAT:
+            return values, 1, FLOAT
+    (num,), den = _integer_rows([values])
+    return tuple(num), den, EXACT
 
 
 def _integer_rows(rows: Iterable[Sequence[Scalar]]) -> tuple[list[list[int]], int]:
@@ -217,7 +293,7 @@ def _exact_determinant(m: Matrix) -> Fraction:
     n = m.rows
     if m.cols != n:
         raise DimensionError(f"matrix is {m.rows}x{m.cols}, not square")
-    a, den = _integer_rows(m.row(i) for i in range(n))
+    a, den = m._as_integer_rows()
     sign = 1
     prev = 1
     for k in range(n - 1):

@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 from .cayley_menger import SquaredDistanceMatrix, _simplex_size, build_cm_matrix, cm_determinant
 from .errors import DimensionError, ModeMismatchError
 from .numeric import EXACT, Matrix, _integer_rows, as_exact, determinant
-from .serialize import format_scalar, value_to_json
+from .serialize import format_matrix, format_scalar, value_to_json
 from .tangency import (
     SignedRadii,
     _factored_determinant,
@@ -87,10 +87,7 @@ class ProofReport:
 
 
 def _render(value) -> str:
-    if isinstance(value, Matrix):
-        rows = value.to_rows()
-        return "[" + "; ".join(" ".join(format_scalar(v) for v in row) for row in rows) + "]"
-    return format_scalar(value)
+    return format_matrix(value) if isinstance(value, Matrix) else format_scalar(value)
 
 
 def _check(name: str, n: int, lhs, rhs) -> IdentityCheck:
@@ -102,31 +99,28 @@ def _matrix(size: int, entry: Callable[[int, int], object]) -> Matrix:
     return Matrix.from_rows([[entry(i, j) for j in range(size)] for i in range(size)], EXACT)
 
 
-def _bordered(border: Sequence, core: Matrix) -> Matrix:
-    """[[0, b^T], [b, B]]: row and column 0 hold (0, b), the rest is B."""
-    b = (0, *border)
-    return _matrix(core.rows + 1, lambda i, j: core.at(i - 1, j - 1) if i and j else b[i + j])
+def _bordered(border: Sequence[int], core: Sequence[Sequence[int]], den: int) -> Matrix:
+    """[[0, b^T], [b, B]] / den, for integers b and B: row and column 0 hold
+    (0, b), the rest is B."""
+    return Matrix._from_integer_rows([[0, *border]] + [[x, *row] for x, row in zip(border, core)], den)
 
 
-def _scaled_points(points: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[list[int]], int]:
-    """The points checked and made exact once, and the same points as integer
-    coordinates over one L: x == X / L, so |x|^2 and |x - y|^2 are integer
-    sums over L^2."""
+def _scaled_points(points: Sequence[Sequence]) -> tuple[list[list[int]], int]:
+    """The points checked and made exact once, as integer coordinates over
+    one L: x == X / L, so |x|^2 and |x - y|^2 are integer sums over L^2."""
     _simplex_size(points)
     try:
         pts = [[as_exact(v) for v in p] for p in points]
     except ModeMismatchError:
         raise ModeMismatchError("proof witness runs in exact mode only") from None
-    return (pts, *_integer_rows(pts))
+    return _integer_rows(pts)
 
 
-def _lifted_U(pts: list[list[Fraction]], scaled: list[list[int]], den: int) -> Matrix:
-    m, den2 = len(pts), den * den
-    # column j > 0 is the lifted point (|x_j|^2, 1, x_j)
-    columns = [(1, *[0] * m)] + [
-        (Fraction(sum(c * c for c in x), den2), 1, *p) for p, x in zip(pts, scaled)
-    ]
-    return _matrix(m + 1, lambda i, j: columns[j][i])
+def _lifted_U(scaled: list[list[int]], den: int) -> Matrix:
+    m, den2 = len(scaled), den * den
+    # column j > 0 is the lifted point (|x_j|^2, 1, x_j), all times L^2
+    columns = [(den2, *[0] * m)] + [(sum(c * c for c in x), den2, *[c * den for c in x]) for x in scaled]
+    return Matrix._from_integer_rows(list(zip(*columns)), den2)
 
 
 def build_U(points: Sequence[Sequence]) -> Matrix:
@@ -147,9 +141,9 @@ def build_W(m: int) -> Matrix:
 
 def check_UWU_congruence(points: Sequence[Sequence]) -> ProofReport:
     """U^T W U = D entrywise, and det(D) = det(U)^2 det(W)."""
-    pts, scaled, den = _scaled_points(points)
-    m, den2 = len(pts), den * den
-    u = _lifted_U(pts, scaled, den)
+    scaled, den = _scaled_points(points)
+    m, den2 = len(scaled), den * den
+    u = _lifted_U(scaled, den)
     w = build_W(m)
     squared = [[0] * m for _ in range(m)]
     for i, x in enumerate(scaled):
@@ -223,7 +217,7 @@ def check_S_properties(n: int) -> ProofReport:
     if n == 2:
         entries.append(_check("S^2 = 16I", n, s @ s, _matrix(size, lambda i, j: 16 * (i == j))))
         entries.append(_check("det(S) = -256", n, determinant(s), -256))
-        s_over_16 = _matrix(size, lambda i, j: s.at(i, j) / 16)
+        s_over_16 = Matrix._from_integer_rows(s._as_integer_rows()[0], 16)
         entries.append(_check("S^-1 = S/16", n, s_inverse_formula(n), s_over_16))
     return ProofReport(entries=tuple(entries))
 
@@ -235,13 +229,18 @@ def _closed_forms(r: SignedRadii) -> tuple:
     n, m = r.n, len(r.values)
     k = curvatures_from_radii(r)
     s = build_S(n)
-    r_s_r = _matrix(m, lambda i, j: r.values[i] * s.at(i, j) * r.values[j])
+    s_rows = s._as_integer_rows()[0]
+    # r_i S_ij r_j is an integer over L^2 for radii R_i / L, and k_i S_ij one over K for k_i = C_i / K
+    (rad,), r_den = _integer_rows([r.values])
+    (curv,), k_den = _integer_rows([k.values])
+    r_s_r = [[a * x * b for x, b in zip(row, rad)] for a, row in zip(rad, s_rows)]
+    k_s = [[k_den * x for x in row] for row in s_rows]
     k_col = Matrix(m, 1, k.values, EXACT)
     kt_sinv_k = (k_col.transpose() @ s_inverse_formula(n) @ k_col).at(0, 0)
     factored = _factored_determinant(r)
     return (
-        ("PtDP matches eliminated form", _bordered([1] * m, r_s_r)),
-        ("QtPtDPQ matches bordered block form", _bordered(k.values, s)),
+        ("PtDP matches eliminated form", _bordered([r_den**2] * m, r_s_r, r_den**2)),
+        ("QtPtDPQ matches bordered block form", _bordered(curv, k_s, k_den)),
         ("block determinant rule", -determinant(s) * kt_sinv_k),
         ("block value is scaled residual", factored / r.product() ** 2),
         ("det(D) recovers scaled residual", factored),

@@ -15,7 +15,7 @@ from fractions import Fraction
 from numbers import Integral
 
 from .errors import ValidationError
-from .numeric import Matrix, as_float
+from .numeric import EXACT, Matrix, as_float
 
 #: Bound on the magnitude of a parsed decimal exponent: 10^4300 has as many
 #: digits as Python prints of an int by default.
@@ -24,13 +24,20 @@ MAX_EXPONENT = 4300
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*$")
 
 
-def _decimal(q) -> tuple[str, str] | int:
+def _decimal(num: int, den: int) -> tuple[str, str] | int:
     """A rational's numerator and denominator in decimal, read as they are,
     or the longer one's digit count past Python's."""
     try:
-        return str(q.numerator), str(q.denominator)
+        return str(num), str(den)
     except ValueError:
-        return int(max(abs(q.numerator), q.denominator).bit_length() * math.log10(2)) + 1
+        return int(max(abs(num), den).bit_length() * math.log10(2)) + 1
+
+
+def _rational_to_json(num: int, den: int) -> dict:
+    parts = _decimal(num, den)
+    if isinstance(parts, int):
+        raise ValidationError(f"result of about {parts} digits is too long to print")
+    return {"num": parts[0], "den": parts[1]}
 
 
 def scalar_to_json(value):
@@ -39,16 +46,15 @@ def scalar_to_json(value):
     if isinstance(value, float):
         return as_float(value)
     if isinstance(value, (Fraction, Integral)):
-        parts = _decimal(value)
-        if isinstance(parts, int):
-            raise ValidationError(f"result of about {parts} digits is too long to print")
-        return {"num": parts[0], "den": parts[1]}
+        return _rational_to_json(value.numerator, value.denominator)
     raise ValidationError(f"cannot serialize {value!r}")
 
 
 def value_to_json(value):
     """A scalar, or a matrix as a list of rows of scalars."""
     if isinstance(value, Matrix):
+        if value.mode == EXACT:
+            return [[_rational_to_json(*q) for q in row] for row in value._ratio_rows()]
         return [[scalar_to_json(v) for v in row] for row in value.to_rows()]
     return scalar_to_json(value)
 
@@ -67,11 +73,24 @@ def parse_rational(text: str) -> Fraction:
         raise ValidationError(f"cannot parse {text!r} as a rational") from exc
 
 
+def _format_rational(num: int, den: int) -> str:
+    parts = _decimal(num, den)
+    if isinstance(parts, int):
+        return f"<about {parts} digits>"
+    return parts[0] if den == 1 else "/".join(parts)
+
+
 def format_scalar(value) -> str:
     """A float as its repr, a rational as 'p', 'p/q' or, too long to print, '<about N digits>'."""
     if isinstance(value, float):
         return repr(value)
-    parts = _decimal(value)
-    if isinstance(parts, int):
-        return f"<about {parts} digits>"
-    return parts[0] if parts[1] == "1" else "/".join(parts)
+    return _format_rational(value.numerator, value.denominator)
+
+
+def format_matrix(m: Matrix) -> str:
+    """'[a b; c d]', each entry as :func:`format_scalar` writes it."""
+    if m.mode == EXACT:
+        rows = [[_format_rational(*q) for q in row] for row in m._ratio_rows()]
+    else:
+        rows = [[format_scalar(v) for v in row] for row in m.to_rows()]
+    return "[" + "; ".join(" ".join(row) for row in rows) + "]"

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+import math
+import pickle
 from fractions import Fraction
 from numbers import Integral, Rational
 
@@ -31,6 +34,8 @@ from soddy.numeric import (
     determinant,
     symmetric_bareiss,
 )
+from soddy.proof_witness import IdentityCheck
+from soddy.serialize import format_matrix, format_scalar, scalar_to_json, value_to_json
 from soddy.tangency import (
     Curvatures,
     SignedRadii,
@@ -625,3 +630,221 @@ def test_result_mode_follows_input_mode(case):
     got = scalars_of(call())
     assert [type(v) for v in got] == [type(v) for v in expected]
     assert list(map(repr, got)) == list(map(repr, expected))
+
+
+# Exact matrices are integer rows over one denominator; every answer they
+# give must equal that of a plain-Fraction model of the same rows.
+
+EXACT_ENTRIES = st.one_of(
+    st.just(0),
+    st.integers(-(10**6), 10**6),
+    st.fractions(max_denominator=12),
+    st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**30)),  # large denominators
+)
+# one factor times every entry, so the entries share factors with each other
+# and with their common denominator
+COMMON_FACTORS = st.sampled_from([1, 6, 2**40, Fraction(1, 12), Fraction(35, 2**50)])
+
+
+@st.composite
+def exact_rows(draw, rows=None, cols=None):
+    rows = rows or draw(st.integers(1, 4))
+    cols = cols or draw(st.integers(1, 4))
+    factor = draw(COMMON_FACTORS)
+    return [[draw(EXACT_ENTRIES) * factor for _ in range(cols)] for _ in range(rows)]
+
+
+def fraction_model(rows) -> list[list[Fraction]]:
+    return [[Fraction(v) for v in row] for row in rows]
+
+
+def leibniz_det(rows) -> Fraction:
+    """Reference determinant: the sum over permutations, in Fractions."""
+    total = Fraction(0)
+    for perm in itertools.permutations(range(len(rows))):
+        inversions = sum(perm[i] > perm[j] for i in range(len(perm)) for j in range(i + 1, len(perm)))
+        total += (-1) ** inversions * math.prod((rows[i][p] for i, p in enumerate(perm)), start=Fraction(1))
+    return total
+
+
+@given(rows=exact_rows())
+@settings(max_examples=200, deadline=None)
+def test_exact_matrix_reads_as_its_fraction_model(rows):
+    want = fraction_model(rows)
+    r, c = len(want), len(want[0])
+    flat = tuple(v for row in want for v in row)
+    given_flat = [v for row in rows for v in row]
+    for m in (Matrix.from_rows(rows), Matrix.from_rows(rows, EXACT), Matrix(r, c, given_flat, EXACT)):
+        assert m.mode == EXACT and (m.rows, m.cols) == (r, c)
+        assert m.data == flat and all(type(v) is Fraction for v in m.data)
+        assert m.to_rows() == want
+        assert all(m.row(i) == tuple(want[i]) for i in range(r))
+        for i, j in itertools.product(range(r), range(c)):
+            assert type(m.at(i, j)) is Fraction and m.at(i, j) == want[i][j]
+        assert m.transpose().to_rows() == [list(col) for col in zip(*want)]
+    assert Matrix.identity(c).to_rows() == [[Fraction(int(i == j)) for j in range(c)] for i in range(c)]
+
+
+@given(data=st.data(), shape=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)))
+@settings(max_examples=200, deadline=None)
+def test_exact_product_and_determinant_match_the_fraction_model(data, shape):
+    n, k, p = shape
+    a, b, sq = data.draw(exact_rows(n, k)), data.draw(exact_rows(k, p)), data.draw(exact_rows(n, n))
+    got = Matrix.from_rows(a) @ Matrix.from_rows(b)
+    assert got.mode == EXACT and got.to_rows() == schoolbook_product(fraction_model(a), fraction_model(b))
+    d = determinant(Matrix.from_rows(sq))
+    assert type(d) is Fraction and d == leibniz_det(fraction_model(sq))
+
+
+def same_value_routes(rows) -> list[Matrix]:
+    """The matrix of ``rows`` built by routes that reach it through other forms."""
+    m = Matrix.from_rows(rows)
+    n, c = m.rows, m.cols
+    two = Matrix.from_rows([[2 * int(i == j) for j in range(c)] for i in range(c)])
+    half = Matrix.from_rows([[Fraction(int(i == j), 2) for j in range(c)] for i in range(c)])
+    return [
+        m,
+        Matrix.from_rows([[Fraction(v) for v in row] for row in rows], EXACT),
+        Matrix(n, c, m.data, EXACT),
+        Matrix.from_rows(m.to_rows()),
+        m @ Matrix.identity(c),
+        Matrix.identity(n) @ m,
+        m.transpose().transpose(),
+        m @ two @ half,
+    ]
+
+
+@given(rows=exact_rows())
+@settings(max_examples=150, deadline=None)
+def test_equal_values_have_one_form(rows):
+    routes = same_value_routes(rows)
+    first = routes[0]
+    for m in routes:
+        assert m == first and hash(m) == hash(first) and repr(m) == repr(first)
+
+
+def test_equal_values_named_examples():
+    pairs = [
+        (Matrix.from_rows([[Fraction(2, 4)]]), Matrix.from_rows([[Fraction(1, 2)]])),
+        (Matrix.from_rows([[Fraction(6, 2), 0]]), Matrix.from_rows([[3, 0]])),
+        (Matrix.from_rows([[Fraction(1, 3), 1]]) @ Matrix.from_rows([[3], [0]]), Matrix.from_rows([[1]])),
+    ]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert Matrix.from_rows([[1]]) != Matrix.from_rows([[1.0]])  # modes differ
+    assert Matrix.from_rows([[1, 2]]) != Matrix.from_rows([[1], [2]])
+
+
+@given(rows=exact_rows())
+@settings(max_examples=50, deadline=None)
+def test_pickle_round_trips(rows):
+    for m in (Matrix.from_rows(rows), Matrix.from_rows(rows, FLOAT)):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(m, protocol))
+            assert back == m and repr(back) == repr(m) and hash(back) == hash(m)
+            assert back @ m.transpose() == m @ m.transpose()
+
+
+@pytest.mark.parametrize("name", ["rows", "cols", "data", "mode", "_num", "_den", "other"])
+def test_matrix_attributes_cannot_be_assigned(name):
+    m = Matrix.from_rows([[1, Fraction(1, 2)]])
+    before = repr(m)
+    with pytest.raises(AttributeError):
+        setattr(m, name, 3)
+    with pytest.raises(AttributeError):
+        delattr(m, name)
+    assert repr(m) == before
+
+
+class TestConstructorValidates:
+    def test_float_in_exact_mode_is_mode_mismatch(self):
+        with pytest.raises(ModeMismatchError):
+            Matrix(1, 1, (0.5,), EXACT)
+
+    def test_nan_in_float_mode_is_non_finite(self):
+        with pytest.raises(NonFiniteError):
+            Matrix(1, 1, (float("nan"),), FLOAT)
+
+    def test_non_scalar_is_validation_error(self):
+        with pytest.raises(ValidationError):
+            Matrix(1, 1, ("x",), EXACT)
+
+    @pytest.mark.parametrize("mode", [None, "Exact", "fraction", 1])
+    def test_unknown_mode_is_validation_error(self, mode):
+        with pytest.raises(ValidationError):
+            Matrix(1, 1, (1,), mode)
+        if mode is not None:  # from_rows infers a mode from None
+            with pytest.raises(ValidationError):
+                Matrix.from_rows([[1]], mode)
+
+    def test_dimensions_are_checked_first(self):
+        with pytest.raises(DimensionError):
+            Matrix(2, 2, ("x",), "unknown")
+        with pytest.raises(DimensionError):
+            Matrix(0, 1, (), "unknown")
+
+    def test_list_data_is_stored_as_a_hashable_tuple(self):
+        exact, flt = Matrix(1, 2, [1, Fraction(1, 2)], EXACT), Matrix(1, 2, [1, 2.5], FLOAT)
+        assert exact.data == (1, Fraction(1, 2)) and flt.data == (1.0, 2.5)
+        assert type(exact.data) is tuple and type(flt.data) is tuple
+        assert len({exact, flt, Matrix(1, 2, (1, Fraction(1, 2)), EXACT)}) == 2
+
+
+def constructed(values, mode):
+    m = Matrix(1, len(values), values, mode)
+    return m.data, m.mode
+
+
+@given(values=st.lists(MIXED_SCALARS, min_size=1, max_size=6), mode=st.sampled_from([EXACT, FLOAT]))
+@settings(max_examples=300, deadline=None)
+def test_constructor_coerces_as_from_rows(values, mode):
+    assert outcome(constructed, values, mode) == outcome(one_row_matrix, values, mode)
+
+
+@pytest.mark.parametrize(
+    "index", [(0, 2), (2, 0), (-1, 0), (0, -1), (5, 5)], ids=["col-2", "row-2", "row-neg", "col-neg", "both-5"]
+)
+def test_at_outside_the_matrix_is_index_error(index):
+    m = Matrix.from_rows([[1, 2], [3, 4]])
+    with pytest.raises(IndexError):
+        m.at(*index)
+    with pytest.raises(IndexError):
+        Matrix.from_rows([[1.0, 2.0], [3.0, 4.0]]).at(*index)
+
+
+@pytest.mark.parametrize("i", [2, -1, 10])
+def test_row_outside_the_matrix_is_index_error(i):
+    for m in (Matrix.from_rows([[1, 2], [3, 4]]), Matrix.from_rows([[1.0, 2.0], [3.0, 4.0]])):
+        with pytest.raises(IndexError):
+            m.row(i)
+
+
+@given(rows=exact_rows())
+@settings(max_examples=100, deadline=None)
+def test_exact_matrix_prints_as_its_fractions(rows):
+    m = Matrix.from_rows(rows)
+    assert value_to_json(m) == [[scalar_to_json(v) for v in row] for row in m.to_rows()]
+    want = "[" + "; ".join(" ".join(format_scalar(v) for v in row) for row in m.to_rows()) + "]"
+    assert format_matrix(m) == want
+    assert IdentityCheck("x", 1, True, m, m).line() == f"PASS  x [n=1]  lhs={want}  rhs={want}"
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[[10**5000, 1]], [[1, Fraction(1, 10**5000)]], [[Fraction(-(10**5000), 3)], [Fraction(1, 2)]]],
+    ids=["numerator", "denominator", "negative"],
+)
+def test_long_exact_entry_is_refused_in_json_and_counted_in_text(rows):
+    m = Matrix.from_rows(rows)
+    with pytest.raises(ValidationError) as info:
+        value_to_json(m)
+    assert str(info.value) == "result of about 5001 digits is too long to print"
+    assert "<about 5001 digits>" in IdentityCheck("x", 1, True, m, m).line()
+
+
+def test_long_shared_denominator_alone_prints():
+    # 2^10000 and 3^6000 each print (3011 and 2863 digits), their product
+    # (5874 digits) does not: entries are reduced before they are printed
+    m = Matrix.from_rows([[Fraction(1, 2**10000), Fraction(1, 3**6000)]])
+    assert value_to_json(m) == [[{"num": "1", "den": str(2**10000)}, {"num": "1", "den": str(3**6000)}]]
+    assert "digits" not in IdentityCheck("x", 1, True, m, m).line()
