@@ -17,10 +17,11 @@ for any symmetric zero-diagonal D), by symmetric fraction-free elimination.
 A float determinant, volume or Heron area, and the float value of the
 coordinate oracle :func:`volume_squared_from_coordinates`, is its exact value
 rounded once.  On first use the :class:`SquaredDistanceMatrix` keeps L and
-the leading minors Δ_k of M, so ``cm_determinant``, ``volume_squared`` and
-``is_degenerate`` on one matrix share one elimination.  Pivots p_k =
-Δ_k / (-2L Δ_{k-1}) are squared heights, and a point is flat when |p_k| is at
-most the mode's zero, in ``is_degenerate`` as in ``embedding.realize_points``.
+the eliminated block, whose diagonal holds the leading minors Δ_k of M, so
+``cm_determinant``, ``volume_squared``, ``is_degenerate`` and exact
+``embedding.realize_points`` on one matrix share one elimination.  Pivots
+p_k = Δ_k / (-2L Δ_{k-1}) are squared heights, and a point is flat when |p_k|
+is at most the mode's zero, in ``is_degenerate`` as in ``realize_points``.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ class SquaredDistanceMatrix:
 
     Diagonal entries are zero.  Float mode additionally requires entries to
     be nonnegative and finite; exact mode permits any rational, since the
-    algebraic identities hold regardless of realizability.  The elimination's
-    minors and the exact bordered determinant are computed on first use and
+    algebraic identities hold regardless of realizability.  The eliminated
+    block and the exact bordered determinant are computed on first use and
     kept (not fields), so ``entries`` must stay the tuples ``from_entries`` builds.
     """
 
@@ -81,23 +82,22 @@ class SquaredDistanceMatrix:
         return 0 if self.mode == EXACT else REL_TOL * self.max_entry()
 
     @cached_property
-    def _gram(self) -> tuple[int, list[int]]:
-        """L and the leading minors Δ_1.. of the Gram block M (see above), up to
-        and including the first zero; the last is det(M) either way."""
+    def _gram(self) -> tuple[int, int, list[list[int]]]:
+        """L, det(M) and the Gram block M (see above) as ``symmetric_bareiss``
+        leaves it: each row as it stood when it was the pivot row, with Δ_{k+1}
+        at a[k][k] up to the first zero.  Exact ``realize_points`` reads it."""
         ints, scale = _integer_rows(row[i + 1 :] for i, row in enumerate(self.entries))
         b = ints[0]  # scale * D_0i for i = 1..m-1
         block = [
             [0] * r + [-2 * b[r]] + [x - b[r] - y for x, y in zip(ints[r + 1], b[r + 1 :])]
             for r in range(self.m - 1)
         ]
-        det = symmetric_bareiss(block)
-        minors = [row[k] for k, row in enumerate(block)]
-        return scale, minors[: minors.index(0) + 1] if det == 0 else minors
+        return scale, symmetric_bareiss(block), block
 
     @cached_property
     def _exact_det(self) -> Fraction:
-        scale, minors = self._gram
-        return Fraction(-minors[-1], scale ** (self.m - 1))
+        scale, det, _ = self._gram
+        return Fraction(-det, scale ** (self.m - 1))
 
 
 @dataclass(frozen=True)
@@ -153,9 +153,11 @@ def is_degenerate(d: SquaredDistanceMatrix) -> bool:
     That is, when some pivot p_k = Δ_k / (-2L Δ_{k-1}), Δ_0 = 1, has |p_k| at
     most the zero of ``realize_points``: some Δ_k = 0 in exact mode, which is
     volume 0, and |p_k| <= REL_TOL * max d^2 in float mode.  The test
-    cross-multiplies ints, so no scale overflows.
+    cross-multiplies ints, so no scale overflows.  Past the first zero Δ_k
+    the diagonal holds other minors, but that zero already answers True.
     """
-    scale, minors = d._gram
+    scale, _, block = d._gram
+    minors = [row[k] for k, row in enumerate(block)]
     p, q = d._pivot_zero().as_integer_ratio()
     return any(abs(dk) * q <= p * abs(2 * scale * dj) for dj, dk in zip([1, *minors], minors))
 

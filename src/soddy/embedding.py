@@ -1,17 +1,21 @@
 """Realize squared-distance matrices as float coordinates.
 
 ``realize_points`` factors the Gram matrix relative to point 0,
-G_ij = (d_0i + d_0j - d_ij) / 2, as L diag(p) L^T one point at a time, in
-the input's own mode.  Pivot p_k, the squared distance of point k from the
-span of the points before it, is a ratio of consecutive Cayley-Menger
-determinants.  A point whose pivot is above the mode's zero opens the next
-axis, and point i's coordinate on axis a is L_ia * p_a^(1/2); so point 1
-lies on the positive first axis, point 2 has a nonnegative second
-coordinate, and so on, and each point that opens an axis is exactly 0.0 on
-every later one.  A point that opens no axis lies within the zero's square
-root of the span before it; it keeps that small offset along the axes opened
-after it (exactly 0 in exact mode), so every distance is reproduced.
-``append_point`` locates one more point by trilateration.
+G_ij = (d_0i + d_0j - d_ij) / 2, as L diag(p) L^T.  Pivot p_k, the squared
+distance of point k from the span of the points before it, is a ratio of
+consecutive Cayley-Menger determinants.  Float input is factored one point
+at a time.  Exact input is read off the elimination ``cm_determinant`` runs
+(see ``cayley_menger``): a nonzero Δ_k = a[k][k] opens an axis, with
+L_ik = a[k][i] / Δ_k, and a zero one is a flat point; as that elimination
+is a congruence, by Sylvester's law of inertia the distances are Euclidean
+exactly when no pivot is negative.  A point whose pivot is above the mode's
+zero opens the next axis, and point i's coordinate on axis a is
+L_ia * p_a^(1/2); so point 1 lies on the positive first axis, point 2 has a
+nonnegative second coordinate, and so on, and each point that opens an axis
+is exactly 0.0 on every later one.  A point that opens no axis lies within
+the zero's square root of the span before it; it keeps that small offset
+along the axes opened after it (exactly 0 in exact mode), so every distance
+is reproduced.  ``append_point`` locates one more point by trilateration.
 
 numpy is imported only inside ``append_point``.
 """
@@ -19,6 +23,7 @@ numpy is imported only inside ``append_point``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations, zip_longest
 from typing import Sequence
 
@@ -32,7 +37,7 @@ from .errors import (
     RankExceedsDimError,
     ValidationError,
 )
-from .numeric import REL_TOL, as_float, coerce
+from .numeric import EXACT, REL_TOL, as_float
 from .serialize import format_scalar
 
 
@@ -63,7 +68,7 @@ class EmbeddedPoints:
 
     def squared_distances(self) -> tuple[tuple[float, ...], ...]:
         return tuple(
-            tuple(sum((a - b) * (a - b) for a, b in zip(p, q)) for q in self.coords)
+            tuple(as_float(sum((a - b) * (a - b) for a, b in zip(p, q))) for q in self.coords)
             for p in self.coords
         )
 
@@ -77,52 +82,63 @@ def realize_points(d: SquaredDistanceMatrix, dim: int) -> EmbeddedPoints:
     """Embed the m points of ``d`` into ``dim`` dimensions by one LDL^T pass.
 
     A pivot is zero when it is 0 in exact mode, or within REL_TOL * max d^2
-    of 0 in float mode.  A negative pivot, or a squared distance that L and p
-    miss (at all in exact mode, by more than ten times that zero in float
-    mode, which means the Gram matrix is indefinite), raises
-    :class:`NegativeEigenvalueError`; more than ``dim`` axes raise
-    :class:`RankExceedsDimError`; float overflow raises :class:`NonFiniteError`.
+    of 0 in float mode.  A negative pivot, or in float mode a squared
+    distance that L and p miss by more than ten times that zero (the Gram
+    matrix is indefinite), raises :class:`NegativeEigenvalueError`; exact
+    input needs no such check (see the module docstring).  More than ``dim``
+    axes raise :class:`RankExceedsDimError`; float overflow raises
+    :class:`NonFiniteError`.
     """
     if dim < 1:
         raise DimensionError("target dimension must be >= 1")
-    e, mode = d.entries, d.mode
-    zero = d._pivot_zero()
-    pivots, openers = [], []  # per axis: p_a and the point that opened it
-    # rows[i][a] = L_ia, zero past the row's end; point 0 is the origin
-    rows = [[] for _ in range(d.m)]
-    flat = []  # (i, number of axes before i) for each point that opened no axis
+    e, zero = d.entries, d._pivot_zero()
+    if d.mode == EXACT:  # row k of the eliminated block is point k + 1
+        scale, _, block = d._gram
+        axes = [k for k, row in enumerate(block) if row[k]]
+        deltas = [block[k][k] for k in axes]
+        pivots = [Fraction(dk, -2 * scale * dj) for dj, dk in zip([1, *deltas], deltas)]
+        for k, p in zip(axes, pivots):
+            if p < 0:
+                raise NegativeEigenvalueError(f"distances are non-Euclidean: pivot of point {k + 1} < 0")
+        openers = [k + 1 for k in axes]
+        rows = [[Fraction(block[k][i - 1], block[k][k]) for k in axes if k < i] for i in range(d.m)]
+    else:
+        pivots, openers = [], []  # per axis: p_a and the point that opened it
+        # rows[i][a] = L_ia, zero past the row's end; point 0 is the origin
+        rows = [[] for _ in range(d.m)]
+        flat = []  # (i, number of axes before i) for each point that opened no axis
 
-    def extend(i):
-        """Append L_ia for the axes a opened since row i was last extended."""
-        row = rows[i]
-        for j, p in zip(openers[len(row) :], pivots[len(row) :]):
-            gram = (e[0][i] + e[0][j] - e[i][j]) / 2
-            row.append((gram - _dot(row, rows[j], pivots)) / p)
+        def extend(i):
+            """Append L_ia for the axes a opened since row i was last extended."""
+            row = rows[i]
+            for j, p in zip(openers[len(row) :], pivots[len(row) :]):
+                gram = (e[0][i] + e[0][j] - e[i][j]) / 2
+                row.append((gram - _dot(row, rows[j], pivots)) / p)
 
-    for i in range(1, d.m):
-        extend(i)
-        pivot = coerce(e[0][i] - _dot(rows[i], rows[i], pivots), mode)
-        # each check is written so that a NaN fails it
-        if not -zero <= pivot:
-            raise NegativeEigenvalueError(f"distances are non-Euclidean: pivot of point {i} < 0")
-        if pivot <= zero:
-            flat.append((i, len(pivots)))
-        else:
-            pivots.append(pivot)
-            openers.append(i)
-            rows[i].append(1)
-    # A flat point is within zero^(1/2) of the span before it, but its offset
-    # h along the axes opened after it moves its distances to later points by
-    # up to 2 h max d.  An offset that moves none by more than zero / 2 is
-    # roundoff, and is dropped so that exactly flat points stay flat.
-    for i, a in flat:
-        extend(i)
-        if _dot(rows[i][a:], rows[i][a:], pivots[a:]) <= zero * REL_TOL / 16:
-            del rows[i][a:]
-    for i, j in combinations(range(d.m), 2):
-        diff = [x - y for x, y in zip_longest(rows[i], rows[j], fillvalue=0)]
-        if not abs(coerce(_dot(diff, diff, pivots), mode) - e[i][j]) <= 10 * zero:
-            raise NegativeEigenvalueError(f"distances are non-Euclidean: d[{i}][{j}] is not reproduced")
+        for i in range(1, d.m):
+            extend(i)
+            pivot = as_float(e[0][i] - _dot(rows[i], rows[i], pivots))
+            # each check is written so that a NaN fails it
+            if not -zero <= pivot:
+                raise NegativeEigenvalueError(f"distances are non-Euclidean: pivot of point {i} < 0")
+            if pivot <= zero:
+                flat.append((i, len(pivots)))
+            else:
+                pivots.append(pivot)
+                openers.append(i)
+                rows[i].append(1)
+        # A flat point is within zero^(1/2) of the span before it, but its offset
+        # h along the axes opened after it moves its distances to later points by
+        # up to 2 h max d.  An offset that moves none by more than zero / 2 is
+        # roundoff, and is dropped so that exactly flat points stay flat.
+        for i, a in flat:
+            extend(i)
+            if _dot(rows[i][a:], rows[i][a:], pivots[a:]) <= zero * REL_TOL / 16:
+                del rows[i][a:]
+        for i, j in combinations(range(d.m), 2):
+            diff = [x - y for x, y in zip_longest(rows[i], rows[j], fillvalue=0)]
+            if not abs(as_float(_dot(diff, diff, pivots)) - e[i][j]) <= 10 * zero:
+                raise NegativeEigenvalueError(f"distances are non-Euclidean: d[{i}][{j}] is not reproduced")
     if len(pivots) > dim:
         raise RankExceedsDimError(
             f"distances need more than {dim} dimensions: point {openers[dim]} opens axis {dim + 1}"

@@ -16,7 +16,8 @@ Python ints -- dot products for ``@``, fraction-free (Bareiss) elimination
 for :func:`determinant` -- and a Fraction is built only where a caller asks
 for one: an exact matrix's ``data``, ``at``, ``row``, ``to_rows``, ``repr``
 and ``hash``, and an exact determinant.  A symmetric integer matrix has its
-own elimination, :func:`symmetric_bareiss`.
+own elimination, :func:`symmetric_bareiss`: it skips a zero row, and each
+row keeps its values from when it was the pivot row.
 
 Scalars enter and leave their mode only here.  :func:`coerce_vector` is the
 one place a mode is inferred; :func:`as_exact` and :func:`as_float` build a
@@ -82,10 +83,6 @@ def as_float(value) -> float:
     if not math.isfinite(x):
         raise NonFiniteError(f"non-finite value {value!r} in float mode")
     return x
-
-
-def coerce(value, mode: str) -> Scalar:
-    return as_exact(value) if mode == EXACT else as_float(value)
 
 
 def _kind(value) -> type:
@@ -317,14 +314,18 @@ def symmetric_bareiss(a: list[list[int]]) -> int:
     """Determinant of a symmetric integer matrix by fraction-free elimination.
 
     Reads and overwrites only entries j >= i: step k updates row i > k from
-    column i on, with a[k][i] for a[i][k].  A zero pivot a[k][k] is mended by
-    the unimodular congruence "index k += t * index s" on rows and columns, s
+    column i on, with a[k][i] for a[i][k], and row k keeps the values it had
+    as the pivot row.  A zero row k (a[k][s] == 0 for every s >= k) is
+    skipped: prev stays, the later rows are still eliminated, and det is 0;
+    each division stays exact, since Sylvester's identity holds for any set
+    of pivot rows.  A zero pivot a[k][k] in a nonzero row is mended by the
+    unimodular congruence "index k += t * index s" on rows and columns, s
     the first index with a[k][s] != 0: the pivot becomes 2t*a[k][s] + a[s][s],
     nonzero for t = 1 or, when a[s][s] == -2*a[k][s], for t = -1.  Bareiss
     intermediates are linear in each row not yet used as a pivot, so this is
-    the same congruence on the input.  No such s: row k is zero, as is det.
-    Afterwards a[k][k] is the k+1st leading minor of the mended matrix, up to
-    and including the first zero; entries past an early exit are not minors.
+    the same congruence on the input.  Afterwards a[k][k] is the principal
+    minor of the mended matrix on the pivot rows before k and on k: the k+1st
+    leading minor, up to and including the first zero.
     """
     n, prev = len(a), 1
     for k in range(n - 1):
@@ -332,7 +333,7 @@ def symmetric_bareiss(a: list[list[int]]) -> int:
         if row[k] == 0:
             s = next((j for j in range(k + 1, n) if row[j] != 0), None)
             if s is None:
-                return 0
+                continue
             t = -1 if a[s][s] == -2 * row[s] else 1
             row[k] = 2 * t * row[s] + a[s][s]
             for j in range(k + 1, n):
@@ -342,4 +343,4 @@ def symmetric_bareiss(a: list[list[int]]) -> int:
             aki, ai = row[i], a[i]
             ai[i:] = [(x * pivot - aki * y) // prev for x, y in zip(ai[i:], row[i:])]
         prev = pivot
-    return a[n - 1][n - 1]
+    return a[n - 1][n - 1] if all(a[k][k] for k in range(n)) else 0

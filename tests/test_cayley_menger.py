@@ -294,6 +294,28 @@ class TestIsDegenerate:
             answers.add(fits)
         assert answers == {True, False}
 
+    def test_exact_flat_exactly_when_realize_points_fits_one_dimension_less(self):
+        # rational points on a flat of dimension 1..m-1; in half of the sets
+        # below full dimension one point is lifted off the flat by 1e-15
+        rng = random.Random("one-exact-rank-rule")
+        answers = set()
+        for _ in range(400):
+            m = rng.randint(3, 9)
+            dim = rng.randint(1, m - 1)
+            pts = [[Fraction(rng.randint(-20, 20), rng.randint(1, 6)) for _ in range(dim)] for _ in range(m)]
+            pts = [p + [0] for p in pts]
+            if dim < m - 1 and rng.random() < 0.5:
+                pts[rng.randrange(m)][dim] = Fraction(1, 10**15)
+            d = pairwise_squares(pts)
+            try:
+                realize_points(d, m - 2)
+                fits = True
+            except RankExceedsDimError:
+                fits = False
+            assert is_degenerate(d) is fits, d
+            answers.add(fits)
+        assert answers == {True, False}
+
 
 class TestCoordinateOracle:
     def test_corner_tetrahedron(self):
@@ -501,6 +523,22 @@ def test_one_elimination_per_matrix(monkeypatch, order, mode):
     fresh = [repr(CALLS[name](SquaredDistanceMatrix.from_entries(rows))) for name in order]
     assert shared == fresh
     assert len(calls) == 1 + len(order)
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations([*CALLS, "realize_points"])), ids="-".join)
+def test_one_elimination_serves_realize_points_too(monkeypatch, order):
+    calls = []
+    monkeypatch.setattr(
+        "soddy.cayley_menger.symmetric_bareiss", lambda a: calls.append(len(a)) or symmetric_bareiss(a)
+    )
+    run = {**CALLS, "realize_points": lambda d: realize_points(d, d.m - 1)}
+    d = SquaredDistanceMatrix.from_entries(OTHER_ROWS)
+    shared = [repr(run[name](d)) for name in order]
+    assert len(calls) == 1
+    realize_points(SquaredDistanceMatrix.from_entries(_in_mode(OTHER_ROWS, "float")), 4)
+    assert len(calls) == 1
+    fresh = [repr(run[name](SquaredDistanceMatrix.from_entries(OTHER_ROWS))) for name in order]
+    assert shared == fresh
 
 
 def test_kept_determinant_is_invisible():

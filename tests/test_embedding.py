@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
+from itertools import combinations, zip_longest
 
 import numpy as np
 import pytest
@@ -45,6 +47,12 @@ def distances_of(pts: EmbeddedPoints) -> SquaredDistanceMatrix:
 def test_embedded_points_refuse_infinite_coordinates():
     with pytest.raises(NonFiniteError):
         EmbeddedPoints(((math.inf, 0.0),))
+
+
+def test_squared_distances_beyond_float_range_are_non_finite():
+    pts = EmbeddedPoints(((1e308, 0.0), (-1e308, 0.0)))
+    with pytest.raises(NonFiniteError):
+        pts.squared_distances()
 
 
 class TestRealizePoints:
@@ -242,3 +250,105 @@ class TestAppendPoint:
             got = append_point(EmbeddedPoints(coords), sq)
             recomputed = ((coords - got) ** 2).sum(axis=1)
             assert np.abs(recomputed - sq).max() <= 1e-9 * max(sq.max(), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# Exact realize_points reads the elimination cm_determinant runs.  The
+# reference below is the Fraction LDL^T it replaced: one point at a time,
+# with every pairwise distance checked after.
+
+
+def _dot(x, y, w):
+    return sum(a * b * c for a, b, c in zip(x, y, w))
+
+
+def fraction_ldlt_reference(d: SquaredDistanceMatrix, dim: int) -> tuple:
+    """The coordinates exact realize_points must give, or the error it raises."""
+    e = d.entries
+    pivots, openers, rows, flat = [], [], [[] for _ in range(d.m)], []
+
+    def extend(i):
+        row = rows[i]
+        for j, p in zip(openers[len(row) :], pivots[len(row) :]):
+            gram = (e[0][i] + e[0][j] - e[i][j]) / 2
+            row.append((gram - _dot(row, rows[j], pivots)) / p)
+
+    for i in range(1, d.m):
+        extend(i)
+        pivot = e[0][i] - _dot(rows[i], rows[i], pivots)
+        if pivot < 0:
+            raise NegativeEigenvalueError(f"pivot of point {i} < 0")
+        if pivot == 0:
+            flat.append((i, len(pivots)))
+        else:
+            pivots.append(pivot)
+            openers.append(i)
+            rows[i].append(1)
+    for i, a in flat:
+        extend(i)
+        if _dot(rows[i][a:], rows[i][a:], pivots[a:]) == 0:
+            del rows[i][a:]
+    for i, j in combinations(range(d.m), 2):
+        diff = [x - y for x, y in zip_longest(rows[i], rows[j], fillvalue=0)]
+        if _dot(diff, diff, pivots) != e[i][j]:
+            raise NegativeEigenvalueError(f"d[{i}][{j}] is not reproduced")
+    if len(pivots) > dim:
+        raise RankExceedsDimError(f"point {openers[dim]} opens axis {dim + 1}")
+    roots = [float(p) ** 0.5 for p in pivots]
+    return tuple(
+        tuple(float(x) * r + 0.0 for x, r in zip(row, roots)) + (0.0,) * (dim - len(row)) for row in rows
+    )
+
+
+def _outcome(realize, d, dim):
+    try:
+        return realize(d, dim)
+    except (NegativeEigenvalueError, RankExceedsDimError) as exc:
+        return type(exc)
+
+
+def rational_point_rows(rng, m):
+    """Squared distances of m rational points in 1..m-1 dimensions, some of
+    them repeats of an earlier point and some on the line of two earlier ones."""
+    k = rng.randint(1, m - 1)
+    pts = []
+    for _ in range(m):
+        roll = rng.random()
+        if pts and roll < 0.2:
+            pts.append(list(rng.choice(pts)))
+        elif len(pts) >= 2 and roll < 0.4:
+            p, q = rng.sample(pts, 2)
+            t = F(rng.randint(-6, 6), rng.randint(1, 4))
+            pts.append([a + t * (b - a) for a, b in zip(p, q)])
+        else:
+            pts.append([F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(k)])
+    return [[sum((a - b) ** 2 for a, b in zip(p, q)) for q in pts] for p in pts]
+
+
+def perturbed_rows(rng, m):
+    rows = rational_point_rows(rng, m)
+    i, j = rng.sample(range(m), 2)
+    rows[i][j] = rows[j][i] = rows[i][j] + F(rng.choice([-1, 1]), rng.randint(1, 50))
+    return rows
+
+
+def small_integer_rows(rng, m):
+    rows = [[0] * m for _ in range(m)]
+    for i, j in combinations(range(m), 2):
+        rows[i][j] = rows[j][i] = rng.choice([-1, 0, 1, 2, 4])
+    return rows
+
+
+@pytest.mark.parametrize("family", [rational_point_rows, perturbed_rows, small_integer_rows])
+def test_exact_realize_points_matches_the_fraction_reference(family):
+    rng = random.Random(family.__name__)
+    seen = set()
+    for _ in range(1400):
+        m = rng.randint(2, 8)
+        dim = rng.randint(1, m)
+        d = SquaredDistanceMatrix.from_entries(family(rng, m))
+        want = _outcome(fraction_ldlt_reference, d, dim)
+        got = _outcome(realize_points, d, dim)
+        assert (got.coords if isinstance(got, EmbeddedPoints) else got) == want, d.entries
+        seen.add(want if isinstance(want, type) else tuple)
+    assert {tuple, RankExceedsDimError} <= seen

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import pickle
 from fractions import Fraction
 from numbers import Integral, Rational
@@ -299,6 +300,39 @@ class TestSymmetricBareiss:
 
     def test_zero_leading_row_gives_zero(self):
         assert symmetric_det([[0, 0], [0, 5]]) == 0
+
+    def test_zero_row_is_skipped_and_the_rest_eliminated(self):
+        a = [[0, 0, 0], [0, 2, 1], [0, 1, 3]]
+        assert symmetric_bareiss(a) == 0
+        assert a[2][2] == 5  # 2*3 - 1*1, the minor on rows 1 and 2
+
+    def test_kept_rows_factor_gram_blocks_with_repeated_points(self, rng):
+        # p_k = Δ_k / Δ_prev and L_ik = a[k][i] / Δ_k over the rows with
+        # Δ_k != 0 give L diag(p) L^T == the block, exactly
+        skipped = 0
+        for _ in range(300):
+            m = rng.randint(2, 9)
+            dim = rng.randint(1, 4)
+            pts = []
+            for _ in range(m):
+                new = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(dim)]
+                pts.append(list(rng.choice(pts)) if pts and rng.random() < 0.3 else new)
+            rel = [[x - y for x, y in zip(p, pts[0])] for p in pts[1:]]
+            gram = [[sum(map(operator.mul, p, q)) for q in rel] for p in rel]
+            scale = math.lcm(*(g.denominator for row in gram for g in row))
+            block = [[int(g * scale) for g in row] for row in gram]
+            a = [list(r) for r in block]
+            symmetric_bareiss(a)
+            n, prev, factors = len(a), 1, []
+            for k in range(n):
+                if a[k][k]:
+                    col = [Fraction(a[k][i], a[k][k]) if i >= k else 0 for i in range(n)]
+                    factors.append((Fraction(a[k][k], prev), col))
+                    prev = a[k][k]
+            skipped += len(factors) < n
+            for i, j in itertools.product(range(n), repeat=2):
+                assert sum(p * col[i] * col[j] for p, col in factors) == block[i][j]
+        assert skipped >= 100
 
     @pytest.mark.parametrize("value", [-3, 0, 7])
     def test_one_by_one(self, value):
