@@ -26,7 +26,7 @@ from .cayley_menger import (
     volume_squared,
 )
 from .embedding import realize_points
-from .errors import SoddyError, ValidationError
+from .errors import DimensionError, SoddyError, ValidationError
 from .numeric import EXACT, FLOAT, coerce_vector
 from .serialize import parse_rational, scalar_to_json, value_to_json
 from .tangency import (
@@ -117,13 +117,13 @@ def _cmd_identity_check(args):
 
 
 #: The most values (both sides of every identity, each matrix entry one value)
-#: a ``verify-proof --random`` report may hold; a larger request is refused
-#: before any configuration is drawn.
+#: a ``verify-proof`` report may hold; a larger request is refused before any
+#: configuration is drawn or audited.
 _MAX_REPORT_VALUES = 10**6
 
-#: The most work a ``verify-proof --random`` audit may take, in units of one
+#: The most work a ``verify-proof`` audit may take, in units of one
 #: configuration's (n+3)^2 entry products and eliminations, (n+3)^3 each; a
-#: larger request is refused before any configuration is drawn.
+#: larger request is refused before any configuration is drawn or audited.
 _MAX_AUDIT_WORK = 1_500_000
 
 
@@ -157,6 +157,23 @@ def _random_points(rng: random.Random, m: int) -> list[list[Fraction]]:
     return [[_random_nonzero(rng) for _ in range(m - 1)] for _ in range(m)]
 
 
+def _require_audit_bounds(request: str, count: int, n: int) -> None:
+    """Refuse an audit of ``count`` configurations at dimension n >= 1 whose
+    report or work estimate passes its bound; ``request`` names it."""
+    size = _random_report_values(count, n)
+    if size > _MAX_REPORT_VALUES:
+        raise ValidationError(
+            f"{request} would report about {size} values, "
+            f"more than the {_MAX_REPORT_VALUES} one audit may print"
+        )
+    work = _random_audit_work(count, n)
+    if work > _MAX_AUDIT_WORK:
+        raise ValidationError(
+            f"{request} would take about {work} "
+            f"entry operations, more than the {_MAX_AUDIT_WORK} one audit may run"
+        )
+
+
 def _cmd_verify_proof(args):
     from . import proof_witness
 
@@ -165,23 +182,16 @@ def _cmd_verify_proof(args):
     if args.random is not None and args.random < 1:
         raise ValidationError(f"--random needs N >= 1, got {args.random}")
     if args.random is not None and args.dim >= 1:  # n < 1 is build_S's dimension error
-        size = _random_report_values(args.random, args.dim)
-        if size > _MAX_REPORT_VALUES:
-            raise ValidationError(
-                f"--random {args.random} --dim {args.dim} would report about {size} values, "
-                f"more than the {_MAX_REPORT_VALUES} one audit may print"
-            )
-        work = _random_audit_work(args.random, args.dim)
-        if work > _MAX_AUDIT_WORK:
-            raise ValidationError(
-                f"--random {args.random} --dim {args.dim} would take about {work} "
-                f"entry operations, more than the {_MAX_AUDIT_WORK} one audit may run"
-            )
+        _require_audit_bounds(f"--random {args.random} --dim {args.dim}", args.random, args.dim)
     reports = []
     if args.radii is not None:
         values = _parse_scalars(args.radii, EXACT)
+        if len(values) < 3:
+            raise DimensionError(f"--radii needs at least 3 radii (n >= 1), got {len(values)}")
         n = len(values) - 2
         r = validate_radii(values, n, strict=False)
+        # estimated as one --random configuration, before anything runs S at size n+2
+        _require_audit_bounds(f"--radii with {len(values)} radii", 1, n)
         for _, value in proof_witness._closed_forms(r):  # refuse before the audit what to_dict would refuse
             value_to_json(value)
         reports.append(proof_witness.check_S_properties(n))

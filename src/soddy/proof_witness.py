@@ -11,9 +11,14 @@ pair of congruence transforms, to a closed form in the curvatures:
 Every step is re-checked here as an exact entrywise or determinant equality
 on concrete rational instances; det(D) is ``cm_determinant``, checked against
 the general kernel and the factored value ``tangency._factored_determinant``.
+Every exact operand is built as integer rows over one stated denominator.
 The coordinate rules scale the points once, to integer coordinates over the
 lcm L of their denominators, so each |x_j|^2 of U and each |x_i - x_j|^2 of D
-is an integer sum over L^2, the latter computed once per pair i < j.
+is an integer sum over L^2, the latter computed once per pair i < j.  The
+radius rules scale the radii once, as ``tangency._scaled_radii`` does, to R_i
+over L and curvatures C_i over K: P is over L^2, Q over K, the closed forms
+read R and C, and S, S^-1 = (1-n on the diagonal, 1 elsewhere) / 4n, W and
+16I are integer rules.
 Checks never raise on failure; both sides of each identity land in the report
 so a red entry is diagnosable on its own.  Exact mode only: a float witness
 would conflate algebra bugs with roundoff.
@@ -32,7 +37,8 @@ from .serialize import format_matrix, format_scalar, value_to_json
 from .tangency import (
     SignedRadii,
     _factored_determinant,
-    curvatures_from_radii,
+    _scaled_radii,
+    _signed_residual,
     tangency_squared_distances,
 )
 
@@ -94,9 +100,10 @@ def _check(name: str, n: int, lhs, rhs) -> IdentityCheck:
     return IdentityCheck(name=name, n=n, passed=lhs == rhs, lhs=lhs, rhs=rhs)
 
 
-def _matrix(size: int, entry: Callable[[int, int], object]) -> Matrix:
-    """The exact size x size matrix whose (i, j) entry is ``entry(i, j)``."""
-    return Matrix.from_rows([[entry(i, j) for j in range(size)] for i in range(size)], EXACT)
+def _matrix(size: int, entry: Callable[[int, int], int], den: int = 1) -> Matrix:
+    """The exact size x size matrix whose (i, j) entry is the integer
+    ``entry(i, j)`` over ``den`` > 0."""
+    return Matrix._from_integer_rows([[entry(i, j) for j in range(size)] for i in range(size)], den)
 
 
 def _bordered(border: Sequence[int], core: Sequence[Sequence[int]], den: int) -> Matrix:
@@ -173,32 +180,43 @@ def _require_exact_radii(r: SignedRadii) -> SignedRadii:
 
 
 def build_P(r: SignedRadii) -> Matrix:
-    """Unit upper-triangular eliminator: row 0 = (1, -r_1^2, ..., -r_{n+2}^2)."""
-    top = (1, *(-v * v for v in _require_exact_radii(r).values))
-    return _matrix(len(top), lambda i, j: top[j] if i == 0 else int(i == j))
+    """Unit upper-triangular eliminator: row 0 = (1, -r_1^2, ..., -r_{n+2}^2),
+    all over L^2 for radii R_i / L."""
+    (rad,), den = _integer_rows([_require_exact_radii(r).values])
+    den2 = den * den
+    top = (den2, *(-x * x for x in rad))
+    return _matrix(len(top), lambda i, j: top[j] if i == 0 else den2 * (i == j), den2)
 
 
 def build_Q(r: SignedRadii) -> Matrix:
-    """diag(1, 1/r_1, ..., 1/r_{n+2}); det(Q) = prod(1/r_i)."""
-    q = (1, *(1 / v for v in _require_exact_radii(r).values))
-    return _matrix(len(q), lambda i, j: q[i] if i == j else 0)
+    """diag(1, 1/r_1, ..., 1/r_{n+2}) = diag(K, C_1, ..., C_{n+2}) / K;
+    det(Q) = prod(1/r_i)."""
+    _, _, curv, k_den = _scaled_radii(_require_exact_radii(r).values)
+    q = (k_den, *curv)
+    return _matrix(len(q), lambda i, j: q[i] if i == j else 0, k_den)
+
+
+def _require_dimension(n: int) -> None:
+    if n < 1:
+        raise DimensionError("sphere dimension n must be >= 1")
 
 
 def build_S(n: int) -> Matrix:
     """(n+2)x(n+2) core form 2*ones - 4I: off-diagonal 2, diagonal -2."""
-    if n < 1:
-        raise DimensionError("sphere dimension n must be >= 1")
+    _require_dimension(n)
     return _matrix(n + 2, lambda i, j: -2 if i == j else 2)
 
 
 def s_determinant_formula(n: int) -> Fraction:
+    _require_dimension(n)
     return Fraction((-1) ** (n + 1) * 2 ** (2 * n + 3) * n)
 
 
 def s_inverse_formula(n: int) -> Matrix:
-    """(1/(4n)) * ones - (1/4) I, the closed-form inverse of build_S(n)."""
-    a = Fraction(1, 4 * n)
-    return _matrix(n + 2, lambda i, j: a - Fraction(1, 4) if i == j else a)
+    """(1/(4n)) * ones - (1/4) I, the closed-form inverse of build_S(n):
+    1 - n on the diagonal and 1 elsewhere, over 4n."""
+    _require_dimension(n)
+    return _matrix(n + 2, lambda i, j: 1 - n if i == j else 1, 4 * n)
 
 
 def check_S_properties(n: int) -> ProofReport:
@@ -227,23 +245,20 @@ def _closed_forms(r: SignedRadii) -> tuple:
     in report order.  Nothing here multiplies or eliminates D, so it is cheap."""
     _require_exact_radii(r)
     n, m = r.n, len(r.values)
-    k = curvatures_from_radii(r)
+    rad, den, curv, k_den = _scaled_radii(r.values)
     s = build_S(n)
     s_rows = s._as_integer_rows()[0]
-    # r_i S_ij r_j is an integer over L^2 for radii R_i / L, and k_i S_ij one over K for k_i = C_i / K
-    (rad,), r_den = _integer_rows([r.values])
-    (curv,), k_den = _integer_rows([k.values])
+    # r_i S_ij r_j is R_i S_ij R_j over L^2, and k_i and S_ij are C_i and K S_ij over K
     r_s_r = [[a * x * b for x, b in zip(row, rad)] for a, row in zip(rad, s_rows)]
     k_s = [[k_den * x for x in row] for row in s_rows]
-    k_col = Matrix(m, 1, k.values, EXACT)
+    k_col = Matrix._from_integer_rows([[c] for c in curv], k_den)
     kt_sinv_k = (k_col.transpose() @ s_inverse_formula(n) @ k_col).at(0, 0)
-    factored = _factored_determinant(r)
     return (
-        ("PtDP matches eliminated form", _bordered([r_den**2] * m, r_s_r, r_den**2)),
+        ("PtDP matches eliminated form", _bordered([den * den] * m, r_s_r, den * den)),
         ("QtPtDPQ matches bordered block form", _bordered(curv, k_s, k_den)),
         ("block determinant rule", -determinant(s) * kt_sinv_k),
-        ("block value is scaled residual", factored / r.product() ** 2),
-        ("det(D) recovers scaled residual", factored),
+        ("block value is scaled residual", Fraction(_signed_residual(curv, n), k_den * k_den)),
+        ("det(D) recovers scaled residual", _factored_determinant(r)),
     )
 
 

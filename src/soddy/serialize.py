@@ -54,7 +54,11 @@ def value_to_json(value):
     """A scalar, or a matrix as a list of rows of scalars."""
     if isinstance(value, Matrix):
         if value.mode == EXACT:
-            return [[_rational_to_json(*q) for q in row] for row in value._ratio_rows()]
+            rows = value._ratio_rows()
+            try:
+                return [[{"num": str(p), "den": str(q)} for p, q in row] for row in rows]
+            except ValueError:  # an entry too long to print: the checked path names it
+                return [[_rational_to_json(p, q) for p, q in row] for row in rows]
         return [[scalar_to_json(v) for v in row] for row in value.to_rows()]
     return scalar_to_json(value)
 

@@ -8,11 +8,14 @@ distance determinant factors completely:
     det = (-1)^n * 2^(2n+1) * (prod r_i)^2 * [(sum k_i)^2 - n * sum k_i^2]
 
 with curvatures k_i = 1/r_i, stated once as :func:`_factored_determinant`.
-The bracket is the tangency residual, which vanishes exactly when the
-configuration is flat; every tangency test reads it and its zero from
-:func:`_tangency_residual`.  Curvature is the interchange unit for solving
-(the identity is quadratic in each k_i); radii are the unit for building
-distances.  Conversions are explicit.
+It runs on integers: the radii scaled once to R_i over one L, the
+curvatures to C_i = L*K/R_i over K = lcm|R_i| (:func:`_scaled_radii`), so
+the value is one integer over (L^(n+2) * K)^2, as each exact squared
+distance is (R_i + R_j)^2 over L^2.  The bracket is the tangency residual,
+which vanishes exactly when the configuration is flat; every tangency test
+reads it and its zero from :func:`_tangency_residual`.  Curvature is the
+interchange unit for solving (the identity is quadratic in each k_i); radii
+are the unit for building distances.  Conversions are explicit.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .errors import (
     NoRealSolutionError,
     ValidationError,
 )
-from .numeric import EXACT, REL_TOL, Scalar, coerce_vector, from_exact
+from .numeric import EXACT, REL_TOL, Scalar, _integer_rows, coerce_vector, from_exact
 from .serialize import format_scalar
 
 
@@ -96,16 +99,30 @@ def radii_from_curvatures(k: Curvatures) -> SignedRadii:
     return SignedRadii(values=tuple(1 / v for v in k.values), n=k.n, mode=k.mode)
 
 
+def _scaled_radii(values: Sequence[Scalar]) -> tuple[list[int], int, list[int], int]:
+    """(R, L, C, K): the radii as integers R_i over one L, and the curvatures
+    as integers C_i = L * K / R_i over K = lcm |R_i|, so r_i = R_i / L and
+    k_i = C_i / K exactly.  Float radii are read at their exact values."""
+    (rad,), den = _integer_rows([values])
+    k_den = math.lcm(*rad)
+    return rad, den, [den * k_den // x for x in rad], k_den
+
+
 def tangency_squared_distances(r: SignedRadii) -> SquaredDistanceMatrix:
-    """Squared center distances (r_i + r_j)^2 of the tangent configuration."""
-    vals = r.values
-    rows = [[0] * len(vals) for _ in vals]
+    """Squared center distances (r_i + r_j)^2 of the tangent configuration:
+    exact radii R_i / L give (R_i + R_j)^2 over L^2, float radii float squares."""
+    if r.mode == EXACT:
+        (vals,), den = _integer_rows([r.values])
+        zero, scale = Fraction(0), den * den
+    else:
+        vals, zero, scale = r.values, 0, None
+    rows = [[zero] * len(vals) for _ in vals]
     for i, a in enumerate(vals):
         for j in range(i + 1, len(vals)):
             # s * s, not s ** 2: a float square past the float range is then inf,
             # which coercion rejects as non-finite, instead of an OverflowError
             s = a + vals[j]
-            rows[i][j] = rows[j][i] = s * s
+            rows[i][j] = rows[j][i] = s * s if scale is None else Fraction(s * s, scale)
     return SquaredDistanceMatrix.from_entries(rows, r.mode)
 
 
@@ -123,12 +140,19 @@ def descartes_residual(k: Curvatures) -> Scalar:
     return _tangency_residual(k.values, k.n, k.mode)[0]
 
 
+def _signed_residual(curv: Sequence[int], n: int) -> int:
+    """(-1)^n * 2^(2n+1) * residual for curvatures C_i / K, times K^2."""
+    s = sum(curv)
+    return (-1) ** n * 2 ** (2 * n + 1) * (s * s - n * sum(c * c for c in curv))
+
+
 def _factored_determinant(r: SignedRadii) -> Fraction:
     """The right side of the factored identity, exactly, on the exact values
-    of the radii: (-1)^n * 2^(2n+1) * (prod r_i)^2 * residual."""
-    exact = SignedRadii(values=tuple(map(Fraction, r.values)), n=r.n, mode=EXACT)
-    p, res = exact.product(), descartes_residual(curvatures_from_radii(exact))
-    return (-1) ** r.n * 2 ** (2 * r.n + 1) * (p * p) * res
+    of the radii: (-1)^n * 2^(2n+1) * (prod r_i)^2 * residual, that is
+    (prod R_i)^2 times the signed residual over (L^(n+2) * K)^2."""
+    rad, den, curv, k_den = _scaled_radii(r.values)
+    p = math.prod(rad)
+    return Fraction(p * p * _signed_residual(curv, r.n), (den ** len(rad) * k_den) ** 2)
 
 
 def factored_volume_squared(r: SignedRadii) -> VolumeSquared:

@@ -212,6 +212,33 @@ class TestVerifyProof:
         assert soddy.cli._random_audit_work(1, 111) <= soddy.cli._MAX_AUDIT_WORK
         assert soddy.cli._random_audit_work(76, 24) <= soddy.cli._MAX_AUDIT_WORK
 
+    def test_costly_radii_audit_is_refused_before_any_work(self, call, monkeypatch):
+        # 160 radii (n = 158) ran for minutes before they were bounded; the
+        # closed forms' printability check already runs det(S) at size n+2
+        def audit(*_):
+            raise AssertionError("the audit ran")
+
+        for name in ("check_S_properties", "check_reduction_chain", "_closed_forms"):
+            monkeypatch.setattr(f"soddy.proof_witness.{name}", audit)
+        code, out, err = call(["verify-proof", "--radii", ",".join(map(str, range(1, 161)))])
+        assert code == 1
+        assert out.count("\n") == 1
+        error = json.loads(out)["error"]
+        assert error["kind"] == "validation"
+        assert "160 radii" in error["message"]
+        assert f"about {soddy.cli._random_audit_work(1, 158)} entry operations" in error["message"]
+        assert str(soddy.cli._MAX_AUDIT_WORK) in error["message"]
+        assert "PASS" not in err
+
+    @pytest.mark.parametrize("radii", ["1", "1,1", "-1,1/2"])
+    def test_too_few_radii_name_their_count(self, call, radii):
+        code, out, _ = call(["verify-proof", "--radii", radii])
+        assert code == 1
+        assert out.count("\n") == 1
+        error = json.loads(out)["error"]
+        assert error["kind"] == "dimension"
+        assert error["message"] == f"--radii needs at least 3 radii (n >= 1), got {radii.count(',') + 1}"
+
     def test_random_dim_zero_is_a_dimension_error(self, call):
         code, out, _ = call(["verify-proof", "--random", "1", "--dim", "0"])
         assert code == 1

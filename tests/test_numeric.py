@@ -865,8 +865,14 @@ def test_exact_matrix_prints_as_its_fractions(rows):
 
 @pytest.mark.parametrize(
     "rows",
-    [[[10**5000, 1]], [[1, Fraction(1, 10**5000)]], [[Fraction(-(10**5000), 3)], [Fraction(1, 2)]]],
-    ids=["numerator", "denominator", "negative"],
+    [
+        [[10**5000, 1]],
+        [[1, Fraction(1, 10**5000)]],
+        [[Fraction(-(10**5000), 3)], [Fraction(1, 2)]],
+        # printable entries first, then two too long: the first one is named
+        [[Fraction(1, 3), 2], [10**5000, -(10**6000)]],
+    ],
+    ids=["numerator", "denominator", "negative", "behind-printable-entries"],
 )
 def test_long_exact_entry_is_refused_in_json_and_counted_in_text(rows):
     m = Matrix.from_rows(rows)

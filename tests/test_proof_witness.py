@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -28,7 +29,7 @@ from soddy.proof_witness import (
     s_inverse_formula,
 )
 from soddy.cli import run
-from soddy.tangency import tangency_squared_distances, validate_radii
+from soddy.tangency import _factored_determinant, tangency_squared_distances, validate_radii
 
 from .conftest import rand_nonzero_fraction, rand_points, rand_radii
 
@@ -159,6 +160,14 @@ class TestSProperties:
         for n in (1, 2, 3, 4):
             s = build_S(n)
             assert s @ s_inverse_formula(n) == Matrix.identity(n + 2)
+
+    @pytest.mark.parametrize("formula", [s_determinant_formula, s_inverse_formula])
+    @pytest.mark.parametrize("n", [0, -1, -2])
+    def test_formulas_refuse_dimension_below_one(self, formula, n):
+        with pytest.raises(DimensionError, match=r"^sphere dimension n must be >= 1$"):
+            build_S(n)
+        with pytest.raises(DimensionError, match=r"^sphere dimension n must be >= 1$"):
+            formula(n)
 
 
 class TestReductionChain:
@@ -444,3 +453,75 @@ def test_integer_entry_rules_match_fraction_sums(points):
             assert d.at(i + 1, j + 1) == sum((a - b) ** 2 for a, b in zip(p, q))
     assert build_U(points).row(0) == (1, *(sum(c * c for c in p) for p in pts))
     assert all(type(v) is Fraction for v in d.data)
+
+
+def _reference_builders(radii: list[Fraction], n: int) -> dict:
+    """Every exact operand of the audit, by the Fraction entry formulas the
+    integer builders replaced."""
+    k, size = [1 / v for v in radii], n + 2
+    s = [[F(-2 if i == j else 2) for j in range(size)] for i in range(size)]
+    residual = sum(k) ** 2 - n * sum(v * v for v in k)
+    block_value = (-1) ** n * 2 ** (2 * n + 1) * residual
+    kt_sinv_k = sum(a * b * (F(1, 4 * n) - F(int(i == j), 4)) for i, a in enumerate(k) for j, b in enumerate(k))
+    eliminated = [[0] + [1] * size] + [[1] + [radii[i] * s[i][j] * radii[j] for j in range(size)] for i in range(size)]
+    bordered = [[0, *k]] + [[k[i], *s[i]] for i in range(size)]
+    return {
+        "P": [[1, *(-v * v for v in radii)]] + [[int(i == j) for j in range(size + 1)] for i in range(1, size + 1)],
+        "Q": [[([1, *k][i] if i == j else 0) for j in range(size + 1)] for i in range(size + 1)],
+        "S": s,
+        "S^-1": [[F(1, 4 * n) - (F(1, 4) if i == j else 0) for j in range(size)] for i in range(size)],
+        "W": [[1 if {i, j} == {0, 1} else -2 if i == j > 1 else 0 for j in range(size + 1)] for i in range(size + 1)],
+        "closed forms": [
+            eliminated,
+            bordered,
+            -F((-1) ** (n + 1) * 2 ** (2 * n + 3) * n) * kt_sinv_k,
+            block_value,
+            block_value * math.prod(radii) ** 2,
+        ],
+        "distances": tuple(
+            tuple((a + b) ** 2 if i != j else 0 for j, b in enumerate(radii)) for i, a in enumerate(radii)
+        ),
+    }
+
+
+def _as_values(value):
+    return value.to_rows() if isinstance(value, Matrix) else value
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_integer_builders_match_fraction_formulas(n):
+    rng = random.Random(2300 + n)
+    for _ in range(25):
+        radii = rand_radii(rng, n)
+        r = validate_radii(radii, n)
+        want = _reference_builders(radii, n)
+        assert build_P(r).to_rows() == want["P"]
+        assert build_Q(r).to_rows() == want["Q"]
+        assert build_S(n).to_rows() == want["S"]
+        assert s_inverse_formula(n).to_rows() == want["S^-1"]
+        assert build_W(n + 2).to_rows() == want["W"]
+        closed = [_as_values(value) for _, value in proof_witness._closed_forms(r)]
+        assert closed == want["closed forms"]
+        distances = tangency_squared_distances(r).entries
+        assert distances == want["distances"]
+        assert all(type(v) is Fraction for row in distances for v in row)
+        assert _factored_determinant(r) == want["closed forms"][-1]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_float_radii_keep_their_values_and_stay_out_of_the_audit(n):
+    rng = random.Random(2400 + n)
+    for _ in range(25):
+        exact = rand_radii(rng, n)
+        r = validate_radii([float(v) for v in exact], n)
+        as_read = [Fraction(v) for v in r.values]  # the float radii's exact values
+        assert _factored_determinant(r) == _reference_builders(as_read, n)["closed forms"][-1]
+        squares = [[0.0] * (n + 2) for _ in r.values]
+        for i, a in enumerate(r.values):
+            for j, b in enumerate(r.values):
+                if i != j:
+                    squares[i][j] = (a + b) * (a + b)
+        assert repr(tangency_squared_distances(r).entries) == repr(tuple(map(tuple, squares)))
+        for audit in (build_P, build_Q, check_reduction_chain):
+            with pytest.raises(ModeMismatchError, match="^proof witness runs in exact mode only$"):
+                audit(r)
