@@ -16,10 +16,11 @@ the canonical interchange type throughout the library: tangency distances
 for any symmetric zero-diagonal D), by symmetric fraction-free elimination.
 A float determinant, volume or Heron area, and the float value of the
 coordinate oracle :func:`volume_squared_from_coordinates`, is its exact value
-rounded once.  On first use the :class:`SquaredDistanceMatrix` keeps L and
-the eliminated block, whose diagonal holds the leading minors Δ_k of M, so
-``cm_determinant``, ``volume_squared``, ``is_degenerate`` and exact
-``embedding.realize_points`` on one matrix share one elimination.  Pivots
+rounded once.  A :class:`SquaredDistanceMatrix` keeps L with its upper
+triangle times L, and from first use the eliminated block, whose diagonal
+holds the leading minors Δ_k of M, so ``cm_determinant``,
+``volume_squared``, ``is_degenerate`` and exact ``embedding.realize_points``
+on one matrix share one elimination.  Pivots
 p_k = Δ_k / (-2L Δ_{k-1}) are squared heights, and a point is flat when |p_k|
 is at most the mode's zero, in ``is_degenerate`` as in ``realize_points``.
 """
@@ -33,7 +34,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .errors import DimensionError, ValidationError
-from .numeric import EXACT, FLOAT, REL_TOL, Matrix, Scalar, _exact_determinant, _integer_rows
+from .numeric import EXACT, FLOAT, REL_TOL, Matrix, Scalar, _exact_determinant
 from .numeric import coerce_vector, from_exact, symmetric_bareiss
 
 
@@ -43,9 +44,14 @@ class SquaredDistanceMatrix:
 
     Diagonal entries are zero.  Float mode additionally requires entries to
     be nonnegative and finite; exact mode permits any rational, since the
-    algebraic identities hold regardless of realizability.  The eliminated
-    block and the exact bordered determinant are computed on first use and
-    kept (not fields), so ``entries`` must stay the tuples ``from_entries`` builds.
+    algebraic identities hold regardless of realizability.  Two values are
+    kept per matrix (not fields, so ``==``, ``hash``, ``repr`` and
+    ``astuple`` see only ``m``, ``entries`` and ``mode``): the upper triangle
+    as integers over one denominator L, which :meth:`from_entries` builds
+    from the (numerator, denominator) pairs it checks, and the eliminated
+    block, computed on first use.  A matrix made by the constructor or by
+    ``dataclasses.replace`` computes the first from ``entries`` when it is
+    needed, so ``entries`` must stay the tuples ``from_entries`` builds.
     """
 
     m: int
@@ -61,17 +67,21 @@ class SquaredDistanceMatrix:
             raise DimensionError("squared-distance matrix must be square")
         flat, mode = coerce_vector([v for r in rows for v in r], mode)
         ent = tuple(flat[i * m : (i + 1) * m] for i in range(m))
-        for i in range(m):
-            if ent[i][i] != 0:
-                raise ValidationError(f"diagonal entry ({i},{i}) must be zero")
-            for j in range(i + 1, m):
-                if ent[i][j] != ent[j][i]:
-                    raise ValidationError(f"entries ({i},{j}) and ({j},{i}) differ")
-                if mode == FLOAT and ent[i][j] < 0:
-                    raise ValidationError(f"negative squared distance at ({i},{j})")
-        return cls(m, ent, mode)
+        if mode == FLOAT:
+            _check_entries(ent, 0, nonnegative=True)
+            return cls(m, ent, mode)
+        # exact entries are compared as (numerator, denominator) pairs in
+        # lowest terms: equal pairs, equal values
+        pairs = tuple(map(Fraction.as_integer_ratio, flat))
+        grid = [pairs[i * m : (i + 1) * m] for i in range(m)]
+        _check_entries(grid, (0, 1), nonnegative=False)
+        d = cls(m, ent, mode)
+        d.__dict__["_upper"] = _scaled_upper(grid)  # what the cached property computes
+        return d
 
     def at(self, i: int, j: int) -> Scalar:
+        if not (0 <= i < self.m and 0 <= j < self.m):
+            raise IndexError(f"entry ({i}, {j}) is outside a {self.m}x{self.m} matrix")
         return self.entries[i][j]
 
     def max_entry(self) -> Scalar:
@@ -82,11 +92,16 @@ class SquaredDistanceMatrix:
         return 0 if self.mode == EXACT else REL_TOL * self.max_entry()
 
     @cached_property
+    def _upper(self) -> tuple[int, list[list[int]]]:
+        """L and row i of the upper triangle, D_ij for j > i, times L."""
+        return _scaled_upper([[v.as_integer_ratio() for v in row] for row in self.entries])
+
+    @cached_property
     def _gram(self) -> tuple[int, int, list[list[int]]]:
         """L, det(M) and the Gram block M (see above) as ``symmetric_bareiss``
         leaves it: each row as it stood when it was the pivot row, with Δ_{k+1}
         at a[k][k] up to the first zero.  Exact ``realize_points`` reads it."""
-        ints, scale = _integer_rows(row[i + 1 :] for i, row in enumerate(self.entries))
+        scale, ints = self._upper
         b = ints[0]  # scale * D_0i for i = 1..m-1
         block = [
             [0] * r + [-2 * b[r]] + [x - b[r] - y for x, y in zip(ints[r + 1], b[r + 1 :])]
@@ -98,6 +113,27 @@ class SquaredDistanceMatrix:
     def _exact_det(self) -> Fraction:
         scale, det, _ = self._gram
         return Fraction(-det, scale ** (self.m - 1))
+
+
+def _check_entries(grid: Sequence[Sequence], zero, nonnegative: bool) -> None:
+    """Raise for the first entry, in row order, that breaks the zero
+    diagonal, symmetry or (with ``nonnegative``) the sign rule."""
+    for i, row in enumerate(grid):
+        if row[i] != zero:
+            raise ValidationError(f"diagonal entry ({i},{i}) must be zero")
+        for j in range(i + 1, len(grid)):
+            if row[j] != grid[j][i]:
+                raise ValidationError(f"entries ({i},{j}) and ({j},{i}) differ")
+            if nonnegative and row[j] < 0:
+                raise ValidationError(f"negative squared distance at ({i},{j})")
+
+
+def _scaled_upper(ratios: Sequence[Sequence[tuple[int, int]]]) -> tuple[int, list[list[int]]]:
+    """L, the lcm of the denominators above the diagonal, and those entries
+    times L, row by row, from each entry's (numerator, denominator) pair."""
+    upper = [row[i + 1 :] for i, row in enumerate(ratios)]
+    scale = math.lcm(*(q for row in upper for _, q in row))
+    return scale, [[p * (scale // q) for p, q in row] for row in upper]
 
 
 @dataclass(frozen=True)

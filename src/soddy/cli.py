@@ -225,10 +225,23 @@ def _write(path: str, text: str) -> None:
         raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
+#: The most circles one ``gasket`` call may generate.  Depth d makes 2·3^d + 2:
+#: depth 10 (118,100 circles, about 3 s and 140 MB with the JSON) is admitted,
+#: depth 11 (354,296, about 10 s and 390 MB) is refused before any circle is placed.
+_MAX_GASKET_CIRCLES = 200_000
+
+
 def _cmd_gasket(args):
-    from .gasket import gasket_to_dict, generate, render_svg
+    from .gasket import MAX_DEPTH, gasket_to_dict, generate, render_svg
 
     seed = _parse_scalars(args.seed, FLOAT)
+    if 0 <= args.depth <= MAX_DEPTH:  # any other depth is generate's own error
+        circles = 2 * 3**args.depth + 2
+        if circles > _MAX_GASKET_CIRCLES:
+            raise ValidationError(
+                f"--depth {args.depth} would draw about {circles} circles, "
+                f"more than the {_MAX_GASKET_CIRCLES} one gasket may draw"
+            )
     g = generate(seed, args.depth)
     written = {}
     if args.svg:
@@ -304,7 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gasket", help="generate an Apollonian gasket")
     p.add_argument("--seed", required=True, help="three comma-separated curvatures")
-    p.add_argument("--depth", type=int, default=3, help="expansion depth (max 12)")
+    p.add_argument("--depth", type=int, default=3, help="expansion depth (max 10: 2*3^d + 2 circles, at most 200000)")
     p.add_argument("--svg", help="write SVG to this path")
     p.add_argument("--json", dest="json_path", help="write geometry JSON to this path")
     p.set_defaults(handler=_cmd_gasket)

@@ -67,6 +67,85 @@ class TestValidation:
         with pytest.raises(DimensionError):
             SquaredDistanceMatrix.from_entries([[0]])
 
+    # The checks run in row order: row i's diagonal entry, then (i, j) for
+    # j > i, symmetry before (in float mode) the sign; the first fault is named.
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([[0, 1, 2], [1, 0, 3], [5, 4, 0]], "entries (0,2) and (2,0) differ"),
+            ([[0, 1, 2], [1, 7, 3], [2, 4, 0]], "diagonal entry (1,1) must be zero"),
+            ([[Fraction(1, 2), 1], [2, 0]], "diagonal entry (0,0) must be zero"),
+            ([[0, 1, 2], [Fraction(3, 2), 7, 3], [2, 3, 0]], "entries (0,1) and (1,0) differ"),
+            ([[0, Fraction(1, 3), 2], [Fraction(2, 6), 0, 3], [2, 3, Fraction(-1, 9)]],
+             "diagonal entry (2,2) must be zero"),
+        ],
+        ids=["first-asymmetry", "diagonal-before-asymmetry", "fraction-diagonal", "asymmetry-before-diagonal",
+             "last-diagonal"],
+    )
+    def test_exact_fault_is_named(self, rows, message):
+        with pytest.raises(ValidationError) as info:
+            SquaredDistanceMatrix.from_entries(rows)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [5.0, 4.0, 0.0]], "entries (0,2) and (2,0) differ"),
+            ([[0.0, 1.0, 2.0], [1.0, 7.0, 3.0], [2.0, 4.0, 0.0]], "diagonal entry (1,1) must be zero"),
+            ([[0.0, -1.0], [-1.0, 0.0]], "negative squared distance at (0,1)"),
+            ([[0.0, -1.0], [-2.0, 0.0]], "entries (0,1) and (1,0) differ"),
+            ([[0.0, -1.0, 1.0], [-1.0, 0.0, 2.0], [1.0, 3.0, 0.0]], "negative squared distance at (0,1)"),
+            ([[0.0, 1.0, 1.0], [1.0, 2.0, -2.0], [1.0, -2.0, 0.0]], "diagonal entry (1,1) must be zero"),
+            ([[0, 1, 2.5], [1, 0, -3], [2.5, -3, 0]], "negative squared distance at (1,2)"),
+        ],
+        ids=["first-asymmetry", "diagonal-before-asymmetry", "negative", "asymmetry-before-sign",
+             "sign-before-later-asymmetry", "diagonal-before-sign", "ints-with-floats"],
+    )
+    def test_float_fault_is_named(self, rows, message):
+        with pytest.raises(ValidationError) as info:
+            SquaredDistanceMatrix.from_entries(rows)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[0, 1], [Fraction(2, 2), 0]],
+            [[Fraction(0), Fraction(4, 2)], [2, Fraction(0, 5)]],
+            [[0, Fraction(1, 2), 3], [Fraction(2, 4), 0, Fraction(9, 3)], [Fraction(3), 3, 0]],
+            [[0, -1, Fraction(-5, 2)], [Fraction(-1), 0, -4], [Fraction(-10, 4), Fraction(-4), 0]],
+        ],
+        ids=["int-against-fraction", "fraction-zeros", "mixed", "negative"],
+    )
+    def test_equal_exact_values_are_symmetric(self, rows):
+        d = SquaredDistanceMatrix.from_entries(rows)
+        assert d.mode == "exact"
+        assert all(type(v) is Fraction for row in d.entries for v in row)
+        assert d.entries == tuple(tuple(Fraction(v) for v in row) for row in rows)
+        twin = SquaredDistanceMatrix.from_entries([[Fraction(v) for v in row] for row in rows])
+        assert d == twin and cm_determinant(d) == cm_determinant(twin)
+
+    def test_negative_fraction_entries_allowed_in_exact_mode(self):
+        d = SquaredDistanceMatrix.from_entries([[0, Fraction(-1, 3)], [Fraction(-2, 6), 0]])
+        assert d.at(1, 0) == Fraction(-1, 3)
+        assert cm_determinant(d) == Fraction(-2, 3)
+
+
+@pytest.mark.parametrize(
+    "index", [(0, 2), (2, 0), (-1, 0), (0, -1), (5, 5)], ids=["col-2", "row-2", "row-neg", "col-neg", "both-5"]
+)
+def test_at_outside_the_matrix_is_index_error(index):
+    for rows in ([[0, 1], [1, 0]], [[0.0, 1.0], [1.0, 0.0]]):
+        d = SquaredDistanceMatrix.from_entries(rows)
+        with pytest.raises(IndexError, match=r"outside a 2x2 matrix"):
+            d.at(*index)
+
+
+def test_at_reads_every_entry():
+    rows = [[0, 1, 4], [1, 0, 9], [4, 9, 0]]
+    d = SquaredDistanceMatrix.from_entries(rows)
+    assert [[d.at(i, j) for j in range(3)] for i in range(3)] == rows
+
 
 class TestBuildCMMatrix:
     def test_unit_triangle_structure(self):
@@ -556,6 +635,26 @@ def test_kept_determinant_is_invisible():
     # OTHER_ROWS span a 4-simplex of content 1: det = (-1)^5 * 2^4 * (4!)^2
     assert cm_determinant(moved) == cm_determinant(other) == -16 * 24**2
     assert det != cm_determinant(moved)
+    # a matrix made without from_entries, or copied from one that keeps its
+    # integer form, answers as from_entries does on the same rows
+    for mode in ("exact", "float"):
+        shared, rows = _in_mode(SHARED_ROWS, mode), _in_mode(OTHER_ROWS, mode)
+        want = _answers(SquaredDistanceMatrix.from_entries(rows))
+        kept = SquaredDistanceMatrix.from_entries(shared)
+        cm_determinant(kept)
+        ent = SquaredDistanceMatrix.from_entries(rows).entries
+        assert SquaredDistanceMatrix(5, ent, mode) == SquaredDistanceMatrix.from_entries(rows)
+        assert _answers(SquaredDistanceMatrix(5, ent, mode)) == want
+        assert _answers(dataclasses.replace(kept, entries=ent)) == want
+        assert _answers(kept) == _answers(SquaredDistanceMatrix.from_entries(shared)) != want
+        for fresh in (SquaredDistanceMatrix.from_entries(rows), SquaredDistanceMatrix(5, ent, mode)):
+            assert _answers(pickle.loads(pickle.dumps(fresh))) == want  # nothing computed yet
+            _answers(fresh)
+            assert _answers(pickle.loads(pickle.dumps(fresh))) == want  # everything kept
+
+
+def _answers(d):
+    return repr(cm_determinant(d)), repr(volume_squared(d)), is_degenerate(d)
 
 
 def test_rounding_stays_per_function():

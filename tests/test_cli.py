@@ -429,6 +429,40 @@ class TestGasket:
         code, out, _ = call(["gasket", "--seed", "-1,2,2", "--depth", "13"])
         assert code == 1
 
+    @pytest.mark.parametrize("depth, circles", [(11, 354296), (12, 1062884)])
+    def test_too_many_circles_refused_before_generate(self, call, monkeypatch, tmp_path, depth, circles):
+        def fail(*args):
+            raise AssertionError("generate ran")
+
+        monkeypatch.setattr("soddy.gasket.generate", fail)
+        svg = tmp_path / "never.svg"
+        code, out, _ = call(["gasket", "--seed", "-1,2,2", "--depth", str(depth), "--svg", str(svg)])
+        assert code == 1 and out.count("\n") == 1 and not svg.exists()
+        error = json.loads(out)["error"]
+        assert error["kind"] == "validation"
+        assert error["message"] == (
+            f"--depth {depth} would draw about {circles} circles, more than the 200000 one gasket may draw"
+        )
+
+    @pytest.mark.parametrize("depth", [-1, 13, 10**9])
+    def test_depth_outside_the_range_keeps_its_error(self, call, depth):
+        code, out, _ = call(["gasket", "--seed", "-1,2,2", "--depth", str(depth)])
+        assert code == 1
+        assert json.loads(out)["error"] == {"kind": "validation", "message": "max_depth must be between 0 and 12"}
+
+    def test_depths_up_to_10_reach_generate(self, call, monkeypatch):
+        depths = []
+
+        def small(seed, depth):
+            depths.append(depth)
+            return generate(seed, 0)
+
+        monkeypatch.setattr("soddy.gasket.generate", small)
+        for depth in range(11):
+            code, out, _ = call(["gasket", "--seed", "-1,2,2", "--depth", str(depth)])
+            assert code == 0 and len(json.loads(out)["result"]["circles"]) == 4
+        assert depths == list(range(11))
+
     @pytest.mark.parametrize("flag", ["--svg", "--json"])
     def test_unwritable_path_is_named(self, call, tmp_path, flag):
         path = str(tmp_path / "no-such-dir" / "out")
