@@ -17,8 +17,11 @@ for any symmetric zero-diagonal D), by symmetric fraction-free elimination.
 A float determinant, volume or Heron area, and the float value of the
 coordinate oracle :func:`volume_squared_from_coordinates`, is its exact value
 rounded once.  A :class:`SquaredDistanceMatrix` keeps L with its upper
-triangle times L, and from first use the eliminated block, whose diagonal
-holds the leading minors Δ_k of M, so ``cm_determinant``,
+triangle times L, built by ``from_entries`` from checked input or handed
+over unchecked by the library's exact producers (tangency distances, the
+audit's coordinate distances), and exact ``build_cm_matrix`` borders those
+integers with L.  From first use it also keeps the eliminated block, whose
+diagonal holds the leading minors Δ_k of M, so ``cm_determinant``,
 ``volume_squared``, ``is_degenerate`` and exact ``embedding.realize_points``
 on one matrix share one elimination.  Pivots
 p_k = Δ_k / (-2L Δ_{k-1}) are squared heights, and a point is flat when |p_k|
@@ -48,7 +51,8 @@ class SquaredDistanceMatrix:
     kept per matrix (not fields, so ``==``, ``hash``, ``repr`` and
     ``astuple`` see only ``m``, ``entries`` and ``mode``): the upper triangle
     as integers over one denominator L, which :meth:`from_entries` builds
-    from the (numerator, denominator) pairs it checks, and the eliminated
+    from the (numerator, denominator) pairs it checks, or the library's exact
+    producers hand over through :meth:`_from_integer_rows`, and the eliminated
     block, computed on first use.  A matrix made by the constructor or by
     ``dataclasses.replace`` computes the first from ``entries`` when it is
     needed, so ``entries`` must stay the tuples ``from_entries`` builds.
@@ -77,6 +81,26 @@ class SquaredDistanceMatrix:
         _check_entries(grid, (0, 1), nonnegative=False)
         d = cls(m, ent, mode)
         d.__dict__["_upper"] = _scaled_upper(grid)  # what the cached property computes
+        return d
+
+    @classmethod
+    def _from_integer_rows(cls, rows: Sequence[Sequence[int]], den: int) -> "SquaredDistanceMatrix":
+        """The exact matrix rows / den, for symmetric zero-diagonal integer rows
+        and den > 0, unchecked: the library's producers hand over the integers
+        they computed.  Divided by g = gcd(den, entries), den / g is the lcm of
+        the reduced denominators, so the kept L and upper triangle are those
+        :meth:`from_entries` keeps."""
+        upper = [row[i + 1 :] for i, row in enumerate(rows)]
+        g = math.gcd(den, *(v for row in upper for v in row))
+        if g > 1:
+            den, upper = den // g, [[v // g for v in row] for row in upper]
+        zero = Fraction(0)
+        ent = [[zero] * len(rows) for _ in rows]
+        for i, row in enumerate(upper):
+            for j, v in enumerate(row, i + 1):
+                ent[i][j] = ent[j][i] = Fraction(v, den)
+        d = cls(len(rows), tuple(map(tuple, ent)), EXACT)
+        d.__dict__["_upper"] = den, upper
         return d
 
     def at(self, i: int, j: int) -> Scalar:
@@ -145,9 +169,16 @@ class VolumeSquared:
 
 
 def build_cm_matrix(d: SquaredDistanceMatrix) -> Matrix:
-    """Bordered (m+1)x(m+1) matrix: zero corner, ones border, d^2 block."""
-    rows = [[0] + [1] * d.m] + [[1, *row] for row in d.entries]
-    return Matrix.from_rows(rows, d.mode)
+    """Bordered (m+1)x(m+1) matrix: zero corner, ones border, d^2 block; an
+    exact one is a border of L around L * d^2, over L, from the kept integers."""
+    if d.mode != EXACT:
+        return Matrix.from_rows([[0] + [1] * d.m] + [[1, *row] for row in d.entries], d.mode)
+    scale, upper = d._upper
+    rows = [[0] + [scale] * d.m] + [[scale] + [0] * d.m for _ in range(d.m)]
+    for i, row in enumerate(upper, 1):
+        for j, v in enumerate(row, i + 1):
+            rows[i][j] = rows[j][i] = v
+    return Matrix._from_integer_rows(rows, scale)
 
 
 def cm_determinant(d: SquaredDistanceMatrix) -> Scalar:

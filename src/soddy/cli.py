@@ -65,8 +65,34 @@ def _parse_scalars(text: str, mode: str) -> tuple:
     return coerce_vector([parse_rational(p) for p in parts], mode)[0]
 
 
+#: The longest JSON matrix text a ``cm-det`` or ``volume`` call reads; every
+#: matrix the elimination bound admits is far shorter.
+_MAX_MATRIX_CHARS = 1 << 22
+
+#: The most elimination work a ``cm-det`` or ``volume`` call may take, estimated
+#: as m^5 (b + 32)^2 for m points whose kept squared distances, over one
+#: denominator, have at most b bits: about m^3 fraction-free updates on minors
+#: of up to about m·b bits, each quadratic in their length.  Times measured on
+#: one core (Python 3.11) stay under about 2.3 s at the bound: a 24x24 matrix
+#: of 2,000-bit entries runs, 40x40 of 1,000 bits is refused.
+_MAX_ELIMINATION_WORK = 4 * 10**13
+
+
+def _require_elimination_bound(m: int, bits: int) -> None:
+    """Refuse m points whose elimination work estimate, at entries of ``bits``
+    bits, passes its bound; with bits = 0 this bounds m alone."""
+    work = m**5 * (bits + 32) ** 2
+    if work > _MAX_ELIMINATION_WORK:
+        raise ValidationError(
+            f"a {m}x{m} matrix would take about {work} units of elimination work, "
+            f"more than the {_MAX_ELIMINATION_WORK} one call may run"
+        )
+
+
 def _parse_matrix(args) -> SquaredDistanceMatrix:
-    text = args.matrix if args.matrix is not None else sys.stdin.read()
+    text = args.matrix if args.matrix is not None else sys.stdin.read(_MAX_MATRIX_CHARS + 1)
+    if len(text) > _MAX_MATRIX_CHARS:
+        raise ValidationError(f"matrix text is longer than the {_MAX_MATRIX_CHARS} characters one call may read")
     try:
         # ValueError also covers integers beyond Python's digit limit
         raw = json.loads(text, parse_float=parse_rational)
@@ -76,8 +102,11 @@ def _parse_matrix(args) -> SquaredDistanceMatrix:
         raise ValidationError("matrix is nested too deeply to parse") from exc
     if not isinstance(raw, list) or not all(isinstance(r, list) for r in raw):
         raise ValidationError("matrix must be a JSON array of arrays")
+    _require_elimination_bound(len(raw), 0)  # before any entry is read
     rows = [[parse_rational(v) if isinstance(v, str) else v for v in r] for r in raw]
-    return SquaredDistanceMatrix.from_entries(rows, args.mode)
+    d = SquaredDistanceMatrix.from_entries(rows, args.mode)
+    _require_elimination_bound(d.m, max(v.bit_length() for row in d._upper[1] for v in row))
+    return d
 
 
 def _cmd_cm_det(args):
@@ -104,16 +133,16 @@ def _cmd_solve(args):
 
 def _cmd_identity_check(args):
     r = validate_radii(_parse_scalars(args.radii, EXACT), args.n, strict=False)
-    lhs = cm_determinant(tangency_squared_distances(r))
     rhs = _factored_determinant(r)
-    equal = lhs == rhs
-    result = {
-        "lhs": scalar_to_json(lhs),
+    # refuse a side too long to print, then one configuration's work, before any elimination
+    printed = {
         "rhs": scalar_to_json(rhs),
         "residual": scalar_to_json(descartes_residual(curvatures_from_radii(r))),
-        "equal": equal,
     }
-    return result, 0 if equal else 2
+    _require_audit_bounds(f"--radii with {len(r.values)} radii", 1, args.n)
+    lhs = cm_determinant(tangency_squared_distances(r))
+    equal = lhs == rhs
+    return {"lhs": scalar_to_json(lhs), **printed, "equal": equal}, 0 if equal else 2
 
 
 #: The most values (both sides of every identity, each matrix entry one value)

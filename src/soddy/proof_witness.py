@@ -155,10 +155,8 @@ def check_UWU_congruence(points: Sequence[Sequence]) -> ProofReport:
     squared = [[0] * m for _ in range(m)]
     for i, x in enumerate(scaled):
         for j in range(i + 1, m):
-            squared[i][j] = squared[j][i] = Fraction(
-                sum((a - b) ** 2 for a, b in zip(x, scaled[j])), den2
-            )
-    dist = SquaredDistanceMatrix.from_entries(squared, EXACT)
+            squared[i][j] = squared[j][i] = sum((a - b) ** 2 for a, b in zip(x, scaled[j]))
+    dist = SquaredDistanceMatrix._from_integer_rows(squared, den2)
     d = build_cm_matrix(dist)
     return ProofReport(
         entries=(

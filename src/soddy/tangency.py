@@ -113,26 +113,33 @@ def tangency_squared_distances(r: SignedRadii) -> SquaredDistanceMatrix:
     exact radii R_i / L give (R_i + R_j)^2 over L^2, float radii float squares."""
     if r.mode == EXACT:
         (vals,), den = _integer_rows([r.values])
-        zero, scale = Fraction(0), den * den
     else:
-        vals, zero, scale = r.values, 0, None
-    rows = [[zero] * len(vals) for _ in vals]
+        vals, den = r.values, None
+    rows = [[0] * len(vals) for _ in vals]
     for i, a in enumerate(vals):
         for j in range(i + 1, len(vals)):
             # s * s, not s ** 2: a float square past the float range is then inf,
             # which coercion rejects as non-finite, instead of an OverflowError
             s = a + vals[j]
-            rows[i][j] = rows[j][i] = s * s if scale is None else Fraction(s * s, scale)
-    return SquaredDistanceMatrix.from_entries(rows, r.mode)
+            rows[i][j] = rows[j][i] = s * s
+    if den is None:
+        return SquaredDistanceMatrix.from_entries(rows, r.mode)
+    return SquaredDistanceMatrix._from_integer_rows(rows, den * den)
 
 
 def _tangency_residual(values: Sequence[Scalar], n: int, mode: str) -> tuple[Scalar, Scalar]:
     """(sum k_i)^2 - n * sum k_i^2 and the mode's zero for it: 0 exact, REL_TOL *
     max k_i^2 float, the same at every scale.  The tangency test is
-    ``not abs(residual) <= zero``, so a NaN residual (overflowed squares) fails."""
+    ``not abs(residual) <= zero``, so a NaN residual (overflowed squares) fails.
+    Exact values are read as integers over one denominator, so the residual is
+    one integer over its square."""
+    if mode == EXACT:
+        (ints,), den = _integer_rows([values])
+        s = sum(ints)
+        return Fraction(s * s - n * sum(v * v for v in ints), den * den), 0
     s = sum(values)
     squares = [v * v for v in values]
-    return s * s - n * sum(squares), 0 if mode == EXACT else REL_TOL * max(squares)
+    return s * s - n * sum(squares), REL_TOL * max(squares)
 
 
 def descartes_residual(k: Curvatures) -> Scalar:

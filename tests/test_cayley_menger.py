@@ -26,10 +26,11 @@ from soddy.cayley_menger import (
 )
 from soddy.embedding import realize_points
 from soddy.errors import DimensionError, NonFiniteError, RankExceedsDimError, SoddyError, ValidationError
-from soddy.numeric import determinant, symmetric_bareiss
+from soddy.numeric import Matrix, determinant, symmetric_bareiss
+from soddy.proof_witness import check_UWU_congruence
 from soddy.tangency import tangency_squared_distances, validate_radii
 
-from .conftest import rand_nonzero_fraction, rand_points, shoelace_area_squared
+from .conftest import rand_nonzero_fraction, rand_points, rand_radii, shoelace_area_squared
 
 D345 = SquaredDistanceMatrix.from_entries([[0, 9, 16], [9, 0, 25], [16, 25, 0]])
 UNIT_TETRA = SquaredDistanceMatrix.from_entries(
@@ -683,3 +684,96 @@ def test_shared_matrix_answers_as_fresh_matrices(rows, order):
         shared = [repr(CALLS[name](d)) for name in order]
         fresh = [repr(CALLS[name](SquaredDistanceMatrix.from_entries(moded))) for name in order]
         assert shared == fresh
+
+
+# ---------------------------------------------------------------------------
+# The library's exact producers, tangency distances and the audit's
+# coordinate distances, hand their integers to the private constructor
+# unchecked; each matrix must be the one from_entries builds from the same
+# entries, fields, kept integers and answers alike.
+
+
+def _producer_radii():
+    rng = random.Random("producer-radii")
+    out = []
+    for n in range(1, 9):
+        out.append(rand_radii(rng, n))
+        repeated = [abs(v) for v in rand_radii(rng, n)]
+        repeated[-2:] = [repeated[0]] * 2
+        out.append(repeated)
+        opposite = [abs(v) for v in rand_radii(rng, n)]
+        opposite[1] = -opposite[0]  # r_0 + r_1 = 0: a zero squared distance off the diagonal
+        out.append(opposite)
+    return out
+
+
+def _producer_points():
+    rng = random.Random("producer-points")
+    out = []
+    for m in range(3, 9):
+        out.append(rand_points(rng, m))
+        repeated = rand_points(rng, m)
+        repeated[1] = list(repeated[0])
+        out.append(repeated)
+        base, step = rand_points(rng, 2, m - 1)
+        ts = [rand_nonzero_fraction(rng) for _ in range(m)]
+        out.append([[b + t * s for b, s in zip(base, step)] for t in ts])  # on one line
+    return out
+
+
+def _producer_matrix(monkeypatch, kind, values):
+    """The squared-distance matrix the producer builds: tangency distances
+    of radii, or the one check_UWU_congruence builds for points."""
+    if kind == "tangency":
+        return tangency_squared_distances(validate_radii(values, len(values) - 2, strict=False))
+    seen = []
+    monkeypatch.setattr("soddy.proof_witness.build_cm_matrix", lambda d: seen.append(d) or build_cm_matrix(d))
+    check_UWU_congruence(values)
+    monkeypatch.undo()
+    return seen[0]
+
+
+PRODUCED = [("tangency", r) for r in _producer_radii()] + [("congruence", p) for p in _producer_points()]
+PRODUCER_CALLS = (cm_determinant, volume_squared, is_degenerate, lambda d: realize_points(d, d.m - 1))
+
+
+def _bordered_by_from_rows(d):
+    return Matrix.from_rows([[0] + [1] * d.m] + [[1, *row] for row in d.entries], d.mode)
+
+
+@pytest.mark.parametrize("index", range(len(PRODUCED)))
+def test_producer_matrices_match_checked_entries(monkeypatch, index):
+    made = _producer_matrix(monkeypatch, *PRODUCED[index])
+    checked = SquaredDistanceMatrix.from_entries(made.entries)
+    assert made == checked and checked == made
+    assert (hash(made), repr(made)) == (hash(checked), repr(checked))
+    assert dataclasses.astuple(made) == dataclasses.astuple(checked)
+    back = pickle.loads(pickle.dumps(made))
+    assert back == checked and back._upper == made._upper == checked._upper
+    assert build_cm_matrix(made).__dict__ == _bordered_by_from_rows(made).__dict__
+    answers = [_outcome(f, made) for f in PRODUCER_CALLS]
+    assert answers == [_outcome(f, SquaredDistanceMatrix.from_entries(made.entries)) for f in PRODUCER_CALLS]
+
+
+def test_producer_corpora_reach_every_case(monkeypatch):
+    # reduced kept integers (gcd > 1 before reduction), zero distances off
+    # the diagonal, flat and full-rank configurations all occur
+    made = [_producer_matrix(monkeypatch, *case) for case in PRODUCED]
+    assert any(d._upper[0] > 1 for d in made)
+    assert any(v == 0 for d in made for row in d._upper[1] for v in row)
+    assert {is_degenerate(d) for d in made} == {True, False}
+    assert all(type(v) is Fraction for d in made for row in d.entries for v in row)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("name", ["generic", "zeros", "non-euclidean", "extreme"])
+def test_build_cm_matrix_is_from_rows_on_the_bordered_entries(name, mode):
+    # from_entries keeps the integer form; the constructor and replace leave
+    # it to be computed from entries
+    for rows in _pin_corpus(name)[:12]:
+        d = SquaredDistanceMatrix.from_entries(_in_mode(rows, mode))
+        want = _bordered_by_from_rows(d).__dict__
+        copies = (SquaredDistanceMatrix(d.m, d.entries, d.mode), dataclasses.replace(D345, **dataclasses.asdict(d)))
+        for made in (d, *copies):
+            got = build_cm_matrix(made).__dict__
+            assert got == want and repr(got) == repr(want)  # repr: float bits and signed zeros too

@@ -8,6 +8,7 @@ import itertools
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -324,7 +325,113 @@ class TestCmDetAndVolume:
         assert json.loads(out)["error"] == {"kind": "validation", "message": "matrix is nested too deeply to parse"}
 
 
+    @staticmethod
+    def _no_elimination(monkeypatch):
+        def eliminate(_):
+            raise AssertionError("the elimination ran")
+
+        monkeypatch.setattr("soddy.cayley_menger.symmetric_bareiss", eliminate)
+
+    @pytest.mark.parametrize("command", ["cm-det", "volume"])
+    @pytest.mark.parametrize(
+        "m, bits, mode",
+        # 1000-bit integers; floats spanning 10^+-300, 2,000 bits or so over one denominator
+        [(60, 1000, "exact"), (40, 1000, "exact"), (32, None, "float"), (130, 1, "exact")],
+    )
+    def test_costly_elimination_is_refused_before_it_runs(self, call, monkeypatch, command, m, bits, mode):
+        self._no_elimination(monkeypatch)
+        rng = random.Random(m)
+        rows = [[0] * m for _ in range(m)]
+        for i, j in itertools.combinations(range(m), 2):
+            if bits is None:
+                rows[i][j] = rows[j][i] = rng.uniform(0.1, 1) * 10.0 ** rng.randint(-300, 300)
+            else:
+                rows[i][j] = rows[j][i] = rng.getrandbits(bits) | 1 << (bits - 1)
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(rows)))
+        code, out, _ = call([command, "--mode", mode])
+        assert code == 1
+        assert out.count("\n") == 1
+        error = json.loads(out)["error"]
+        assert error["kind"] == "validation"
+        assert f"a {m}x{m} matrix" in error["message"]
+        assert str(soddy.cli._MAX_ELIMINATION_WORK) in error["message"]
+
+    @pytest.mark.parametrize("m, bits", [(24, 2000), (128, 1), (2, 14000)])
+    def test_elimination_bound_admits_its_neighbours(self, call, monkeypatch, m, bits):
+        # each reaches the elimination, stubbed here to keep the test fast
+        reached = []
+        monkeypatch.setattr("soddy.cayley_menger.symmetric_bareiss", lambda a: reached.append(len(a)) or 1)
+        value = (1 << (bits - 1)) | 1
+        rows = [[0 if i == j else value for j in range(m)] for i in range(m)]
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(rows)))
+        code, out, _ = call(["cm-det"])
+        assert code == 0 and json.loads(out)["ok"] is True
+        assert reached == [m - 1]
+
+    def test_too_many_points_are_refused_before_any_entry_is_read(self, call, monkeypatch):
+        def read(*_):
+            raise AssertionError("the entries were read")
+
+        monkeypatch.setattr(soddy.cli.SquaredDistanceMatrix, "from_entries", read)
+        m = 132  # 131 points pass at 0 bits
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps([[0] * m] * m)))
+        code, out, _ = call(["cm-det"])
+        assert code == 1
+        assert json.loads(out)["error"] == {
+            "kind": "validation",
+            "message": f"a {m}x{m} matrix would take about {m**5 * 32**2} units of elimination work, "
+            f"more than the {soddy.cli._MAX_ELIMINATION_WORK} one call may run",
+        }
+
+    def test_matrix_text_past_its_bound_is_refused_unread(self, call, monkeypatch):
+        self._no_elimination(monkeypatch)
+        text = "[[0," + "0" * soddy.cli._MAX_MATRIX_CHARS + "]]"
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, _ = call(["volume"])
+        assert code == 1
+        assert json.loads(out)["error"] == {
+            "kind": "validation",
+            "message": f"matrix text is longer than the {soddy.cli._MAX_MATRIX_CHARS} characters one call may read",
+        }
+
+
 class TestIdentityCheck:
+    @staticmethod
+    def _no_elimination(monkeypatch):
+        def eliminate(_):
+            raise AssertionError("cm_determinant ran")
+
+        monkeypatch.setattr("soddy.cli.cm_determinant", eliminate)
+
+    def test_unprintable_sides_are_refused_before_any_elimination(self, call, monkeypatch):
+        # ran 159 s before it refused the same value
+        self._no_elimination(monkeypatch)
+        rng = random.Random(11)
+        radii = ",".join(str(rng.randrange(10**299, 10**300)) for _ in range(60))
+        code, out, _ = call(["identity-check", "--n", "58", "--radii", radii])
+        assert code == 1
+        assert out.count("\n") == 1
+        assert json.loads(out)["error"] == {
+            "kind": "validation",
+            "message": "result of about 35397 digits is too long to print",
+        }
+
+    def test_costly_radii_are_refused_before_any_elimination(self, call, monkeypatch):
+        self._no_elimination(monkeypatch)
+        code, out, _ = call(["identity-check", "--n", "112", "--radii", ",".join(map(str, range(1, 115)))])
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert error["kind"] == "validation"
+        assert "114 radii" in error["message"]
+        assert f"about {soddy.cli._random_audit_work(1, 112)} entry operations" in error["message"]
+
+    def test_work_bound_admits_n_111(self, call, monkeypatch):
+        reached = []
+        monkeypatch.setattr("soddy.cli.cm_determinant", lambda d: reached.append(d.m) or 0)
+        code, out, _ = call(["identity-check", "--n", "111", "--radii", ",".join(map(str, range(1, 114)))])
+        assert json.loads(out)["ok"] is True
+        assert reached == [113]
+
     def test_flat_quadruple(self, call):
         code, out, _ = call(["identity-check", "--n", "2", "--radii", "-1,0.5,0.5,1/3"])
         assert code == 0
