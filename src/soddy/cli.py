@@ -8,13 +8,17 @@ SVG to a file path.  Exit codes: 0 success, 1 validation/usage error,
 2 computational failure.
 
 ``gasket`` and ``proof_witness`` are imported only by the ``gasket`` and
-``verify-proof`` subcommands, so no other call loads them.
+``verify-proof`` subcommands, so no other call loads them.  Each subcommand
+that runs a costly kernel states one estimate in that kernel's unit, and
+``_require`` refuses one past its limit, as a ``validation`` error, before
+the kernel runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -65,28 +69,47 @@ def _parse_scalars(text: str, mode: str) -> tuple:
     return coerce_vector([parse_rational(p) for p in parts], mode)[0]
 
 
-#: The longest JSON matrix text a ``cm-det`` or ``volume`` call reads; every
-#: matrix the elimination bound admits is far shorter.
+# The limits of one call, each on one kernel's estimate; times on one core (Python 3.11).
+# - Elimination (cm-det, volume, embed): m^5 (b + 32)^2 for m points whose kept squared
+#   distances, over one denominator, have at most b bits (m^3 updates on minors of up to
+#   m·b bits).  Under 2.3 s at the bound: 24x24 of 2,000 bits runs, 40x40 of 1,000 is
+#   refused.  Matrix text is read up to a length far past any matrix this admits.
+# - Audit (verify-proof, identity-check): (n+3)^3 work and 6(n+3)^2 + 8 report values
+#   per configuration.
+# - Gasket: 2·3^d + 2 circles; depth 10 (118,100, about 3 s and 140 MB) runs.
 _MAX_MATRIX_CHARS = 1 << 22
-
-#: The most elimination work a ``cm-det`` or ``volume`` call may take, estimated
-#: as m^5 (b + 32)^2 for m points whose kept squared distances, over one
-#: denominator, have at most b bits: about m^3 fraction-free updates on minors
-#: of up to about m·b bits, each quadratic in their length.  Times measured on
-#: one core (Python 3.11) stay under about 2.3 s at the bound: a 24x24 matrix
-#: of 2,000-bit entries runs, 40x40 of 1,000 bits is refused.
 _MAX_ELIMINATION_WORK = 4 * 10**13
+_MAX_REPORT_VALUES = 10**6
+_MAX_AUDIT_WORK = 1_500_000
+_MAX_GASKET_CIRCLES = 200_000
+
+
+def _require(request: str, estimate: int, limit: int, unit: str) -> None:
+    """Refuse ``request``, before it runs, when its estimate passes its limit."""
+    if estimate > limit:
+        raise ValidationError(f"{request} would take about {estimate} {unit}, more than the {limit} one call may run")
 
 
 def _require_elimination_bound(m: int, bits: int) -> None:
-    """Refuse m points whose elimination work estimate, at entries of ``bits``
-    bits, passes its bound; with bits = 0 this bounds m alone."""
-    work = m**5 * (bits + 32) ** 2
-    if work > _MAX_ELIMINATION_WORK:
-        raise ValidationError(
-            f"a {m}x{m} matrix would take about {work} units of elimination work, "
-            f"more than the {_MAX_ELIMINATION_WORK} one call may run"
-        )
+    """Bound m points with kept entries of ``bits`` bits; bits = 0 bounds m alone."""
+    _require(f"a {m}x{m} matrix", m**5 * (bits + 32) ** 2, _MAX_ELIMINATION_WORK, "units of elimination work")
+
+
+def _require_lcm_bound(rows: list[list]) -> None:
+    """Bound exact rows as the lcm L of their denominators above the diagonal
+    is built, before ``from_entries`` builds it.  A nonzero kept entry p·L/q
+    has at least bits(L) - bits(q) bits, so past b_max + bits(q_min), q_min
+    the least denominator of a nonzero entry, the kept-bits bound refuses L
+    too.  Entries that are not rationals are left to ``from_entries``."""
+    m = max(len(rows), 1)  # no rows is from_entries' error
+    b_max = math.isqrt(_MAX_ELIMINATION_WORK // m**5) - 32
+    scale, q_bits = 1, math.inf
+    for i, row in enumerate(rows):
+        for v in row[i + 1 :]:
+            if isinstance(v, (int, Fraction)) and v:
+                scale, q_bits = math.lcm(scale, v.denominator), min(q_bits, v.denominator.bit_length())
+                if scale.bit_length() - q_bits > b_max:
+                    _require_elimination_bound(m, scale.bit_length() - q_bits)
 
 
 def _parse_matrix(args) -> SquaredDistanceMatrix:
@@ -104,6 +127,8 @@ def _parse_matrix(args) -> SquaredDistanceMatrix:
         raise ValidationError("matrix must be a JSON array of arrays")
     _require_elimination_bound(len(raw), 0)  # before any entry is read
     rows = [[parse_rational(v) if isinstance(v, str) else v for v in r] for r in raw]
+    if args.mode == EXACT:  # float denominators are powers of two: L is the largest
+        _require_lcm_bound(rows)
     d = SquaredDistanceMatrix.from_entries(rows, args.mode)
     _require_elimination_bound(d.m, max(v.bit_length() for row in d._upper[1] for v in row))
     return d
@@ -145,17 +170,6 @@ def _cmd_identity_check(args):
     return {"lhs": scalar_to_json(lhs), **printed, "equal": equal}, 0 if equal else 2
 
 
-#: The most values (both sides of every identity, each matrix entry one value)
-#: a ``verify-proof`` report may hold; a larger request is refused before any
-#: configuration is drawn or audited.
-_MAX_REPORT_VALUES = 10**6
-
-#: The most work a ``verify-proof`` audit may take, in units of one
-#: configuration's (n+3)^2 entry products and eliminations, (n+3)^3 each; a
-#: larger request is refused before any configuration is drawn or audited.
-_MAX_AUDIT_WORK = 1_500_000
-
-
 def _random_report_values(count: int, n: int) -> int:
     """Values in the report of ``verify-proof --random count --dim n``: per
     configuration 6 matrices of (n+3)^2 entries and 8 scalars, once the 2
@@ -187,20 +201,10 @@ def _random_points(rng: random.Random, m: int) -> list[list[Fraction]]:
 
 
 def _require_audit_bounds(request: str, count: int, n: int) -> None:
-    """Refuse an audit of ``count`` configurations at dimension n >= 1 whose
-    report or work estimate passes its bound; ``request`` names it."""
-    size = _random_report_values(count, n)
-    if size > _MAX_REPORT_VALUES:
-        raise ValidationError(
-            f"{request} would report about {size} values, "
-            f"more than the {_MAX_REPORT_VALUES} one audit may print"
-        )
-    work = _random_audit_work(count, n)
-    if work > _MAX_AUDIT_WORK:
-        raise ValidationError(
-            f"{request} would take about {work} "
-            f"entry operations, more than the {_MAX_AUDIT_WORK} one audit may run"
-        )
+    """Bound an audit of ``count`` configurations at dimension n >= 1, its
+    report and then its work; ``request`` names it."""
+    _require(request, _random_report_values(count, n), _MAX_REPORT_VALUES, "values to print")
+    _require(request, _random_audit_work(count, n), _MAX_AUDIT_WORK, "entry operations")
 
 
 def _cmd_verify_proof(args):
@@ -242,6 +246,7 @@ def _cmd_verify_proof(args):
 
 def _cmd_embed(args):
     r = validate_radii(_parse_scalars(args.radii, FLOAT), args.n)
+    _require_elimination_bound(args.n + 2, 0)  # on the point count alone, as a matrix before its entries
     pts = realize_points(tangency_squared_distances(r), args.n)
     centers = [list(row) for row in pts.coords]
     return {"dim": args.n, "centers": centers}, 0
@@ -254,23 +259,12 @@ def _write(path: str, text: str) -> None:
         raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-#: The most circles one ``gasket`` call may generate.  Depth d makes 2·3^d + 2:
-#: depth 10 (118,100 circles, about 3 s and 140 MB with the JSON) is admitted,
-#: depth 11 (354,296, about 10 s and 390 MB) is refused before any circle is placed.
-_MAX_GASKET_CIRCLES = 200_000
-
-
 def _cmd_gasket(args):
     from .gasket import MAX_DEPTH, gasket_to_dict, generate, render_svg
 
     seed = _parse_scalars(args.seed, FLOAT)
     if 0 <= args.depth <= MAX_DEPTH:  # any other depth is generate's own error
-        circles = 2 * 3**args.depth + 2
-        if circles > _MAX_GASKET_CIRCLES:
-            raise ValidationError(
-                f"--depth {args.depth} would draw about {circles} circles, "
-                f"more than the {_MAX_GASKET_CIRCLES} one gasket may draw"
-            )
+        _require(f"--depth {args.depth}", 2 * 3**args.depth + 2, _MAX_GASKET_CIRCLES, "circles to draw")
     g = generate(seed, args.depth)
     written = {}
     if args.svg:
@@ -346,7 +340,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gasket", help="generate an Apollonian gasket")
     p.add_argument("--seed", required=True, help="three comma-separated curvatures")
-    p.add_argument("--depth", type=int, default=3, help="expansion depth (max 10: 2*3^d + 2 circles, at most 200000)")
+    p.add_argument("--depth", type=int, default=3, help=f"expansion depth (2*3^d + 2 circles, at most {_MAX_GASKET_CIRCLES})")
     p.add_argument("--svg", help="write SVG to this path")
     p.add_argument("--json", dest="json_path", help="write geometry JSON to this path")
     p.set_defaults(handler=_cmd_gasket)

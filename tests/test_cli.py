@@ -13,6 +13,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -383,6 +384,56 @@ class TestCmDetAndVolume:
             f"more than the {soddy.cli._MAX_ELIMINATION_WORK} one call may run",
         }
 
+    @pytest.mark.parametrize("command", ["cm-det", "volume"])
+    @pytest.mark.parametrize("m, digits", [(10, 4300), (21, 4300), (21, 300)])
+    def test_long_lcm_is_refused_before_the_entries_are_scaled(self, call, monkeypatch, command, m, digits):
+        # entries 1/q with distinct q: from_entries spent 1.56 s (10x10) and
+        # about 30 s (21x21, 4,300 digits) on their lcm before any bound ran
+        def read(*_):
+            raise AssertionError("the entries were scaled")
+
+        monkeypatch.setattr(soddy.cli.SquaredDistanceMatrix, "from_entries", read)
+        rng = random.Random(m * digits)
+        rows = [[0] * m for _ in range(m)]
+        for i, j in itertools.combinations(range(m), 2):
+            rows[i][j] = rows[j][i] = f"1/{rng.randrange(10 ** (digits - 1), 10**digits)}"
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(rows)))
+        code, out, _ = call([command])
+        assert code == 1
+        assert out.count("\n") == 1
+        error = json.loads(out)["error"]
+        assert error["kind"] == "validation"
+        assert f"a {m}x{m} matrix" in error["message"]
+        assert str(soddy.cli._MAX_ELIMINATION_WORK) in error["message"]
+
+    def test_lcm_stop_refuses_no_matrix_the_kept_bits_admit(self):
+        rng = random.Random(26)
+        outcomes = set()
+        for _ in range(200):
+            # entries of 4 to 3,000 bits, split between numerator and denominator
+            m, bits = rng.randint(2, 29), rng.randint(4, 3000)
+            q_bits = rng.randint(1, bits - 1)
+            dens = [rng.getrandbits(q_bits) | 1 for _ in range(rng.randint(1, 6))]
+            rows = [[0] * m for _ in range(m)]
+            for i, j in itertools.combinations(range(m), 2):
+                value = Fraction(rng.getrandbits(bits - q_bits) * rng.choice((-1, 0, 1, 1)), rng.choice(dens))
+                rows[i][j] = rows[j][i] = value
+            try:
+                soddy.cli._require_lcm_bound(rows)
+                stopped = False
+            except soddy.errors.ValidationError:
+                stopped = True
+            d = soddy.cli.SquaredDistanceMatrix.from_entries(rows)
+            try:
+                soddy.cli._require_elimination_bound(m, max(v.bit_length() for row in d._upper[1] for v in row))
+                admitted = True
+            except soddy.errors.ValidationError:
+                admitted = False
+            assert not (stopped and admitted)
+            outcomes.add((stopped, admitted))
+        # the corpus reaches every outcome the stop allows
+        assert outcomes == {(True, False), (False, False), (False, True)}
+
     def test_matrix_text_past_its_bound_is_refused_unread(self, call, monkeypatch):
         self._no_elimination(monkeypatch)
         text = "[[0," + "0" * soddy.cli._MAX_MATRIX_CHARS + "]]"
@@ -463,6 +514,31 @@ class TestEmbed:
         code, out, _ = call(["embed", "--n", "2", "--radii", "1,1,1,1"])
         assert code == 2
         assert json.loads(out)["error"]["kind"] == "rank-exceeds-dim"
+
+    def test_too_many_radii_are_refused_before_any_point_is_placed(self, call, monkeypatch):
+        # 402 radii ran 5.2 s before rank-exceeds-dim refused them
+        def place(*_):
+            raise AssertionError("realize_points ran")
+
+        monkeypatch.setattr("soddy.cli.realize_points", place)
+        for n in (130, 400):
+            code, out, _ = call(["embed", "--n", str(n), "--radii", ",".join(["1"] * (n + 2))])
+            assert code == 1
+            m = n + 2
+            assert json.loads(out)["error"] == {
+                "kind": "validation",
+                "message": f"a {m}x{m} matrix would take about {m**5 * 32**2} units of elimination work, "
+                f"more than the {soddy.cli._MAX_ELIMINATION_WORK} one call may run",
+            }
+        code, out, _ = call(["embed", "--n", "400", "--radii", "1,1,1,1"])  # the count is checked first
+        assert json.loads(out)["error"] == {"kind": "validation", "message": "need 402 radii for dimension 400, got 4"}
+
+    def test_elimination_bound_admits_131_radii(self, call, monkeypatch):
+        reached = []
+        monkeypatch.setattr("soddy.cli.realize_points", lambda d, n: reached.append(d.m) or SimpleNamespace(coords=[]))
+        code, out, _ = call(["embed", "--n", "129", "--radii", ",".join(["1"] * 131)])
+        assert code == 0 and json.loads(out)["result"] == {"dim": 129, "centers": []}
+        assert reached == [131]
 
     @pytest.mark.parametrize("scale", [-2, -1, 0, 1, 2])
     def test_canonical_centers_in_every_order_and_scale(self, call, scale):
@@ -548,7 +624,7 @@ class TestGasket:
         error = json.loads(out)["error"]
         assert error["kind"] == "validation"
         assert error["message"] == (
-            f"--depth {depth} would draw about {circles} circles, more than the 200000 one gasket may draw"
+            f"--depth {depth} would take about {circles} circles to draw, more than the 200000 one call may run"
         )
 
     @pytest.mark.parametrize("depth", [-1, 13, 10**9])
