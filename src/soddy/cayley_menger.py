@@ -17,11 +17,11 @@ for any symmetric zero-diagonal D), by symmetric fraction-free elimination.
 A float determinant, volume or Heron area, and the float value of the
 coordinate oracle :func:`volume_squared_from_coordinates`, is its exact value
 rounded once.  A :class:`SquaredDistanceMatrix` keeps L with its upper
-triangle times L, built by ``from_entries`` from checked input or handed
-over unchecked by the library's exact producers (tangency distances, the
-audit's coordinate distances), and exact ``build_cm_matrix`` borders those
-integers with L.  From first use it also keeps the eliminated block, whose
-diagonal holds the leading minors Δ_k of M, so ``cm_determinant``,
+triangle times L, built by ``from_entries`` from checked input of either
+mode or handed over unchecked by the library's exact producers (tangency
+distances, the audit's coordinate distances), and ``build_cm_matrix``
+borders those integers with L.  From first use it also keeps the eliminated
+block, whose diagonal holds the leading minors Δ_k of M, so ``cm_determinant``,
 ``volume_squared``, ``is_degenerate`` and exact ``embedding.realize_points``
 on one matrix share one elimination.  Pivots
 p_k = Δ_k / (-2L Δ_{k-1}) are squared heights, and a point is flat when |p_k|
@@ -70,16 +70,12 @@ class SquaredDistanceMatrix:
         if any(len(r) != m for r in rows):
             raise DimensionError("squared-distance matrix must be square")
         flat, mode = coerce_vector([v for r in rows for v in r], mode)
-        ent = tuple(flat[i * m : (i + 1) * m] for i in range(m))
-        if mode == FLOAT:
-            _check_entries(ent, 0, nonnegative=True)
-            return cls(m, ent, mode)
-        # exact entries are compared as (numerator, denominator) pairs in
-        # lowest terms: equal pairs, equal values
-        pairs = tuple(map(Fraction.as_integer_ratio, flat))
+        # entries are compared as (numerator, denominator) pairs in lowest
+        # terms: equal pairs, equal values, and -0.0 is (0, 1)
+        pairs = tuple(map(float.as_integer_ratio if mode == FLOAT else Fraction.as_integer_ratio, flat))
         grid = [pairs[i * m : (i + 1) * m] for i in range(m)]
-        _check_entries(grid, (0, 1), nonnegative=False)
-        d = cls(m, ent, mode)
+        _check_entries(grid, nonnegative=mode == FLOAT)
+        d = cls(m, tuple(flat[i * m : (i + 1) * m] for i in range(m)), mode)
         d.__dict__["_upper"] = _scaled_upper(grid)  # what the cached property computes
         return d
 
@@ -139,16 +135,16 @@ class SquaredDistanceMatrix:
         return Fraction(-det, scale ** (self.m - 1))
 
 
-def _check_entries(grid: Sequence[Sequence], zero, nonnegative: bool) -> None:
-    """Raise for the first entry, in row order, that breaks the zero
-    diagonal, symmetry or (with ``nonnegative``) the sign rule."""
+def _check_entries(grid: Sequence[Sequence[tuple[int, int]]], nonnegative: bool) -> None:
+    """Raise for the first (numerator, denominator) pair, in row order, that
+    breaks the zero diagonal, symmetry or (with ``nonnegative``) the sign rule."""
     for i, row in enumerate(grid):
-        if row[i] != zero:
+        if row[i] != (0, 1):
             raise ValidationError(f"diagonal entry ({i},{i}) must be zero")
         for j in range(i + 1, len(grid)):
             if row[j] != grid[j][i]:
                 raise ValidationError(f"entries ({i},{j}) and ({j},{i}) differ")
-            if nonnegative and row[j] < 0:
+            if nonnegative and row[j][0] < 0:
                 raise ValidationError(f"negative squared distance at ({i},{j})")
 
 
@@ -169,16 +165,14 @@ class VolumeSquared:
 
 
 def build_cm_matrix(d: SquaredDistanceMatrix) -> Matrix:
-    """Bordered (m+1)x(m+1) matrix: zero corner, ones border, d^2 block; an
-    exact one is a border of L around L * d^2, over L, from the kept integers."""
-    if d.mode != EXACT:
-        return Matrix.from_rows([[0] + [1] * d.m] + [[1, *row] for row in d.entries], d.mode)
+    """Bordered (m+1)x(m+1) matrix: zero corner, ones border, d^2 block, in
+    d's mode: a border of L around L * d^2, over L, from the kept integers."""
     scale, upper = d._upper
     rows = [[0] + [scale] * d.m] + [[scale] + [0] * d.m for _ in range(d.m)]
     for i, row in enumerate(upper, 1):
         for j, v in enumerate(row, i + 1):
             rows[i][j] = rows[j][i] = v
-    return Matrix._from_integer_rows(rows, scale)
+    return Matrix._from_integer_rows(rows, scale, d.mode)
 
 
 def cm_determinant(d: SquaredDistanceMatrix) -> Scalar:

@@ -97,15 +97,18 @@ def _require_elimination_bound(m: int, bits: int) -> None:
 
 def _require_lcm_bound(rows: list[list]) -> None:
     """Bound exact rows as the lcm L of their denominators above the diagonal
-    is built, before ``from_entries`` builds it.  A nonzero kept entry p·L/q
-    has at least bits(L) - bits(q) bits, so past b_max + bits(q_min), q_min
-    the least denominator of a nonzero entry, the kept-bits bound refuses L
-    too.  Entries that are not rationals are left to ``from_entries``."""
+    is built, each string there parsed in place as it is read, before
+    ``from_entries`` builds L.  A nonzero kept entry p·L/q has at least
+    bits(L) - bits(q) bits, so past b_max + bits(q_min), q_min the least
+    denominator of a nonzero entry, the kept-bits bound refuses L too.  Entries
+    that are not rationals are left to ``from_entries``."""
     m = max(len(rows), 1)  # no rows is from_entries' error
     b_max = math.isqrt(_MAX_ELIMINATION_WORK // m**5) - 32
     scale, q_bits = 1, math.inf
     for i, row in enumerate(rows):
-        for v in row[i + 1 :]:
+        for j in range(i + 1, len(row)):
+            if isinstance(v := row[j], str):
+                row[j] = v = parse_rational(v)
             if isinstance(v, (int, Fraction)) and v:
                 scale, q_bits = math.lcm(scale, v.denominator), min(q_bits, v.denominator.bit_length())
                 if scale.bit_length() - q_bits > b_max:
@@ -126,9 +129,9 @@ def _parse_matrix(args) -> SquaredDistanceMatrix:
     if not isinstance(raw, list) or not all(isinstance(r, list) for r in raw):
         raise ValidationError("matrix must be a JSON array of arrays")
     _require_elimination_bound(len(raw), 0)  # before any entry is read
-    rows = [[parse_rational(v) if isinstance(v, str) else v for v in r] for r in raw]
     if args.mode == EXACT:  # float denominators are powers of two: L is the largest
-        _require_lcm_bound(rows)
+        _require_lcm_bound(raw)
+    rows = [[parse_rational(v) if isinstance(v, str) else v for v in r] for r in raw]  # the strings left
     d = SquaredDistanceMatrix.from_entries(rows, args.mode)
     _require_elimination_bound(d.m, max(v.bit_length() for row in d._upper[1] for v in row))
     return d

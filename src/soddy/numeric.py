@@ -7,17 +7,18 @@ Two computation modes, never mixed inside one object or operation:
 * ``"float"`` -- entries are finite 64-bit floats; NaN/inf is rejected at
   construction.
 
-Products and determinants run on one integer form: integer rows over one
-positive denominator.  Exact matrices *are* that form, normalised so the
-gcd of the entries and the denominator is 1 (equal values, equal forms);
-a float matrix is put in it, over the lcm of its entries' denominators
-(:func:`_integer_rows`), for each product or determinant.  The work runs on
-Python ints -- dot products for ``@``, fraction-free (Bareiss) elimination
-for :func:`determinant` -- and a Fraction is built only where a caller asks
-for one: an exact matrix's ``data``, ``at``, ``row``, ``to_rows``, ``repr``
-and ``hash``, and an exact determinant.  A symmetric integer matrix has its
-own elimination, :func:`symmetric_bareiss`: it skips a zero row, and each
-row keeps its values from when it was the pivot row.
+Every matrix is stored as integer rows over one positive denominator, with
+gcd 1 (equal values, equal forms).  A float is a ratio of integers, so a
+float matrix holds its floats' exact values, put in that form once, when it
+is built (:func:`_integer_rows`); it reads a value out as ``v / den``, which
+is correctly rounded (each float reads back as itself, -0.0 as 0.0, since 0
+has no sign), and rounds a product once.  The work runs on Python ints --
+dot products for ``@``, fraction-free (Bareiss) elimination for
+:func:`determinant` -- and a Fraction is built only where a caller asks for
+one: an exact matrix's ``data``, ``at``, ``row``, ``to_rows`` and ``repr``,
+and an exact determinant.  A symmetric integer matrix has its own
+elimination, :func:`symmetric_bareiss`: it skips a zero row, and each row
+keeps its values from when it was the pivot row.
 
 Scalars enter and leave their mode only here.  :func:`coerce_vector` is the
 one place a mode is inferred; :func:`as_exact` and :func:`as_float` build a
@@ -116,9 +117,10 @@ def coerce_vector(values: Sequence, mode: str | None = None) -> tuple[tuple[Scal
 class Matrix:
     """Immutable dense row-major matrix with a uniform scalar mode.
 
-    Stored as ``_num``, the entries row by row, over ``_den``: integers over
-    a positive denominator in lowest terms in exact mode, floats over 1 in
-    float mode.  The constructor coerces ``data`` as :meth:`from_rows` does.
+    Stored as ``_num``, the entries row by row, as integers over ``_den``, a
+    positive denominator in lowest terms, in both modes: a float entry is
+    held as its exact value.  The constructor coerces ``data`` as
+    :meth:`from_rows` does.
     """
 
     def __init__(self, rows: int, cols: int, data: Sequence, mode: str):
@@ -142,22 +144,23 @@ class Matrix:
         return object.__new__(cls)._set(len(rows), ncols, *_entries([v for r in rows for v in r], mode))
 
     @classmethod
-    def _from_integer_rows(cls, rows: Sequence[Sequence[int]], den: int) -> "Matrix":
-        """The exact matrix rows / den, for integer rows and den > 0."""
+    def _from_integer_rows(cls, rows: Sequence[Sequence[int]], den: int, mode: str = EXACT) -> "Matrix":
+        """The matrix rows / den in ``mode``, for integer rows and den > 0; in
+        float mode each value must be a float's exact value."""
         num = [v for r in rows for v in r]
         g = math.gcd(den, *num)
         if g > 1:
             num, den = [v // g for v in num], den // g
-        return object.__new__(cls)._set(len(rows), len(rows[0]), tuple(num), den, EXACT)
+        return object.__new__(cls)._set(len(rows), len(rows[0]), tuple(num), den, mode)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
         return cls.from_rows([[int(i == j) for j in range(n)] for i in range(n)], EXACT)
 
     def _scalars(self, values: Iterable) -> tuple[Scalar, ...]:
-        if self.mode == FLOAT:
-            return tuple(values)
         den = self._den
+        if self.mode == FLOAT:  # int / int is correctly rounded: each float reads back as itself
+            return tuple(v / den for v in values)
         return tuple(Fraction(v, den) for v in values)
 
     @property
@@ -178,7 +181,7 @@ class Matrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def _ratio_rows(self) -> list[list[tuple[int, int]]]:
-        """An exact matrix's rows of (numerator, denominator) pairs in lowest terms."""
+        """The rows of (numerator, denominator) pairs in lowest terms."""
         den, c = self._den, self.cols
         pairs = [(v // g, den // g) for v in self._num for g in (math.gcd(v, den),)]
         return [pairs[k : k + c] for k in range(0, len(pairs), c)]
@@ -186,8 +189,7 @@ class Matrix:
     def _as_integer_rows(self) -> tuple[list[list[int]], int]:
         """Fresh integer rows and one positive denominator: rows / den is the matrix."""
         c, num = self.cols, self._num
-        rows = [list(num[k : k + c]) for k in range(0, len(num), c)]
-        return _integer_rows(rows) if self.mode == FLOAT else (rows, self._den)
+        return [list(num[k : k + c]) for k in range(0, len(num), c)], self._den
 
     def transpose(self) -> "Matrix":
         num = tuple(chain.from_iterable(self._num[j :: self.cols] for j in range(self.cols)))
@@ -198,8 +200,8 @@ class Matrix:
 
         A and B are each integer rows over one denominator, so entry (i, j)
         is one integer dot product over the product of the two; float mode
-        returns it rounded once and raises :class:`NonFiniteError` when it
-        overflows.
+        rounds it once, holds that float exactly, and raises
+        :class:`NonFiniteError` when it overflows.
         """
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -211,11 +213,10 @@ class Matrix:
         b, b_den = other._as_integer_rows()
         b_cols = list(zip(*b))
         out = [[sum(map(operator.mul, a_i, b_j)) for b_j in b_cols] for a_i in a]
-        if self.mode == EXACT:
-            return Matrix._from_integer_rows(out, a_den * b_den)
         den = a_den * b_den
-        data = tuple(from_exact(Fraction(v, den), FLOAT, "matrix product") for r in out for v in r)
-        return object.__new__(Matrix)._set(self.rows, other.cols, data, 1, FLOAT)
+        if self.mode == FLOAT:
+            out, den = _integer_rows([from_exact(Fraction(v, den), FLOAT, "matrix product") for v in r] for r in out)
+        return Matrix._from_integer_rows(out, den, self.mode)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -223,7 +224,7 @@ class Matrix:
         return self.__dict__ == other.__dict__  # rows, cols, mode and the stored form
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.data, self.mode))
+        return hash((self.rows, self.cols, self._num, self._den, self.mode))
 
     def __repr__(self) -> str:
         return f"Matrix(rows={self.rows!r}, cols={self.cols!r}, data={self.data!r}, mode={self.mode!r})"
@@ -242,21 +243,20 @@ def _known(mode: str) -> str:
 
 def _entries(values: Sequence, mode: str | None) -> tuple[tuple, int, str]:
     """Numerators, denominator and mode of the values coerced as by
-    :func:`coerce_vector`: exact values as integers over one denominator, with
-    no Fraction built for int or Fraction input; floats as they are, over 1."""
+    :func:`coerce_vector`, as integers over one denominator in lowest terms,
+    with no Fraction built for int or Fraction input."""
     if mode not in (None, EXACT) or not set(map(type, values)) <= {int, Fraction}:
         values, mode = coerce_vector(values, mode)
-        if mode == FLOAT:
-            return values, 1, FLOAT
     (num,), den = _integer_rows([values])
-    return tuple(num), den, EXACT
+    return tuple(num), den, mode or EXACT
 
 
 def _integer_rows(rows: Iterable[Sequence[Scalar]]) -> tuple[list[list[int]], int]:
     """The rows as integer rows over one denominator: rows == int_rows / den, exactly.
 
     Every entry, float or Fraction, is a ratio of integers; den is the lcm of
-    all their denominators, so it is positive.  Rows may differ in length.
+    all their denominators, positive and in lowest terms with the integers.
+    Rows may differ in length.
     """
     ratios = [[v.as_integer_ratio() for v in row] for row in rows]
     den = math.lcm(*(q for row in ratios for _, q in row))

@@ -37,6 +37,7 @@ from .serialize import format_matrix, format_scalar, value_to_json
 from .tangency import (
     SignedRadii,
     _factored_determinant,
+    _require_dimension,
     _scaled_radii,
     _signed_residual,
     tangency_squared_distances,
@@ -192,11 +193,6 @@ def build_Q(r: SignedRadii) -> Matrix:
     _, _, curv, k_den = _scaled_radii(_require_exact_radii(r).values)
     q = (k_den, *curv)
     return _matrix(len(q), lambda i, j: q[i] if i == j else 0, k_den)
-
-
-def _require_dimension(n: int) -> None:
-    if n < 1:
-        raise DimensionError("sphere dimension n must be >= 1")
 
 
 def build_S(n: int) -> Matrix:

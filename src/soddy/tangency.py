@@ -59,10 +59,14 @@ class Curvatures:
     mode: str
 
 
-def _validated(values: Sequence, n: int, count: int, strict: bool, one: str, many: str) -> tuple:
-    """(values, mode) of ``count`` nonzero values; messages name ``one``/``many``."""
+def _require_dimension(n: int) -> None:
     if n < 1:
         raise DimensionError("sphere dimension n must be >= 1")
+
+
+def _validated(values: Sequence, n: int, count: int, strict: bool, one: str, many: str) -> tuple:
+    """(values, mode) of ``count`` nonzero values; messages name ``one``/``many``."""
+    _require_dimension(n)
     vals, mode = coerce_vector(values)
     if len(vals) != count:
         raise ValidationError(f"need {count} {many} for dimension {n}, got {len(vals)}")

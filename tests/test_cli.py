@@ -406,6 +406,27 @@ class TestCmDetAndVolume:
         assert f"a {m}x{m} matrix" in error["message"]
         assert str(soddy.cli._MAX_ELIMINATION_WORK) in error["message"]
 
+    @pytest.mark.parametrize("command", ["cm-det", "volume"])
+    def test_long_lcm_is_refused_at_the_entry_that_trips_it(self, call, monkeypatch, command):
+        # each entry is parsed as the bound reads it: all 420 strings were parsed
+        # before the bound looked at the first
+        def read(*_):
+            raise AssertionError("the entries were scaled")
+
+        monkeypatch.setattr(soddy.cli.SquaredDistanceMatrix, "from_entries", read)
+        parsed = []
+        parse = soddy.cli.parse_rational
+        monkeypatch.setattr(soddy.cli, "parse_rational", lambda text: parsed.append(text) or parse(text))
+        rng = random.Random(21)
+        rows = [[0] * 21 for _ in range(21)]
+        for i, j in itertools.combinations(range(21), 2):
+            rows[i][j] = rows[j][i] = f"1/{rng.randrange(10**4299, 10**4300)}"
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(rows)))
+        code, out, _ = call([command])
+        assert code == 1
+        assert json.loads(out)["error"]["kind"] == "validation"
+        assert len(parsed) <= 3
+
     def test_lcm_stop_refuses_no_matrix_the_kept_bits_admit(self):
         rng = random.Random(26)
         outcomes = set()

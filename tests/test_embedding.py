@@ -94,6 +94,25 @@ class TestRealizePoints:
         with pytest.raises(NegativeEigenvalueError):
             realize_points(d, 2)
 
+    @pytest.mark.parametrize(
+        "rows, dim, want",
+        [
+            ([[0.0, 1.0, 1.0], [1.0, 0.0, 9.0], [1.0, 9.0, 0.0]], 2, "pivot of point 2 < 0"),
+            # points 2 and 3 both sit at the midpoint of the unit segment 0-1,
+            # so they are flat, yet 5.0 apart
+            (
+                [[0.0, 1.0, 0.25, 0.25], [1.0, 0.0, 0.25, 0.25], [0.25, 0.25, 0.0, 5.0], [0.25, 0.25, 5.0, 0.0]],
+                3,
+                r"d\[2\]\[3\] is not reproduced",
+            ),
+        ],
+        ids=["negative-pivot", "distance-not-reproduced"],
+    )
+    def test_float_non_euclidean_distances_name_the_refusal(self, rows, dim, want):
+        d = SquaredDistanceMatrix.from_entries(rows)
+        with pytest.raises(NegativeEigenvalueError, match="distances are non-Euclidean: " + want):
+            realize_points(d, dim)
+
     def test_orientation_normalization(self):
         d = SquaredDistanceMatrix.from_entries([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
         pts = realize_points(d, 2)
