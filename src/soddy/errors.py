@@ -95,6 +95,6 @@ class SeedError(SoddyError):
 
 
 class GeometryError(SoddyError):
-    """Circle placement failed or violated a tangency audit."""
+    """Circle placement failed, or a grown circle has zero curvature."""
 
     kind = "geometry"

@@ -6,7 +6,7 @@ the other circle tangent to three members of a quadruple has
 k' = 2*(k_a + k_b + k_c) - k and w' = 2*(w_a + w_b + w_c) - w, so expansion
 takes no square root and integer seeds keep integer curvatures.  One check
 places every circle: a seed circle touches those before it, a new circle its
-three parents.  Every quadruple is audited against the tangency residual.
+three parents.  Each new circle's vieta_partner call tests tangency once.
 The gasket is canonically ordered by (depth, curvature, center): generation
 is a pure function of (seed, max_depth) and the SVG output is
 byte-reproducible.
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .errors import GeometryError, NoRealSolutionError, NonFiniteError, SeedError, ValidationError
 from .numeric import FLOAT, REL_TOL, as_float
-from .tangency import Curvatures, _tangency_residual, _validated, solve_missing_curvature, vieta_partner
+from .tangency import Curvatures, _validated, solve_missing_curvature, vieta_partner
 
 #: Hard output-size guard on the expansion depth.
 MAX_DEPTH = 12
@@ -110,11 +110,6 @@ class _Builder:
         self.parents.append(parents)
         return len(self.ws) - 1
 
-    def audit_residual(self, quad: tuple[int, int, int, int]) -> None:
-        res, zero = _tangency_residual([self.curvatures[i] for i in quad], 2, FLOAT)
-        if not abs(res) <= zero:
-            raise GeometryError(f"tangency residual {res:.3e} failed the audit")
-
     def freeze(self, max_depth: int) -> Gasket:
         centers, radii, ks, depths = self.centers, self.radii, self.curvatures, self.depths
         keys = [(d, k, z.real, z.imag) for d, k, z in zip(depths, ks, centers)]
@@ -185,7 +180,6 @@ def _build_initial(seed) -> tuple[_Builder, tuple[int, int, int, int]]:
         key=lambda w: (not b.misfit(w, k3, (0, 1, 2)) <= REL_TOL, -(w / k3).imag),
     )
     b.add(w3, k3, 0, (0, 1, 2))
-    b.audit_residual((0, 1, 2, 3))
     return b, (0, 1, 2, 3)
 
 
@@ -201,8 +195,8 @@ def generate(seed, max_depth: int) -> Gasket:
     Each quadruple spawns the reflection partner of every member except the
     one it was itself created by, reflecting curvature and curvature-center
     alike.  The Apollonian tree has no repeats, so nothing is deduplicated;
-    every new circle is checked against its three parents and every emitted
-    quadruple is residual-audited.
+    every new circle is checked against its three parents, and the
+    :func:`vieta_partner` call that makes it tests its parent quadruple.
     """
     if not 0 <= max_depth <= MAX_DEPTH:
         raise ValidationError(f"max_depth must be between 0 and {MAX_DEPTH}")
@@ -228,10 +222,8 @@ def generate(seed, max_depth: int) -> Gasket:
                     )
                 w_pos = ws[quad[pos]]
                 idx = b.add(2.0 * (w_sum - w_pos) - w_pos, k_new, depth, triple)
-                child = (*triple, idx)
-                b.audit_residual(child)
                 if depth < max_depth:  # leaf quadruples spawn nothing
-                    children.append(child)
+                    children.append((*triple, idx))
         level, spawn = children, 3
     return b.freeze(max_depth)
 

@@ -28,11 +28,8 @@ from typing import Sequence
 
 from .cayley_menger import SquaredDistanceMatrix, VolumeSquared, _volume_constant
 from .errors import (
-    DimensionError,
-    FloatModeRequiredError,
-    InconsistentConfigurationError,
-    NoRealSolutionError,
-    ValidationError,
+    DimensionError, FloatModeRequiredError, InconsistentConfigurationError,
+    NonFiniteError, NoRealSolutionError, ValidationError,
 )
 from .numeric import EXACT, REL_TOL, Scalar, _integer_rows, coerce_vector, from_exact
 from .serialize import format_scalar
@@ -147,8 +144,12 @@ def _tangency_residual(values: Sequence[Scalar], n: int, mode: str) -> tuple[Sca
 
 
 def descartes_residual(k: Curvatures) -> Scalar:
-    """(sum k_i)^2 - n * sum k_i^2; zero iff the tangency identity holds."""
-    return _tangency_residual(k.values, k.n, k.mode)[0]
+    """(sum k_i)^2 - n * sum k_i^2; zero iff the tangency identity holds.
+    A float residual past the float range raises :class:`NonFiniteError`."""
+    res = _tangency_residual(k.values, k.n, k.mode)[0]
+    if k.mode != EXACT and not math.isfinite(res):
+        raise NonFiniteError("tangency residual overflows a float; use exact mode")
+    return res
 
 
 def _signed_residual(curv: Sequence[int], n: int) -> int:
@@ -195,7 +196,8 @@ def solve_missing_curvature(known: Sequence, n: int) -> tuple[Scalar, Scalar]:
     square and raises :class:`FloatModeRequiredError` otherwise -- it never
     degrades silently.  Float mode takes a discriminant within roundoff of
     zero, of either sign, as a double root.  n = 1 collapses to a linear
-    equation with a single root, returned twice.
+    equation with a single root, returned twice.  A float root past the
+    float range (overflowed to inf or NaN) raises :class:`NonFiniteError`.
     """
     vals, mode = _validated(known, n, n + 1, False, "curvature", "known curvatures")
     s = sum(vals)
@@ -204,18 +206,21 @@ def solve_missing_curvature(known: Sequence, n: int) -> tuple[Scalar, Scalar]:
         # leading coefficient n-1 vanishes: 2*S*k + (S^2 - Q) = 0
         if s == 0:
             raise NoRealSolutionError("degenerate linear equation (sum of curvatures is zero)")
-        root = (q - s * s) / (2 * s)
-        return (root, root)
-    disc = n * (s * s - (n - 1) * q)
-    # Within a few ulps of S^2 the sign of a float discriminant is roundoff:
-    # treat it as a double root rather than fail, or take a square root of
-    # noise that moves both roots by ~1e-8.
-    if mode != EXACT and abs(disc) <= 8 * n * sys.float_info.epsilon * s * s:
-        disc = 0.0
-    if disc < 0:
-        raise NoRealSolutionError(f"negative discriminant {format_scalar(disc)}")
-    root_disc = _exact_sqrt(disc) if mode == EXACT else math.sqrt(disc)
-    return ((s + root_disc) / (n - 1), (s - root_disc) / (n - 1))
+        roots = ((q - s * s) / (2 * s),) * 2
+    else:
+        disc = n * (s * s - (n - 1) * q)
+        # Within a few ulps of S^2 the sign of a float discriminant is roundoff:
+        # treat it as a double root rather than fail, or take a square root of
+        # noise that moves both roots by ~1e-8.
+        if mode != EXACT and abs(disc) <= 8 * n * sys.float_info.epsilon * s * s:
+            disc = 0.0
+        if disc < 0:
+            raise NoRealSolutionError(f"negative discriminant {format_scalar(disc)}")
+        root_disc = _exact_sqrt(disc) if mode == EXACT else math.sqrt(disc)
+        roots = ((s + root_disc) / (n - 1), (s - root_disc) / (n - 1))
+    if mode != EXACT and not all(map(math.isfinite, roots)):
+        raise NonFiniteError("missing curvature overflows a float; use exact mode")
+    return roots
 
 
 def vieta_partner(k: Curvatures, index: int) -> Scalar:
