@@ -28,7 +28,9 @@ class ValidationError(SoddyError):
 
 
 class DimensionError(ValidationError):
-    """Shape mismatch: non-square matrix, wrong vector length, bad point dim."""
+    """Shape mismatch: a non-square or ill-shaped matrix, a bad point count or dimension,
+    or a sphere dimension below 1, given or inferred from a radius count.  A list whose
+    length does not match a given dimension is a plain :class:`ValidationError`."""
 
     kind = "dimension"
 

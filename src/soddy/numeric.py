@@ -285,29 +285,30 @@ def _exact_determinant(m: Matrix) -> Fraction:
     The matrix is its integer rows over one denominator L, so this is their
     determinant, by fraction-free (Bareiss) elimination, over L^n.  Every
     intermediate entry is a subdeterminant of the integer rows, each division
-    is exact, and integer input gives an integer result.
+    is exact, and integer input gives an integer result.  As in
+    :func:`symmetric_bareiss`, a zero pivot is mended by adding a later index:
+    row s, the first later row nonzero in column k, is added to row k, the same
+    determinant-keeping operation on the input, as the intermediates are linear
+    in each row not yet a pivot.  A column zero from the diagonal down gives 0.
     """
     n = m.rows
     if m.cols != n:
         raise DimensionError(f"matrix is {m.rows}x{m.cols}, not square")
     a, den = m._as_integer_rows()
-    sign = 1
     prev = 1
     for k in range(n - 1):
         if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                sign = 0  # column k is zero from the diagonal down: singular
-                break
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
+            s = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if s is None:
+                return Fraction(0)
+            a[k][k:] = [x + y for x, y in zip(a[k][k:], a[s][k:])]
         pivot = a[k][k]
         tail = a[k][k + 1 :]
         for i in range(k + 1, n):
             aik = a[i][k]
             a[i][k + 1 :] = [(x * pivot - aik * y) // prev for x, y in zip(a[i][k + 1 :], tail)]
         prev = pivot
-    return Fraction(sign * a[n - 1][n - 1], den**n)
+    return Fraction(a[n - 1][n - 1], den**n)
 
 
 def symmetric_bareiss(a: list[list[int]]) -> int:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from numbers import Integral
 
 from .errors import ValidationError
-from .numeric import EXACT, Matrix, as_float
+from .numeric import Matrix, as_float
 
 #: Bound on the magnitude of a parsed decimal exponent: 10^4300 has as many
 #: digits as Python prints of an int by default.
@@ -51,15 +51,13 @@ def scalar_to_json(value):
 
 
 def value_to_json(value):
-    """A scalar, or a matrix as a list of rows of scalars."""
+    """A scalar, or a matrix as a list of rows of its entries' exact values."""
     if isinstance(value, Matrix):
-        if value.mode == EXACT:
-            rows = value._ratio_rows()
-            try:
-                return [[{"num": str(p), "den": str(q)} for p, q in row] for row in rows]
-            except ValueError:  # an entry too long to print: the checked path names it
-                return [[_rational_to_json(p, q) for p, q in row] for row in rows]
-        return [[scalar_to_json(v) for v in row] for row in value.to_rows()]
+        rows = value._ratio_rows()
+        try:
+            return [[{"num": str(p), "den": str(q)} for p, q in row] for row in rows]
+        except ValueError:  # an entry too long to print: the checked path names it
+            return [[_rational_to_json(p, q) for p, q in row] for row in rows]
     return scalar_to_json(value)
 
 
@@ -92,9 +90,6 @@ def format_scalar(value) -> str:
 
 
 def format_matrix(m: Matrix) -> str:
-    """'[a b; c d]', each entry as :func:`format_scalar` writes it."""
-    if m.mode == EXACT:
-        rows = [[_format_rational(*q) for q in row] for row in m._ratio_rows()]
-    else:
-        rows = [[format_scalar(v) for v in row] for row in m.to_rows()]
+    """'[a b; c d]', each entry's exact value as :func:`format_scalar` writes a rational."""
+    rows = [[_format_rational(*q) for q in row] for row in m._ratio_rows()]
     return "[" + "; ".join(" ".join(row) for row in rows) + "]"

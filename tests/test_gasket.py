@@ -107,6 +107,7 @@ class TestInitialConfiguration:
             ([1e308] * 3, NonFiniteError),  # the fourth curvature passes the float range
             ([1e-308] * 3, NonFiniteError),  # the centers pass the float range
             ([1e300, 1e300, 1e-300], NonFiniteError),  # 1e-300 / 2^997 underflows to 0
+            ([1, 1, 1e-300], NonFiniteError),  # the squared center distances overflow
             ([-1, 1, 1e9], GeometryError),  # circles 0 and 1 concentric
         ],
     )

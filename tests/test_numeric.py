@@ -159,6 +159,21 @@ class TestDeterminant:
         m = Matrix.from_rows([[0.0, 1.0], [0.0, 2.0]])
         assert determinant(m) == 0.0
 
+    @pytest.mark.parametrize(
+        "rows, want",
+        [
+            # pivot 0 is mended from row 2, below the next row
+            ([[0, 1, 2, 3], [0, 4, 5, 6], [7, 8, Fraction(1, 2), 1], [2, 0, 3, 5]], 69),
+            # pivot 0 is mended from row 3, then pivot 1 from row 2
+            ([[0, 0, 0, 2], [0, 0, 3, 0], [0, 5, 0, 1], [7, 0, 4, 0]], 210),
+            # column 1 is zero from the diagonal down
+            ([[1, 2, Fraction(1, 3)], [0, 0, 4], [0, 0, 5]], 0),
+        ],
+        ids=["mend-from-below-next-row", "two-mends-in-a-row", "zero-column-below-diagonal"],
+    )
+    def test_zero_pivot_matches_sympy(self, rows, want):
+        assert determinant(Matrix.from_rows(rows)) == sympy_det(rows) == want
+
 
 @given(
     rows=st.lists(
