@@ -52,7 +52,7 @@ class SquaredDistanceMatrix:
     ``astuple`` see only ``m``, ``entries`` and ``mode``): the upper triangle
     as integers over one denominator L, which :meth:`from_entries` builds
     from the (numerator, denominator) pairs it checks, or the library's exact
-    producers hand over through :meth:`_from_integer_rows`, and the eliminated
+    producers hand over through :meth:`_from_upper`, and the eliminated
     block, computed on first use.  A matrix made by the constructor or by
     ``dataclasses.replace`` computes the first from ``entries`` when it is
     needed, so ``entries`` must stay the tuples ``from_entries`` builds.
@@ -80,22 +80,20 @@ class SquaredDistanceMatrix:
         return d
 
     @classmethod
-    def _from_integer_rows(cls, rows: Sequence[Sequence[int]], den: int) -> "SquaredDistanceMatrix":
-        """The exact matrix rows / den, for symmetric zero-diagonal integer rows
-        and den > 0, unchecked: the library's producers hand over the integers
-        they computed.  Divided by g = gcd(den, entries), den / g is the lcm of
-        the reduced denominators, so the kept L and upper triangle are those
-        :meth:`from_entries` keeps."""
-        upper = [row[i + 1 :] for i, row in enumerate(rows)]
+    def _from_upper(cls, upper: Sequence[Sequence[int]], den: int) -> "SquaredDistanceMatrix":
+        """The exact matrix whose row i holds D_ij = upper[i][j - i - 1] / den
+        for j > i (the last row is empty), for den > 0, unchecked: the
+        library's producers hand over the integers they computed.  Divided by
+        g = gcd(den, entries), den / g is the lcm of the reduced denominators,
+        so the kept L and upper triangle are those :meth:`from_entries` keeps."""
         g = math.gcd(den, *(v for row in upper for v in row))
-        if g > 1:
-            den, upper = den // g, [[v // g for v in row] for row in upper]
+        den, upper = den // g, [[v // g for v in row] for row in upper]
         zero = Fraction(0)
-        ent = [[zero] * len(rows) for _ in rows]
+        ent = [[zero] * len(upper) for _ in upper]
         for i, row in enumerate(upper):
             for j, v in enumerate(row, i + 1):
                 ent[i][j] = ent[j][i] = Fraction(v, den)
-        d = cls(len(rows), tuple(map(tuple, ent)), EXACT)
+        d = cls(len(upper), tuple(map(tuple, ent)), EXACT)
         d.__dict__["_upper"] = den, upper
         return d
 

@@ -4,8 +4,8 @@ Every response is a single JSON envelope on stdout: ``{"ok": true,
 "result": ...}`` or ``{"ok": false, "error": {"kind": ..., "message": ...}}``.
 Rationals serialize as ``{"num": "...", "den": "..."}`` strings so exact
 values are never silently converted to float.  Diagnostics go to stderr,
-SVG to a file path.  Exit codes: 0 success, 1 validation/usage error,
-2 computational failure.
+SVG to a file path.  Exit codes: 0 success, 1 validation/usage error or a
+stdout closed before the envelope is written, 2 computational failure.
 
 ``gasket`` and ``proof_witness`` are imported only by the ``gasket`` and
 ``verify-proof`` subcommands, so no other call loads them.  Each subcommand
@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import random
 import sys
 from fractions import Fraction
@@ -378,7 +379,14 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout was closed early: point it at devnull so the exit flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -153,11 +153,8 @@ def check_UWU_congruence(points: Sequence[Sequence]) -> ProofReport:
     m, den2 = len(scaled), den * den
     u = _lifted_U(scaled, den)
     w = build_W(m)
-    squared = [[0] * m for _ in range(m)]
-    for i, x in enumerate(scaled):
-        for j in range(i + 1, m):
-            squared[i][j] = squared[j][i] = sum((a - b) ** 2 for a, b in zip(x, scaled[j]))
-    dist = SquaredDistanceMatrix._from_integer_rows(squared, den2)
+    upper = [[sum((a - b) ** 2 for a, b in zip(x, y)) for y in scaled[i + 1 :]] for i, x in enumerate(scaled)]
+    dist = SquaredDistanceMatrix._from_upper(upper, den2)
     d = build_cm_matrix(dist)
     return ProofReport(
         entries=(

@@ -20,6 +20,7 @@ are the unit for building distances.  Conversions are explicit.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -111,21 +112,21 @@ def _scaled_radii(values: Sequence[Scalar]) -> tuple[list[int], int, list[int], 
 
 def tangency_squared_distances(r: SignedRadii) -> SquaredDistanceMatrix:
     """Squared center distances (r_i + r_j)^2 of the tangent configuration:
-    exact radii R_i / L give (R_i + R_j)^2 over L^2, float radii float squares."""
+    exact radii R_i / L give the upper triangle (R_i + R_j)^2 over L^2, float
+    radii float squares.  A float square of a nonzero sum below the smallest
+    normal float raises :class:`NonFiniteError`, as one past the float range does."""
+    vals = r.values
     if r.mode == EXACT:
-        (vals,), den = _integer_rows([r.values])
-    else:
-        vals, den = r.values, None
-    rows = [[0] * len(vals) for _ in vals]
-    for i, a in enumerate(vals):
-        for j in range(i + 1, len(vals)):
-            # s * s, not s ** 2: a float square past the float range is then inf,
-            # which coercion rejects as non-finite, instead of an OverflowError
-            s = a + vals[j]
-            rows[i][j] = rows[j][i] = s * s
-    if den is None:
-        return SquaredDistanceMatrix.from_entries(rows, r.mode)
-    return SquaredDistanceMatrix._from_integer_rows(rows, den * den)
+        (vals,), den = _integer_rows([vals])
+        upper = [[(a + b) ** 2 for b in vals[i + 1 :]] for i, a in enumerate(vals)]
+        return SquaredDistanceMatrix._from_upper(upper, den * den)
+    # a square by *, not ** 2: a float square past the float range is then inf,
+    # which coercion rejects as non-finite, instead of an OverflowError
+    rows = [[(a + b) * (a + b) if i != j else 0 for j, b in enumerate(vals)] for i, a in enumerate(vals)]
+    for i, j in itertools.combinations(range(len(vals)), 2):
+        if vals[i] + vals[j] and rows[i][j] < sys.float_info.min:
+            raise NonFiniteError(f"squared distance ({i},{j}) underflows a float")
+    return SquaredDistanceMatrix.from_entries(rows, r.mode)
 
 
 def _tangency_residual(values: Sequence[Scalar], n: int, mode: str) -> tuple[Scalar, Scalar]:

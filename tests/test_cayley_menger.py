@@ -64,9 +64,18 @@ class TestValidation:
         d = SquaredDistanceMatrix.from_entries([[0, -1], [-1, 0]])
         assert d.at(0, 1) == -1
 
-    def test_single_point_rejected(self):
-        with pytest.raises(DimensionError):
-            SquaredDistanceMatrix.from_entries([[0]])
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([[0]], "need at least two points"),
+            ([[0, 1], [1]], "squared-distance matrix must be square"),
+            ([[0, 1, 2], [1, 0, 3]], "squared-distance matrix must be square"),
+        ],
+    )
+    def test_wrong_shape_rejected(self, rows, message):
+        with pytest.raises(DimensionError) as info:
+            SquaredDistanceMatrix.from_entries(rows)
+        assert str(info.value) == message
 
     # The checks run in row order: row i's diagonal entry, then (i, j) for
     # j > i, symmetry before (in float mode) the sign; the first fault is named.

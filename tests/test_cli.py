@@ -531,6 +531,23 @@ class TestEmbed:
                 expected = (radii[i] + radii[j]) ** 2
                 assert abs(d2 - expected) <= 1e-9 * max(1.0, expected)
 
+    @pytest.mark.parametrize("scale", [1e-150, 1e-160])
+    def test_tiny_radii_are_tangent_or_non_finite(self, call, scale):
+        # (r_i + r_j)^2 below the smallest normal float would print centers far from tangent
+        radii = [scale * v for v in (-1.0, 0.5, 0.5, 1 / 3)]
+        code, out, _ = call(["embed", "--n", "2", "--radii", ",".join(map(repr, radii))])
+        if scale < 1e-155:
+            assert code == 1
+            assert json.loads(out)["error"] == {
+                "kind": "non-finite", "message": "squared distance (0,1) underflows a float"
+            }
+            return
+        assert code == 0
+        centers = json.loads(out)["result"]["centers"]
+        for i, j in itertools.combinations(range(4), 2):
+            expected = abs(radii[i] + radii[j])
+            assert math.isclose(math.dist(centers[i], centers[j]), expected, rel_tol=1e-12)
+
     def test_unsolved_quadruple_exit_2(self, call):
         code, out, _ = call(["embed", "--n", "2", "--radii", "1,1,1,1"])
         assert code == 2
@@ -704,6 +721,22 @@ def test_console_entry_point_via_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"ok": True, "result": {"num": "0", "den": "1"}}
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    # 210,913 bytes of output, more than a pipe buffer holds, to a stdout closed unread
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "soddy", "gasket", "--seed", "-1,2,2", "--depth", "6"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=CHILD_ENV,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 def test_import_leaves_numpy_unloaded_until_embed():

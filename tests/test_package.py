@@ -43,11 +43,15 @@ def test_every_traced_name_resolves():
 
 
 def test_import_loads_no_submodule():
-    script = "import sys, soddy; print(sorted(m for m in sys.modules if m.startswith('soddy.')))"
+    script = (
+        "import sys, soddy; print(sorted(m for m in sys.modules if m.startswith('soddy.')))\n"
+        "soddy.serialize; print(sorted(m for m in sys.modules if m.startswith('soddy.')))"
+    )
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    # the first attribute access imports its module, and the modules it imports
+    assert proc.stdout.splitlines() == ["[]", "['soddy.errors', 'soddy.numeric', 'soddy.serialize']"]
 
 
 def test_every_public_name_is_its_defining_module_object():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -419,8 +420,9 @@ def test_moved_quadruples_reach_both_verdicts(scale, index):
     assert partner_refuses(moved_root_quadruple(scale, index, 1e-2))
 
 
-# magnitudes on both sides of 1e154, where (r_i + r_j)^2 passes the float range
-NEAR_OVERFLOW = st.floats(1e153, 1e155) | st.floats(1e-3, 1e3)
+# magnitudes on both sides of 1e154, where (r_i + r_j)^2 passes the float range,
+# and of 1e-154, where a nonzero (r_i + r_j)^2 falls below the smallest normal float
+NEAR_OVERFLOW = st.floats(1e153, 1e155) | st.floats(1e-3, 1e3) | st.floats(1e-160, 1e-150)
 
 
 @given(
@@ -432,7 +434,14 @@ def test_float_squared_distances_are_squared_sums_or_non_finite(magnitudes, nega
     values = [-v if i == negative else v for i, v in enumerate(magnitudes)]
     r = validate_radii(values, len(values) - 2)
     squares = [[(a + b) * (a + b) if i != j else 0.0 for j, b in enumerate(values)] for i, a in enumerate(values)]
-    if any(math.isinf(v) for row in squares for v in row):
+    tiny = [
+        (i, j) for i, row in enumerate(squares) for j in range(i + 1, len(row))
+        if values[i] + values[j] and row[j] < sys.float_info.min
+    ]
+    if tiny:
+        with pytest.raises(NonFiniteError, match=rf"squared distance \({tiny[0][0]},{tiny[0][1]}\) underflows"):
+            tangency_squared_distances(r)
+    elif any(math.isinf(v) for row in squares for v in row):
         with pytest.raises(NonFiniteError) as info:
             tangency_squared_distances(r)
         assert info.value.kind == "non-finite"
