@@ -3,9 +3,11 @@
 Every response is a single JSON envelope on stdout: ``{"ok": true,
 "result": ...}`` or ``{"ok": false, "error": {"kind": ..., "message": ...}}``.
 Rationals serialize as ``{"num": "...", "den": "..."}`` strings so exact
-values are never silently converted to float.  Diagnostics go to stderr,
-SVG to a file path.  Exit codes: 0 success, 1 validation/usage error or a
-stdout closed before the envelope is written, 2 computational failure.
+values are never silently converted to float.  Diagnostics go to stderr
+once the envelope is written and flushed, so a stderr closed early loses
+only them; SVG goes to a file path.  Exit codes: 0 success, 1
+validation/usage error or a stdout closed before the envelope is written, 2
+computational failure.
 
 ``gasket`` and ``proof_witness`` are imported only by the ``gasket`` and
 ``verify-proof`` subcommands, so no other call loads them.  Each subcommand
@@ -243,9 +245,7 @@ def _cmd_verify_proof(args):
             reports.append(proof_witness.check_UWU_congruence(_random_points(rng, n + 2)))
     report = proof_witness.ProofReport.combine(reports)
     result = report.to_dict()  # refuses a value too long to print before any line is written
-    for line in report.lines():
-        print(line, file=sys.stderr)
-    return result, 0 if report.passed else 2
+    return result, 0 if report.passed else 2, *report.lines()
 
 
 def _cmd_embed(args):
@@ -368,13 +368,21 @@ def run(argv=None) -> int:
     if not hasattr(args, "handler"):
         parser.print_usage(sys.stderr)
         return 1
-    try:
-        result, code = args.handler(args)
+    try:  # a handler may return stderr lines after its result and exit code
+        result, code, *notes = args.handler(args)
     except SoddyError as exc:
         _emit({"ok": False, "error": {"kind": exc.kind, "message": str(exc)}})
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    _emit({"ok": True, "result": result})
+        code, notes = exc.exit_code, [f"error: {exc}"]
+    else:
+        _emit({"ok": True, "result": result})
+    sys.stdout.flush()
+    try:
+        for line in notes:
+            print(line, file=sys.stderr)
+        sys.stderr.flush()
+    except BrokenPipeError:
+        # stderr was closed early: the envelope is out, so keep its exit code
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
     return code
 
 

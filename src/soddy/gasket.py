@@ -6,7 +6,8 @@ the other circle tangent to three members of a quadruple has
 k' = 2*(k_a + k_b + k_c) - k and w' = 2*(w_a + w_b + w_c) - w, so expansion
 takes no square root and integer seeds keep integer curvatures.  One check
 places every circle: a seed circle touches those before it, a new circle its
-three parents.  Each new circle's vieta_partner call tests tangency once.
+three parents.  Each spawning quadruple is tested once, by the one
+vieta_partner call that returns its children's curvatures.
 The gasket is canonically ordered by (depth, curvature, center): generation
 is a pure function of (seed, max_depth) and the SVG output is
 byte-reproducible.
@@ -119,7 +120,7 @@ class _Builder:
         remap = [0] * len(order)
         for new, old in enumerate(order):
             remap[old] = new
-        ldexp, exp = math.ldexp, self.exp
+        ldexp, exp, parents, new_index = math.ldexp, self.exp, self.parents, remap.__getitem__
         # + 0.0 keeps negative zeros out of the output
         try:
             circles = tuple(
@@ -128,7 +129,7 @@ class _Builder:
                     ldexp(radii[i], -exp),
                     ldexp(ks[i], exp),
                     depths[i],
-                    tuple(sorted([remap[p] for p in self.parents[i]])),
+                    tuple(sorted(map(new_index, parents[i]))),
                 )
                 for i in order
             )
@@ -195,8 +196,9 @@ def generate(seed, max_depth: int) -> Gasket:
     Each quadruple spawns the reflection partner of every member except the
     one it was itself created by, reflecting curvature and curvature-center
     alike.  The Apollonian tree has no repeats, so nothing is deduplicated;
-    every new circle is checked against its three parents, and the
-    :func:`vieta_partner` call that makes it tests its parent quadruple.
+    every new circle is checked against its three parents, and each spawning
+    quadruple is tested once, before any of its children, by the one
+    :func:`vieta_partner` call that returns their curvatures.
     """
     if not 0 <= max_depth <= MAX_DEPTH:
         raise ValidationError(f"max_depth must be between 0 and {MAX_DEPTH}")
@@ -212,9 +214,8 @@ def generate(seed, max_depth: int) -> Gasket:
             kq = Curvatures(values=(k0, k1, k2, k3), n=2, mode=FLOAT)
             floor = 1e-12 * max(abs(k0), abs(k1), abs(k2), abs(k3))
             w_sum = ws[i0] + ws[i1] + ws[i2] + ws[i3]
-            for pos in range(spawn):
+            for pos, k_new in enumerate(vieta_partner(kq, slice(spawn))):
                 triple = quad[:pos] + quad[pos + 1 :]
-                k_new = vieta_partner(kq, pos)
                 if abs(k_new) < floor:
                     raise GeometryError(
                         f"expansion produced a zero-curvature circle at depth {depth} "
@@ -256,14 +257,15 @@ def render_svg(g: Gasket) -> str:
         f'width="{_SVG_WIDTH}" height="{height}" '
         f'viewBox="{_fmt(vx)} {_fmt(vy)} {_fmt(vw)} {_fmt(vh)}">',
     ]
-    for c in g.circles:
-        fill = "none" if c.radius < 0 else _SVG_PALETTE[c.depth % len(_SVG_PALETTE)]
-        lines.append(
-            f'  <circle cx="{_fmt(c.center[0] / unit)}" cy="{_fmt(c.center[1] / unit)}" '
-            f'r="{_fmt(abs(c.radius) / unit)}" fill="{fill}" {tail}'
-        )
+    row, palette = f'  <circle cx="%.6f" cy="%.6f" r="%.6f" fill="%s" {tail}', _SVG_PALETTE
+    lines.extend(
+        row % (c.center[0] / unit, c.center[1] / unit, abs(c.radius) / unit,
+               "none" if c.radius < 0 else palette[c.depth % len(palette)])
+        for c in g.circles
+    )
     lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    # a coordinate in (-5e-7, 0) prints as -0.000000 here; _fmt writes 0.000000
+    return ("\n".join(lines) + "\n").replace('="-0.000000"', '="0.000000"')
 
 
 def gasket_to_dict(g: Gasket) -> dict:

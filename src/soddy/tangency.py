@@ -224,23 +224,28 @@ def solve_missing_curvature(known: Sequence, n: int) -> tuple[Scalar, Scalar]:
     return roots
 
 
-def vieta_partner(k: Curvatures, index: int) -> Scalar:
-    """The other root of the missing-curvature quadratic at ``index``.
+def vieta_partner(k: Curvatures, index: int | slice) -> Scalar | tuple[Scalar, ...]:
+    """The other root of the missing-curvature quadratic at ``index``, or a
+    tuple of the partners of ``k.values[index]`` for a slice.
 
     partner = 2 * sum(other curvatures) / (n-1) - k[index].  Requires the
     input to satisfy the tangency identity by the one test of
-    :func:`_tangency_residual`: |residual| <= 0 in exact mode and
-    <= REL_TOL * max k_i^2 in float mode.  Replacing k[index] with the
-    partner preserves the identity, which is how gaskets grow without ever
-    taking a square root.
+    :func:`_tangency_residual`, run once per call however many partners it
+    returns: |residual| <= 0 in exact mode and <= REL_TOL * max k_i^2 in
+    float mode.  Replacing k[index] with the partner preserves the identity,
+    which is how gaskets grow without ever taking a square root.
     """
     if k.n < 2:
         raise DimensionError("the quadratic degenerates for n = 1; no partner exists")
-    if not 0 <= index < len(k.values):
+    vals = k.values
+    if not isinstance(index, slice) and not 0 <= index < len(vals):
         raise ValidationError(f"index {index} out of range")
-    res, zero = _tangency_residual(k.values, k.n, k.mode)
+    res, zero = _tangency_residual(vals, k.n, k.mode)
     if not abs(res) <= zero:
         raise InconsistentConfigurationError(
             f"tangency residual {format_scalar(res)} exceeds tolerance {format_scalar(zero)}"
         )
-    return 2 * (sum(k.values) - k.values[index]) / (k.n - 1) - k.values[index]
+    s, m = sum(vals), k.n - 1
+    if isinstance(index, slice):
+        return tuple(2 * (s - v) / m - v for v in vals[index])
+    return 2 * (s - vals[index]) / m - vals[index]

@@ -739,6 +739,24 @@ def test_closed_stdout_exits_1_without_a_traceback():
     assert "Traceback" not in err and "Exception ignored" not in err
 
 
+def test_closed_stderr_keeps_the_envelope(tmp_path):
+    # 115,871 bytes of report lines, more than a pipe buffer holds, to a stderr
+    # closed after 5 bytes; they follow the envelope, which reaches stdout whole
+    argv = [sys.executable, "-m", "soddy", "verify-proof", "--random", "100"]
+    path = tmp_path / "out.json"
+    with path.open("wb") as out:
+        proc = subprocess.Popen(argv, stdout=out, stderr=subprocess.PIPE, env=CHILD_ENV)
+        head = proc.stderr.read(5)
+        proc.stderr.close()
+        code = proc.wait()
+    full = subprocess.run(argv, capture_output=True, env=CHILD_ENV)
+    assert len(full.stderr) > 1 << 16 and b"Traceback" not in full.stderr
+    assert code == full.returncode == 0
+    assert head == full.stderr[:5]
+    assert path.read_bytes() == full.stdout
+    assert json.loads(full.stdout)["ok"] is True
+
+
 def test_import_leaves_numpy_unloaded_until_embed():
     script = (
         "import json, sys\n"

@@ -15,6 +15,7 @@ import soddy.gasket
 import soddy.tangency
 from soddy.errors import GeometryError, NonFiniteError, SeedError, SoddyError, ValidationError
 from soddy.gasket import (
+    Circle,
     Gasket,
     _build_initial,
     gasket_to_dict,
@@ -304,11 +305,13 @@ class TestGenerate:
             generate(seed, 1)
         assert str(info.value) == message
 
-    @pytest.mark.parametrize("depth", [0, 3, 5])
-    def test_one_vieta_partner_call_per_new_circle(self, monkeypatch, depth):
-        # the benchmark's kept_ratio divides new circles by these calls, and
-        # each call's residual test is the only one its circle gets; tests are
-        # counted by code object, so a caller holding its own binding counts too
+    @pytest.mark.parametrize("depth, quadruples", [(0, 0), (3, 17), (5, 161), (6, 485)])
+    def test_one_vieta_partner_call_per_spawning_quadruple(self, monkeypatch, depth, quadruples):
+        # each spawning quadruple is tested once, by the call that returns its
+        # children's curvatures, so the benchmark's kept_ratio (new circles over
+        # these calls) reads new circles per tested quadruple: 1456/485, about
+        # 3.0, at depth 6; tests are counted by code object, so a caller
+        # holding its own binding counts too
         calls, tests = [], []
         real = soddy.gasket.vieta_partner
         monkeypatch.setattr(
@@ -326,7 +329,9 @@ class TestGenerate:
             circles = generate([-1, 2, 2], depth).circles
         finally:
             sys.setprofile(previous)
-        assert len(calls) == len(tests) == len(circles) - 4
+        # the root, then one quadruple closed by each circle at depths 1..d-1
+        assert (depth > 0) + sum(0 < c.depth < depth for c in circles) == quadruples
+        assert len(calls) == len(tests) == quadruples
 
     def test_depth8_fractional_seed(self):
         assert len(generate([2, 3, 6], 8).circles) == 13124
@@ -443,3 +448,19 @@ def test_output_is_pinned(name):
     g = generate(seed, 6)
     texts = (repr(g), render_svg(g), json.dumps(gasket_to_dict(g)))
     assert [hashlib.sha256(t.encode()).hexdigest()[:16] for t in texts] == want
+
+
+def test_small_negative_coordinates_print_as_zero():
+    # six decimals print an x/unit or y/unit in (-5e-7, 0) as -0.000000; the SVG writes 0.000000
+    circles = (Circle((0.0, 0.0), -2.0, -0.5, 0, ()), Circle((-4e-7, -1e-9), 1.0, 1.0, 0, ()))
+    svg = render_svg(Gasket(circles=circles, seed_curvatures=(-0.5, 1.0, 1.0), max_depth=0))
+    assert '<circle cx="0.000000" cy="0.000000" r="0.500000"' in svg
+    assert "-0.000000" not in svg
+    # the pinned seeds draw 11 such coordinates at depth 6, and none as -0.000000
+    small = 0
+    for seed, *_ in PINNED_OUTPUT.values():
+        g = generate(seed, 6)
+        unit = max(abs(c.radius) for c in g.circles)
+        small += sum(-5e-7 < v / unit < 0 for c in g.circles for v in c.center)
+        assert '"-0.000000' not in render_svg(g)
+    assert small == 11

@@ -315,6 +315,13 @@ class TestVietaPartner:
         assert vieta_partner(k, 0) == 15
         replaced = validate_curvatures([15, 2, 2, 3], 2)
         assert descartes_residual(replaced) == 0
+        # a slice returns the partners of its indices, bit for bit, from one test
+        for n in (2, 3, 4):
+            values = [-1, 2, 2] + [3] * (n - 1)
+            for k in (validate_curvatures(values, n), validate_curvatures([v / 7 for v in values], n)):
+                each = tuple(vieta_partner(k, i) for i in range(n + 2))
+                assert repr(vieta_partner(k, slice(None))) == repr(each)
+                assert repr(vieta_partner(k, slice(3))) == repr(each[:3])
 
     def test_double_root_partner(self):
         k = validate_curvatures([-1, 2, 2, 3], 2)
@@ -339,6 +346,8 @@ class TestVietaPartner:
         k = validate_curvatures([1, 1, 1, 1], 2)
         with pytest.raises(InconsistentConfigurationError):
             vieta_partner(k, 0)
+        with pytest.raises(InconsistentConfigurationError):
+            vieta_partner(k, slice(None))
 
     def test_long_exact_residual_is_named_by_its_digits(self):
         k = Curvatures(values=(Fraction(10**3000), *[Fraction(1)] * 3), n=2, mode="exact")
@@ -372,6 +381,8 @@ class TestVietaPartner:
     def test_n1_has_no_partner(self):
         with pytest.raises(DimensionError):
             vieta_partner(Curvatures(values=(F(1), F(1), F(1)), n=1, mode="exact"), 0)
+        with pytest.raises(DimensionError):
+            vieta_partner(Curvatures(values=(F(1), F(1), F(1)), n=1, mode="exact"), slice(None))
 
     @pytest.mark.parametrize("index", [4, -1])
     def test_index_out_of_range_rejected(self, index):
