@@ -18,6 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from operator import add, index, sub
 
 from .errors import GeometryError, NoRealSolutionError, NonFiniteError, SeedError, ValidationError
 from .numeric import FLOAT, REL_TOL, as_float
@@ -32,7 +33,7 @@ _SVG_STROKE = "#1f2430"
 _SVG_PALETTE = ("#f4f1e8", "#bcd8e6", "#8fbcd4", "#679dc0", "#477ca6", "#2f5d87", "#1f4066")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Circle:
     """One packed circle; ``parents`` are gasket indices of the tangent triple
     that spawned it (empty for the seed circles)."""
@@ -42,6 +43,12 @@ class Circle:
     curvature: float
     depth: int
     parents: tuple[int, ...]
+
+    def __init__(self, center, radius, curvature, depth, parents):
+        # one write, where a frozen dataclass's own __init__ makes five object.__setattr__ calls
+        self.__dict__.update(
+            center=center, radius=radius, curvature=curvature, depth=depth, parents=parents
+        )
 
 
 @dataclass(frozen=True)
@@ -55,6 +62,21 @@ class Gasket:
             if c.radius < 0:
                 return c
         return None
+
+
+def _misfit(center, radius, centers, radii, i, j, k) -> float:
+    """Worst error of the squared distances from ``center`` to circles i, j, k
+    against their tangency values with ``radius``, relative to the largest."""
+    ti = (radius + radii[i]) ** 2
+    tj = (radius + radii[j]) ** 2
+    tk = (radius + radii[k]) ** 2
+    ei = abs(abs(center - centers[i]) ** 2 - ti)
+    ej = abs(abs(center - centers[j]) ** 2 - tj)
+    ek = abs(abs(center - centers[k]) ** 2 - tk)
+    # max keeps only a leading NaN; a NaN in any slot must fail the check
+    if math.isnan(ei + ej + ek):
+        return math.nan
+    return max(ei, ej, ek) / max(ti, tj, tk)
 
 
 class _Builder:
@@ -71,38 +93,33 @@ class _Builder:
         self.parents: list[tuple[int, ...]] = []
 
     def misfit(self, w: complex, curvature: float, touching: tuple[int, ...]) -> float:
-        """Worst error of the squared distances from center w/k to the circles
-        ``touching`` against their tangency values, relative to the largest.
-        One or two circles fill the three slots by repetition."""
-        center, radius = w / curvature, 1.0 / curvature
+        """:func:`_misfit` of the circle (k, w) against the circles ``touching``;
+        one or two circles fill the three slots by repetition."""
         i, j, k = (touching * 3)[:3]
-        centers, radii = self.centers, self.radii
-        ti = (radius + radii[i]) ** 2
-        tj = (radius + radii[j]) ** 2
-        tk = (radius + radii[k]) ** 2
-        ei = abs(abs(center - centers[i]) ** 2 - ti)
-        ej = abs(abs(center - centers[j]) ** 2 - tj)
-        ek = abs(abs(center - centers[k]) ** 2 - tk)
-        # max keeps only a leading NaN; a NaN in any slot must fail the check
-        if math.isnan(ei + ej + ek):
-            return math.nan
-        return max(ei, ej, ek) / max(ti, tj, tk)
+        return _misfit(w / curvature, 1.0 / curvature, self.centers, self.radii, i, j, k)
+
+    def fail(
+        self, curvature: float, depth: int, touching: tuple[int, ...], err: float
+    ) -> GeometryError:
+        """The error for a circle of ``curvature`` that misses ``touching`` by ``err``."""
+        try:
+            named = f"{math.ldexp(curvature, self.exp):.6g}"
+        except OverflowError:  # past the float range: the scaled value and its scale
+            named = f"{curvature:.6g}*2^{self.exp}"
+        return GeometryError(
+            f"circle placement failed: curvature {named} "
+            f"at depth {depth} misses circles {touching} by {err:.3e}"
+        )
 
     def add(
         self, w: complex, curvature: float, depth: int, parents: tuple[int, ...], touching=None
     ) -> int:
-        """Append the circle (k, w), checked to touch ``touching`` (default: its parents)."""
+        """Append the seed circle (k, w), checked to touch ``touching`` (default:
+        its parents); ``generate`` appends the grown circles itself."""
         touching = parents if touching is None else touching
         # not <=, so that a NaN error fails the check
         if touching and not (err := self.misfit(w, curvature, touching)) <= REL_TOL:
-            try:
-                named = f"{math.ldexp(curvature, self.exp):.6g}"
-            except OverflowError:  # past the float range: the scaled value and its scale
-                named = f"{curvature:.6g}*2^{self.exp}"
-            raise GeometryError(
-                f"circle placement failed: curvature {named} "
-                f"at depth {depth} misses circles {touching} by {err:.3e}"
-            )
+            raise self.fail(curvature, depth, touching, err)
         self.ws.append(w)
         self.centers.append(w / curvature)
         self.radii.append(1.0 / curvature)
@@ -113,10 +130,16 @@ class _Builder:
 
     def freeze(self, max_depth: int) -> Gasket:
         centers, radii, ks, depths = self.centers, self.radii, self.curvatures, self.depths
-        keys = [(d, k, z.real, z.imag) for d, k, z in zip(depths, ks, centers)]
-        # stable, so exact ties keep generation order; keys are freed before circles are built
-        order = sorted(range(len(keys)), key=keys.__getitem__)
-        del keys
+        keys = [(k, z.real, z.imag) for k, z in zip(ks, centers)].__getitem__
+        # Generation is breadth-first, so each depth is one contiguous run and
+        # sorting the runs one by one on (k, x, y) gives the order of one global
+        # sort on (depth, k, x, y); stable, so exact ties keep generation order.
+        ends = [depths.index(d) for d in range(1, depths[-1] + 1)] + [len(depths)]
+        order, start = [], 0
+        for end in ends:
+            order += sorted(range(start, end), key=keys)
+            start = end
+        del keys  # freed before the circles are built
         remap = [0] * len(order)
         for new, old in enumerate(order):
             remap[old] = new
@@ -198,12 +221,25 @@ def generate(seed, max_depth: int) -> Gasket:
     alike.  The Apollonian tree has no repeats, so nothing is deduplicated;
     every new circle is checked against its three parents, and each spawning
     quadruple is tested once, before any of its children, by the one
-    :func:`vieta_partner` call that returns their curvatures.
+    :func:`vieta_partner` call that returns their curvatures.  A new circle's
+    center and radius are computed once, checked by the one :func:`_misfit`
+    the seed circles also pass through, and appended here, not by
+    ``_Builder.add``.  ``max_depth`` is any integer (``operator.index``) but
+    a bool, and is stored as an int.
     """
+    try:
+        if isinstance(max_depth, bool):
+            raise TypeError
+        max_depth = int(index(max_depth))
+    except TypeError:
+        raise ValidationError(
+            f"max_depth must be an integer, not {type(max_depth).__name__}"
+        ) from None
     if not 0 <= max_depth <= MAX_DEPTH:
         raise ValidationError(f"max_depth must be between 0 and {MAX_DEPTH}")
     b, quad0 = _build_initial(seed)
-    ks, ws = b.curvatures, b.ws
+    ks, ws, centers, radii = b.curvatures, b.ws, b.centers, b.radii
+    depths, parents = b.depths, b.parents
     # the root spawns across all four members, a child not back across its last (new) circle
     level, spawn = [quad0], 4
     for depth in range(1, max_depth + 1):
@@ -211,7 +247,7 @@ def generate(seed, max_depth: int) -> Gasket:
         for quad in level:
             i0, i1, i2, i3 = quad
             k0, k1, k2, k3 = ks[i0], ks[i1], ks[i2], ks[i3]
-            kq = Curvatures(values=(k0, k1, k2, k3), n=2, mode=FLOAT)
+            kq = Curvatures((k0, k1, k2, k3), 2, FLOAT)
             floor = 1e-12 * max(abs(k0), abs(k1), abs(k2), abs(k3))
             w_sum = ws[i0] + ws[i1] + ws[i2] + ws[i3]
             for pos, k_new in enumerate(vieta_partner(kq, slice(spawn))):
@@ -222,9 +258,19 @@ def generate(seed, max_depth: int) -> Gasket:
                         f"across circles {triple}"
                     )
                 w_pos = ws[quad[pos]]
-                idx = b.add(2.0 * (w_sum - w_pos) - w_pos, k_new, depth, triple)
+                w = 2.0 * (w_sum - w_pos) - w_pos
+                center, radius = w / k_new, 1.0 / k_new
+                # the seeds' check in _Builder.add, inline: not <=, so that a NaN error fails it
+                if not (err := _misfit(center, radius, centers, radii, *triple)) <= REL_TOL:
+                    raise b.fail(k_new, depth, triple, err)
                 if depth < max_depth:  # leaf quadruples spawn nothing
-                    children.append((*triple, idx))
+                    children.append((*triple, len(ws)))
+                ws.append(w)
+                centers.append(center)
+                radii.append(radius)
+                ks.append(k_new)
+                depths.append(depth)
+                parents.append(triple)
         level, spawn = children, 3
     return b.freeze(max_depth)
 
@@ -241,11 +287,19 @@ def render_svg(g: Gasket) -> str:
     Negative-radius (enclosing) circles render as unfilled outlines."""
     if not g.circles:
         raise ValidationError("cannot render an empty gasket")
-    unit = max(abs(c.radius) for c in g.circles)
-    xmin = min(c.center[0] - abs(c.radius) for c in g.circles) / unit
-    xmax = max(c.center[0] + abs(c.radius) for c in g.circles) / unit
-    ymin = min(c.center[1] - abs(c.radius) for c in g.circles) / unit
-    ymax = max(c.center[1] + abs(c.radius) for c in g.circles) / unit
+    xs, ys, rs, fills, palette = [], [], [], [], _SVG_PALETTE
+    for c in g.circles:
+        x, y = c.center
+        r = c.radius
+        xs.append(x)
+        ys.append(y)
+        rs.append(abs(r))
+        fills.append("none" if r < 0 else palette[c.depth % len(palette)])
+    unit = max(rs)
+    xmin = min(map(sub, xs, rs)) / unit
+    xmax = max(map(add, xs, rs)) / unit
+    ymin = min(map(sub, ys, rs)) / unit
+    ymax = max(map(add, ys, rs)) / unit
     pad = 0.02 * max(xmax - xmin, ymax - ymin)
     vx, vy = xmin - pad, ymin - pad
     vw, vh = (xmax - xmin) + 2 * pad, (ymax - ymin) + 2 * pad
@@ -257,11 +311,9 @@ def render_svg(g: Gasket) -> str:
         f'width="{_SVG_WIDTH}" height="{height}" '
         f'viewBox="{_fmt(vx)} {_fmt(vy)} {_fmt(vw)} {_fmt(vh)}">',
     ]
-    row, palette = f'  <circle cx="%.6f" cy="%.6f" r="%.6f" fill="%s" {tail}', _SVG_PALETTE
+    row = f'  <circle cx="%.6f" cy="%.6f" r="%.6f" fill="%s" {tail}'
     lines.extend(
-        row % (c.center[0] / unit, c.center[1] / unit, abs(c.radius) / unit,
-               "none" if c.radius < 0 else palette[c.depth % len(palette)])
-        for c in g.circles
+        row % (x / unit, y / unit, r / unit, fill) for x, y, r, fill in zip(xs, ys, rs, fills)
     )
     lines.append("</svg>")
     # a coordinate in (-5e-7, 0) prints as -0.000000 here; _fmt writes 0.000000

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import json
 import math
+import pickle
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import soddy.gasket
@@ -144,10 +147,28 @@ class TestGenerate:
         assert threes[0].center[1] == pytest.approx(-threes[1].center[1])
         assert abs(threes[0].center[1]) == pytest.approx(2 / 3)
 
-    def test_canonical_ordering(self):
+    def test_canonical_ordering(self, monkeypatch):
         g = generate([-1, 2, 2], 3)
         keys = [(c.depth, c.curvature, c.center[0], c.center[1]) for c in g.circles]
         assert keys == sorted(keys)
+        # freeze sorts each depth's run on its own; over the pinned seeds that
+        # is the stable global sort of the builder's (depth, k, x, y) keys
+        builders, freeze = [], soddy.gasket._Builder.freeze
+        monkeypatch.setattr(
+            soddy.gasket._Builder, "freeze", lambda b, d: builders.append(b) or freeze(b, d)
+        )
+        for seed, *_ in PINNED_OUTPUT.values():
+            circles = generate(seed, 6).circles
+            keys = [(c.depth, c.curvature, c.center[0], c.center[1]) for c in circles]
+            assert keys == sorted(keys)
+            b = builders.pop()
+            full = [(d, k, z.real, z.imag) for d, k, z in zip(b.depths, b.curvatures, b.centers)]
+            order = sorted(range(len(full)), key=full.__getitem__)
+            new = {old: i for i, old in enumerate(order)}
+            assert [(c.curvature, c.parents) for c in circles] == [
+                (math.ldexp(b.curvatures[i], b.exp), tuple(sorted(new[p] for p in b.parents[i])))
+                for i in order
+            ]
 
     def test_parents_precede_children(self):
         g = generate([-1, 2, 2], 3)
@@ -186,6 +207,16 @@ class TestGenerate:
             generate([-1, 2, 2], 13)
         with pytest.raises(ValidationError):
             generate([-1, 2, 2], -1)
+        # any integer is a depth, stored as a plain int; a bool or non-integer is not
+        for depth in (2, np.int64(2), np.uint8(2)):
+            g = generate([-1, 2, 2], depth)
+            assert type(g.max_depth) is int and g.max_depth == 2
+            assert json.loads(json.dumps(gasket_to_dict(g)))["max_depth"] == 2
+        for depth in (True, False, np.bool_(True), 2.0, "2", None):
+            with pytest.raises(ValidationError, match="max_depth"):
+                generate([-1, 2, 2], depth)
+        with pytest.raises(ValidationError, match="max_depth"):
+            generate([-1, 2, 2], np.int64(13))
 
     def test_circle_count_growth(self):
         # each quadruple spawns 3 children: 4, +4, +12, +36
@@ -239,7 +270,7 @@ class TestGenerate:
         assert len(g.circles) == 56
         assert tangency_error(g, unit=1 / scale) <= 1e-9
 
-    def test_nan_fails_placement_and_residual_checks(self):
+    def test_nan_fails_placement_and_residual_checks(self, monkeypatch):
         b, quad = _build_initial((-1.0, 2.0, 2.0))
         with pytest.raises(GeometryError):
             b.add(complex(math.nan, 0.0), 15.0, 1, quad[1:])
@@ -254,6 +285,13 @@ class TestGenerate:
                 with pytest.raises(GeometryError):
                     b.add(w, k, 1, parents)
                 values[i] = kept
+        # generate checks its new circles itself, not through _Builder.add; a
+        # NaN partner must still fail that check
+        monkeypatch.setattr(
+            soddy.gasket, "vieta_partner", lambda k, i: (math.nan,) * len(k.values[i])
+        )
+        with pytest.raises(GeometryError, match="by nan"):
+            generate([-1, 2, 2], 1)
 
     @pytest.mark.parametrize("field", ["centers", "radii"])
     @pytest.mark.parametrize("slot", [0, 1])
@@ -401,6 +439,30 @@ class TestRenderSvg:
         empty = Gasket(circles=(), seed_curvatures=(1.0, 1.0, 1.0), max_depth=0)
         with pytest.raises(ValidationError):
             render_svg(empty)
+
+
+def test_circle_keeps_the_dataclass_contract():
+    # Circle writes its own __init__; the generated eq, hash, repr, replace,
+    # pickle and frozen fields must read as a plain frozen dataclass's
+    names = [f.name for f in dataclasses.fields(Circle)]
+    assert names == ["center", "radius", "curvature", "depth", "parents"]
+    for c in generate([-1, 2, 2], 3).circles:
+        copies = (
+            Circle(**dataclasses.asdict(c)),
+            Circle(*dataclasses.astuple(c)),
+            dataclasses.replace(c),
+            pickle.loads(pickle.dumps(c)),
+        )
+        for copy in copies:
+            assert copy == c and hash(copy) == hash(c) and repr(copy) == repr(c)
+        assert repr(c) == (
+            f"Circle(center={c.center!r}, radius={c.radius!r}, curvature={c.curvature!r}, "
+            f"depth={c.depth!r}, parents={c.parents!r})"
+        )
+        moved = dataclasses.replace(c, radius=2 * c.radius)
+        assert moved.radius == 2 * c.radius and moved.center == c.center and moved != c
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            c.radius = 1.0
 
 
 def test_gasket_to_dict_roundtrips():
