@@ -18,7 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from operator import add, index, sub
+from operator import add, index, itemgetter, sub
 
 from .errors import GeometryError, NoRealSolutionError, NonFiniteError, SeedError, ValidationError
 from .numeric import FLOAT, REL_TOL, as_float
@@ -26,6 +26,9 @@ from .tangency import Curvatures, _validated, solve_missing_curvature, vieta_par
 
 #: Hard output-size guard on the expansion depth.
 MAX_DEPTH = 12
+
+#: The three members of a quadruple other than the one at position 0, 1, 2, 3.
+_OTHERS = tuple(itemgetter(*(j for j in range(4) if j != pos)) for pos in range(4))
 
 #: SVG width in pixels, circle outline color, and fill color by depth (cycled).
 _SVG_WIDTH = 512
@@ -67,12 +70,13 @@ class Gasket:
 def _misfit(center, radius, centers, radii, i, j, k) -> float:
     """Worst error of the squared distances from ``center`` to circles i, j, k
     against their tangency values with ``radius``, relative to the largest."""
-    ti = (radius + radii[i]) ** 2
-    tj = (radius + radii[j]) ** 2
-    tk = (radius + radii[k]) ** 2
-    ei = abs(abs(center - centers[i]) ** 2 - ti)
-    ej = abs(abs(center - centers[j]) ** 2 - tj)
-    ek = abs(abs(center - centers[k]) ** 2 - tk)
+    # squares by *, not ** 2 (a libm pow call): a square past the float range is
+    # then inf, and the check fails on an inf or NaN error instead of raising
+    # OverflowError
+    ti, tj, tk = radius + radii[i], radius + radii[j], radius + radii[k]
+    di, dj, dk = abs(center - centers[i]), abs(center - centers[j]), abs(center - centers[k])
+    ti, tj, tk = ti * ti, tj * tj, tk * tk
+    ei, ej, ek = abs(di * di - ti), abs(dj * dj - tj), abs(dk * dk - tk)
     # max keeps only a leading NaN; a NaN in any slot must fail the check
     if math.isnan(ei + ej + ek):
         return math.nan
@@ -143,22 +147,32 @@ class _Builder:
         remap = [0] * len(order)
         for new, old in enumerate(order):
             remap[old] = new
-        ldexp, exp, parents, new_index = math.ldexp, self.exp, self.parents, remap.__getitem__
-        # + 0.0 keeps negative zeros out of the output
+        ldexp, exp, parents = math.ldexp, self.exp, self.parents
+        # A circle has three parents or none; three are remapped and ordered by
+        # compare-and-swap, cheaper than sorted().  + 0.0 keeps negative zeros
+        # out of the output.
+        circles = []
+        append = circles.append
         try:
-            circles = tuple(
-                Circle(
-                    (ldexp(centers[i].real, -exp) + 0.0, ldexp(centers[i].imag, -exp) + 0.0),
-                    ldexp(radii[i], -exp),
-                    ldexp(ks[i], exp),
-                    depths[i],
-                    tuple(sorted(map(new_index, parents[i]))),
-                )
-                for i in order
-            )
+            for i in order:
+                z, p = centers[i], parents[i]
+                if p:
+                    a, b, c = p
+                    a, b, c = remap[a], remap[b], remap[c]
+                    if a > b:
+                        a, b = b, a
+                    if b > c:
+                        b, c = c, b
+                        if a > b:
+                            a, b = b, a
+                    p = (a, b, c)
+                append(Circle(
+                    (ldexp(z.real, -exp) + 0.0, ldexp(z.imag, -exp) + 0.0),
+                    ldexp(radii[i], -exp), ldexp(ks[i], exp), depths[i], p,
+                ))
         except OverflowError:
             raise NonFiniteError("gasket values pass the float range at this seed scale") from None
-        return Gasket(circles=circles, seed_curvatures=self.seed, max_depth=max_depth)
+        return Gasket(circles=tuple(circles), seed_curvatures=self.seed, max_depth=max_depth)
 
 
 def _build_initial(seed) -> tuple[_Builder, tuple[int, int, int, int]]:
@@ -250,14 +264,14 @@ def generate(seed, max_depth: int) -> Gasket:
             kq = Curvatures((k0, k1, k2, k3), 2, FLOAT)
             floor = 1e-12 * max(abs(k0), abs(k1), abs(k2), abs(k3))
             w_sum = ws[i0] + ws[i1] + ws[i2] + ws[i3]
-            for pos, k_new in enumerate(vieta_partner(kq, slice(spawn))):
-                triple = quad[:pos] + quad[pos + 1 :]
+            for k_new, i_pos, others in zip(vieta_partner(kq, slice(spawn)), quad, _OTHERS):
+                triple = others(quad)
                 if abs(k_new) < floor:
                     raise GeometryError(
                         f"expansion produced a zero-curvature circle at depth {depth} "
                         f"across circles {triple}"
                     )
-                w_pos = ws[quad[pos]]
+                w_pos = ws[i_pos]
                 w = 2.0 * (w_sum - w_pos) - w_pos
                 center, radius = w / k_new, 1.0 / k_new
                 # the seeds' check in _Builder.add, inline: not <=, so that a NaN error fails it

@@ -129,6 +129,15 @@ def tangency_squared_distances(r: SignedRadii) -> SquaredDistanceMatrix:
     return SquaredDistanceMatrix.from_entries(rows, r.mode)
 
 
+def _sum(values: Sequence[Scalar]) -> Scalar:
+    """Left-to-right sum from int 0.  Builtin ``sum`` compensates float
+    roundoff from Python 3.12 on, so its float results depend on the version."""
+    total = 0
+    for v in values:
+        total += v
+    return total
+
+
 def _tangency_residual(values: Sequence[Scalar], n: int, mode: str) -> tuple[Scalar, Scalar]:
     """(sum k_i)^2 - n * sum k_i^2 and the mode's zero for it: 0 exact, REL_TOL *
     max k_i^2 float, the same at every scale.  The tangency test is
@@ -139,9 +148,9 @@ def _tangency_residual(values: Sequence[Scalar], n: int, mode: str) -> tuple[Sca
         (ints,), den = _integer_rows([values])
         s = sum(ints)
         return Fraction(s * s - n * sum(v * v for v in ints), den * den), 0
-    s = sum(values)
+    s = _sum(values)
     squares = [v * v for v in values]
-    return s * s - n * sum(squares), REL_TOL * max(squares)
+    return s * s - n * _sum(squares), REL_TOL * max(squares)
 
 
 def descartes_residual(k: Curvatures) -> Scalar:
@@ -201,8 +210,8 @@ def solve_missing_curvature(known: Sequence, n: int) -> tuple[Scalar, Scalar]:
     float range (overflowed to inf or NaN) raises :class:`NonFiniteError`.
     """
     vals, mode = _validated(known, n, n + 1, False, "curvature", "known curvatures")
-    s = sum(vals)
-    q = sum(v * v for v in vals)
+    s = _sum(vals)
+    q = _sum([v * v for v in vals])
     if n == 1:
         # leading coefficient n-1 vanishes: 2*S*k + (S^2 - Q) = 0
         if s == 0:
@@ -245,7 +254,7 @@ def vieta_partner(k: Curvatures, index: int | slice) -> Scalar | tuple[Scalar, .
         raise InconsistentConfigurationError(
             f"tangency residual {format_scalar(res)} exceeds tolerance {format_scalar(zero)}"
         )
-    s, m = sum(vals), k.n - 1
+    s, m = _sum(vals), k.n - 1
     if isinstance(index, slice):
         return tuple(2 * (s - v) / m - v for v in vals[index])
     return 2 * (s - vals[index]) / m - vals[index]

@@ -8,7 +8,9 @@ import itertools
 import json
 import math
 import pickle
+import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -510,6 +512,32 @@ def test_output_is_pinned(name):
     g = generate(seed, 6)
     texts = (repr(g), render_svg(g), json.dumps(gasket_to_dict(g)))
     assert [hashlib.sha256(t.encode()).hexdigest()[:16] for t in texts] == want
+
+
+def test_seeds_across_the_float_range_generate_or_fail_as_soddy_errors():
+    # 500 seeds with |k| log-uniform by octave over 2^+-997 (about 10^+-300),
+    # random signs, at depths 0-3, where placement meets values past the
+    # float range: every seed must either generate or raise a SoddyError,
+    # never OverflowError.  The digest pins each failure's kind and message
+    # and each gasket's repr.
+    rng = random.Random(34)
+    digest, kinds = hashlib.sha256(), Counter()
+    for _ in range(500):
+        seed = [
+            rng.choice((-1, 1, 1)) * math.ldexp(rng.uniform(1, 2), rng.randint(-997, 996))
+            for _ in range(3)
+        ]
+        depth = rng.randint(0, 3)
+        try:
+            g = generate(seed, depth)
+        except SoddyError as exc:
+            kinds[exc.kind] += 1
+            digest.update(f"{exc.kind}: {exc}\n".encode())
+        else:
+            kinds["ok"] += 1
+            digest.update(repr(g).encode())
+    assert kinds == {"ok": 12, "seed": 145, "non-finite": 304, "geometry": 39}
+    assert digest.hexdigest()[:16] == "8b618c469f7cb1d9"
 
 
 def test_small_negative_coordinates_print_as_zero():

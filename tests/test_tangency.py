@@ -458,3 +458,22 @@ def test_float_squared_distances_are_squared_sums_or_non_finite(magnitudes, nega
         assert info.value.kind == "non-finite"
     else:
         assert tangency_squared_distances(r).entries == tuple(map(tuple, squares))
+
+
+def test_float_sums_run_left_to_right():
+    # Builtin sum compensates float roundoff from Python 3.12 on; float
+    # results must not depend on the version, so S and Q are summed left to
+    # right.  On this Descartes quadruple, 0.1 * (2, 3, 2, -1), a compensated
+    # sum rounds S differently, and every result below moves with it.
+    k = tuple(c * 0.1 for c in (2, 3, 2, -1))
+    s = ((k[0] + k[1]) + k[2]) + k[3]
+    q = ((k[0] * k[0] + k[1] * k[1]) + k[2] * k[2]) + k[3] * k[3]
+    s3 = (k[0] + k[1]) + k[2]
+    q3 = (k[0] * k[0] + k[1] * k[1]) + k[2] * k[2]
+    assert s != math.fsum(k) and s3 != math.fsum(k[:3])
+    quad = Curvatures(values=k, n=2, mode="float")
+    assert descartes_residual(quad) == s * s - 2 * q
+    assert vieta_partner(quad, slice(None)) == tuple(2 * (s - v) - v for v in k)
+    assert vieta_partner(quad, 3) == 2 * (s - k[3]) - k[3]
+    root = math.sqrt(2 * (s3 * s3 - q3))
+    assert solve_missing_curvature(list(k[:3]), 2) == (s3 + root, s3 - root)
