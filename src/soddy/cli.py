@@ -9,11 +9,16 @@ only them; SVG goes to a file path.  Exit codes: 0 success, 1
 validation/usage error or a stdout closed before the envelope is written, 2
 computational failure.
 
-``gasket`` and ``proof_witness`` are imported only by the ``gasket`` and
-``verify-proof`` subcommands, so no other call loads them.  Each subcommand
-that runs a costly kernel states one estimate in that kernel's unit, and
-``_require`` refuses one past its limit, as a ``validation`` error, before
-the kernel runs.
+Each call loads only the modules its subcommand runs: ``cayley_menger`` is
+imported inside the handlers that build or eliminate a matrix (``cm-det``,
+``volume``, ``identity-check``, and through ``tangency`` ``embed`` and
+``verify-proof``), ``proof_witness`` by ``verify-proof`` and ``gasket`` by
+``gasket``, so ``residual`` and ``solve`` load none of them, nor
+``dataclasses``.
+
+Each subcommand that runs a costly kernel states one estimate in that
+kernel's unit, and ``_require`` refuses one past its limit, as a
+``validation`` error, before the kernel runs.
 """
 
 from __future__ import annotations
@@ -26,12 +31,8 @@ import random
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .cayley_menger import (
-    SquaredDistanceMatrix,
-    cm_determinant,
-    volume_squared,
-)
 from .embedding import realize_points
 from .errors import DimensionError, SoddyError, ValidationError
 from .numeric import EXACT, FLOAT, coerce_vector
@@ -45,6 +46,9 @@ from .tangency import (
     validate_curvatures,
     validate_radii,
 )
+
+if TYPE_CHECKING:
+    from .cayley_menger import SquaredDistanceMatrix
 
 # Flags whose values may start with '-' (e.g. --curvatures -1,2,2,3); they are
 # rewritten to --flag=value before argparse sees them.
@@ -119,6 +123,8 @@ def _require_lcm_bound(rows: list[list]) -> None:
 
 
 def _parse_matrix(args) -> SquaredDistanceMatrix:
+    from .cayley_menger import SquaredDistanceMatrix
+
     text = args.matrix if args.matrix is not None else sys.stdin.read(_MAX_MATRIX_CHARS + 1)
     if len(text) > _MAX_MATRIX_CHARS:
         raise ValidationError(f"matrix text is longer than the {_MAX_MATRIX_CHARS} characters one call may read")
@@ -141,11 +147,15 @@ def _parse_matrix(args) -> SquaredDistanceMatrix:
 
 
 def _cmd_cm_det(args):
+    from .cayley_menger import cm_determinant
+
     d = _parse_matrix(args)
     return scalar_to_json(cm_determinant(d)), 0
 
 
 def _cmd_volume(args):
+    from .cayley_menger import volume_squared
+
     d = _parse_matrix(args)
     v = volume_squared(d)
     return {"value": scalar_to_json(v.value), "dim": v.dim}, 0
@@ -163,6 +173,8 @@ def _cmd_solve(args):
 
 
 def _cmd_identity_check(args):
+    from .cayley_menger import cm_determinant
+
     r = validate_radii(_parse_scalars(args.radii, EXACT), args.n, strict=False)
     rhs = _factored_determinant(r)
     # refuse a side too long to print, then one configuration's work, before any elimination

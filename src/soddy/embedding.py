@@ -17,17 +17,18 @@ the zero's square root of the span before it; it keeps that small offset
 along the axes opened after it (exactly 0 in exact mode), so every distance
 is reproduced.  ``append_point`` locates one more point by trilateration.
 
-numpy is imported only inside ``append_point``.
+numpy is imported only inside ``append_point``, and ``cayley_menger`` only
+for type checking: a caller hands in a matrix it already built.  Float sums
+run left to right (``numeric._sum``), so coordinates have the same bits on
+every Python version.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, zip_longest
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .cayley_menger import SquaredDistanceMatrix
 from .errors import (
     AmbiguousSolutionError,
     DimensionError,
@@ -37,19 +38,21 @@ from .errors import (
     RankExceedsDimError,
     ValidationError,
 )
-from .numeric import EXACT, REL_TOL, as_float
+from .numeric import EXACT, REL_TOL, Frozen, _sum, as_float
 from .serialize import format_scalar
 
+if TYPE_CHECKING:
+    from .cayley_menger import SquaredDistanceMatrix
 
-@dataclass(frozen=True)
-class EmbeddedPoints:
+
+class EmbeddedPoints(Frozen):
     """m float coordinate vectors of one dimension, one tuple per point."""
 
-    coords: tuple[tuple[float, ...], ...]
+    __slots__ = __match_args__ = ("coords",)
 
-    def __post_init__(self):
+    def __init__(self, coords: tuple[tuple[float, ...], ...]):
         try:
-            coords = tuple(tuple(as_float(v) for v in row) for row in self.coords)
+            coords = tuple(tuple(as_float(v) for v in row) for row in coords)
         except NonFiniteError:
             raise
         except (TypeError, ValidationError):  # not iterable as rows, or an entry nested deeper
@@ -68,14 +71,14 @@ class EmbeddedPoints:
 
     def squared_distances(self) -> tuple[tuple[float, ...], ...]:
         return tuple(
-            tuple(as_float(sum((a - b) * (a - b) for a, b in zip(p, q))) for q in self.coords)
+            tuple(as_float(_sum((a - b) * (a - b) for a, b in zip(p, q))) for q in self.coords)
             for p in self.coords
         )
 
 
 def _dot(x, y, w):
     """Sum of x_a * y_a * w_a over the shortest of the three."""
-    return sum(a * b * c for a, b, c in zip(x, y, w))
+    return _sum(a * b * c for a, b, c in zip(x, y, w))
 
 
 def realize_points(d: SquaredDistanceMatrix, dim: int) -> EmbeddedPoints:

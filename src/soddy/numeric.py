@@ -33,6 +33,9 @@ check).
 
 Everything here is a pure function on immutable data, except
 :func:`symmetric_bareiss`, which overwrites the lists it is given.
+:class:`Frozen` is the base of the other modules' small immutable values,
+and :func:`_sum` their one left-to-right sum, so a float sum has the same
+bits on every Python version.
 """
 
 from __future__ import annotations
@@ -233,6 +236,55 @@ class Matrix:
         raise AttributeError(f"Matrix is immutable: cannot set or delete {name!r}")
 
     __delattr__ = __setattr__
+
+
+class Frozen:
+    """Base of an immutable value whose fields are its ``__match_args__``.
+
+    Instances are equal, hashed, printed and pickled by those fields, in
+    order, as a frozen dataclass is, with no ``dataclasses`` import.  A
+    subclass lists its fields in ``__slots__`` and ``__match_args__``, and
+    its ``__init__`` sets each once with ``object.__setattr__``; any other
+    setting or deleting raises AttributeError.  ``__reduce__`` rebuilds a
+    copy or unpickled value through ``__init__``, which a slots class's
+    default, that sets each slot on a bare object, cannot do here.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _sum(values: Iterable[Scalar]) -> Scalar:
+    """Left-to-right sum from int 0.  Builtin ``sum`` compensates float
+    roundoff from Python 3.12 on, so its float results depend on the version."""
+    total = 0
+    for v in values:
+        total += v
+    return total
 
 
 def _known(mode: str) -> str:

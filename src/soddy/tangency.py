@@ -16,6 +16,10 @@ which vanishes exactly when the configuration is flat; every tangency test
 reads it and its zero from :func:`_tangency_residual`.  Curvature is the
 interchange unit for solving (the identity is quadratic in each k_i); radii
 are the unit for building distances.  Conversions are explicit.
+
+``cayley_menger`` is imported inside the two functions that build its types,
+:func:`tangency_squared_distances` and :func:`factored_volume_squared`, so
+code that only solves or checks curvatures does not load it.
 """
 
 from __future__ import annotations
@@ -23,38 +27,44 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .cayley_menger import SquaredDistanceMatrix, VolumeSquared, _volume_constant
 from .errors import (
     DimensionError, FloatModeRequiredError, InconsistentConfigurationError,
     NonFiniteError, NoRealSolutionError, ValidationError,
 )
-from .numeric import EXACT, REL_TOL, Scalar, _integer_rows, coerce_vector, from_exact
+from .numeric import EXACT, REL_TOL, Frozen, Scalar, _integer_rows, _sum, coerce_vector, from_exact
 from .serialize import format_scalar
 
+if TYPE_CHECKING:
+    from .cayley_menger import SquaredDistanceMatrix, VolumeSquared
 
-@dataclass(frozen=True)
-class SignedRadii:
+
+class _Spheres(Frozen):
+    """n+2 nonzero scalars of one mode, one per sphere: ``values``, ``n`` and ``mode``."""
+
+    __slots__ = __match_args__ = ("values", "n", "mode")
+
+    def __init__(self, values: tuple[Scalar, ...], n: int, mode: str):
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "mode", mode)
+
+
+class SignedRadii(_Spheres):
     """Nonzero signed radii of n+2 mutually tangent n-spheres."""
 
-    values: tuple[Scalar, ...]
-    n: int
-    mode: str
+    __slots__ = ()
 
     def product(self) -> Scalar:
         return math.prod(self.values)
 
 
-@dataclass(frozen=True)
-class Curvatures:
+class Curvatures(_Spheres):
     """Reciprocal radii k_i = 1/r_i of n+2 mutually tangent n-spheres."""
 
-    values: tuple[Scalar, ...]
-    n: int
-    mode: str
+    __slots__ = ()
 
 
 def _require_dimension(n: int) -> None:
@@ -115,6 +125,8 @@ def tangency_squared_distances(r: SignedRadii) -> SquaredDistanceMatrix:
     exact radii R_i / L give the upper triangle (R_i + R_j)^2 over L^2, float
     radii float squares.  A float square of a nonzero sum below the smallest
     normal float raises :class:`NonFiniteError`, as one past the float range does."""
+    from .cayley_menger import SquaredDistanceMatrix
+
     vals = r.values
     if r.mode == EXACT:
         (vals,), den = _integer_rows([vals])
@@ -127,15 +139,6 @@ def tangency_squared_distances(r: SignedRadii) -> SquaredDistanceMatrix:
         if vals[i] + vals[j] and rows[i][j] < sys.float_info.min:
             raise NonFiniteError(f"squared distance ({i},{j}) underflows a float")
     return SquaredDistanceMatrix.from_entries(rows, r.mode)
-
-
-def _sum(values: Sequence[Scalar]) -> Scalar:
-    """Left-to-right sum from int 0.  Builtin ``sum`` compensates float
-    roundoff from Python 3.12 on, so its float results depend on the version."""
-    total = 0
-    for v in values:
-        total += v
-    return total
 
 
 def _tangency_residual(values: Sequence[Scalar], n: int, mode: str) -> tuple[Scalar, Scalar]:
@@ -183,6 +186,8 @@ def factored_volume_squared(r: SignedRadii) -> VolumeSquared:
     Equals ``volume_squared(tangency_squared_distances(r))`` exactly for all
     rational radii; a float value is that exact result rounded once.
     """
+    from .cayley_menger import VolumeSquared, _volume_constant
+
     value = _volume_constant(r.n + 2) * _factored_determinant(r)
     return VolumeSquared(value=from_exact(value, r.mode, "squared volume"), dim=r.n + 1)
 

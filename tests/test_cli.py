@@ -373,7 +373,7 @@ class TestCmDetAndVolume:
         def read(*_):
             raise AssertionError("the entries were read")
 
-        monkeypatch.setattr(soddy.cli.SquaredDistanceMatrix, "from_entries", read)
+        monkeypatch.setattr(soddy.cayley_menger.SquaredDistanceMatrix, "from_entries", read)
         m = 132  # 131 points pass at 0 bits
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps([[0] * m] * m)))
         code, out, _ = call(["cm-det"])
@@ -392,7 +392,7 @@ class TestCmDetAndVolume:
         def read(*_):
             raise AssertionError("the entries were scaled")
 
-        monkeypatch.setattr(soddy.cli.SquaredDistanceMatrix, "from_entries", read)
+        monkeypatch.setattr(soddy.cayley_menger.SquaredDistanceMatrix, "from_entries", read)
         rng = random.Random(m * digits)
         rows = [[0] * m for _ in range(m)]
         for i, j in itertools.combinations(range(m), 2):
@@ -413,7 +413,7 @@ class TestCmDetAndVolume:
         def read(*_):
             raise AssertionError("the entries were scaled")
 
-        monkeypatch.setattr(soddy.cli.SquaredDistanceMatrix, "from_entries", read)
+        monkeypatch.setattr(soddy.cayley_menger.SquaredDistanceMatrix, "from_entries", read)
         parsed = []
         parse = soddy.cli.parse_rational
         monkeypatch.setattr(soddy.cli, "parse_rational", lambda text: parsed.append(text) or parse(text))
@@ -444,7 +444,7 @@ class TestCmDetAndVolume:
                 stopped = False
             except soddy.errors.ValidationError:
                 stopped = True
-            d = soddy.cli.SquaredDistanceMatrix.from_entries(rows)
+            d = soddy.cayley_menger.SquaredDistanceMatrix.from_entries(rows)
             try:
                 soddy.cli._require_elimination_bound(m, max(v.bit_length() for row in d._upper[1] for v in row))
                 admitted = True
@@ -473,7 +473,7 @@ class TestIdentityCheck:
         def eliminate(_):
             raise AssertionError("cm_determinant ran")
 
-        monkeypatch.setattr("soddy.cli.cm_determinant", eliminate)
+        monkeypatch.setattr("soddy.cayley_menger.cm_determinant", eliminate)
 
     def test_unprintable_sides_are_refused_before_any_elimination(self, call, monkeypatch):
         # ran 159 s before it refused the same value
@@ -499,7 +499,7 @@ class TestIdentityCheck:
 
     def test_work_bound_admits_n_111(self, call, monkeypatch):
         reached = []
-        monkeypatch.setattr("soddy.cli.cm_determinant", lambda d: reached.append(d.m) or 0)
+        monkeypatch.setattr("soddy.cayley_menger.cm_determinant", lambda d: reached.append(d.m) or 0)
         code, out, _ = call(["identity-check", "--n", "111", "--radii", ",".join(map(str, range(1, 114)))])
         assert json.loads(out)["ok"] is True
         assert reached == [113]

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, zip_longest
 
@@ -19,6 +21,7 @@ from soddy.errors import (
     NoSolutionError,
     NonFiniteError,
     RankExceedsDimError,
+    SoddyError,
 )
 from soddy.tangency import (
     curvatures_from_radii,
@@ -371,3 +374,25 @@ def test_exact_realize_points_matches_the_fraction_reference(family):
         assert (got.coords if isinstance(got, EmbeddedPoints) else got) == want, d.entries
         seen.add(want if isinstance(want, type) else tuple)
     assert {tuple, RankExceedsDimError} <= seen
+
+
+def test_float_realization_is_pinned():
+    # Float sums run left to right, so these bits are the same on every Python
+    # version; builtin sum, compensated from 3.12 on, moved 3.12's coordinates.
+    # The digest pins each realization's repr and squared distances and each
+    # failure's kind and message.
+    rng = random.Random(300)
+    digest, kinds = hashlib.sha256(), Counter()
+    for _ in range(300):
+        n = rng.randint(2, 8)
+        radii = [round(rng.uniform(0.1, 3), 3) for _ in range(n + 2)]
+        try:
+            pts = realize_points(tangency_squared_distances(validate_radii(radii, n, strict=False)), n + 1)
+        except SoddyError as exc:
+            kinds[exc.kind] += 1
+            digest.update(f"{exc.kind}: {exc}\n".encode())
+        else:
+            kinds["ok"] += 1
+            digest.update(f"{pts!r} {pts.squared_distances()!r}\n".encode())
+    assert kinds == {"ok": 109, "negative-eigenvalue": 191}
+    assert digest.hexdigest()[:16] == "adb9a637d497141c"

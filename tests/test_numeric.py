@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 import operator
@@ -25,6 +26,7 @@ from soddy.cayley_menger import (
     volume_squared,
     volume_squared_from_coordinates,
 )
+from soddy.embedding import EmbeddedPoints
 from soddy.errors import DimensionError, ModeMismatchError, NonFiniteError, SoddyError, ValidationError
 from soddy.numeric import (
     EXACT,
@@ -835,6 +837,52 @@ def test_matrix_attributes_cannot_be_assigned(name):
     with pytest.raises(AttributeError):
         delattr(m, name)
     assert repr(m) == before
+
+
+@pytest.mark.parametrize(
+    "cls, fields, text",
+    [
+        (
+            SignedRadii,
+            ((Fraction(-1), Fraction(1, 2), Fraction(1, 3)), 1, EXACT),
+            "SignedRadii(values=(Fraction(-1, 1), Fraction(1, 2), Fraction(1, 3)), n=1, mode='exact')",
+        ),
+        (Curvatures, ((-1.0, 2.0, 2.0, 3.0), 2, FLOAT), "Curvatures(values=(-1.0, 2.0, 2.0, 3.0), n=2, mode='float')"),
+        (EmbeddedPoints, (((0.0, 0.0), (2.0, 0.5)),), "EmbeddedPoints(coords=((0.0, 0.0), (2.0, 0.5)))"),
+    ],
+)
+def test_value_classes_behave_as_frozen_dataclasses(cls, fields, text):
+    # the eq, hash, repr, copying and immutability of a frozen dataclass
+    value = cls(*fields)
+    assert value == cls(**dict(zip(cls.__match_args__, fields)))
+    assert hash(value) == hash(fields)
+    assert repr(value) == text
+    assert value != fields
+    for copied in (
+        copy.copy(value),
+        copy.deepcopy(value),
+        *(pickle.loads(pickle.dumps(value, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)),
+    ):
+        assert type(copied) is cls and copied == value and hash(copied) == hash(value) and repr(copied) == text
+    for name in (*cls.__match_args__, "other"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 3)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert repr(value) == text
+
+
+def test_radii_and_curvatures_of_the_same_values_differ():
+    fields = ((Fraction(1), Fraction(2), Fraction(3)), 1, EXACT)
+    assert SignedRadii(*fields) != Curvatures(*fields)
+
+
+def test_embedded_points_coerce_and_check_their_coordinates():
+    assert EmbeddedPoints([[1, Fraction(1, 2)], np.array([2, 3])]).coords == ((1.0, 0.5), (2.0, 3.0))
+    with pytest.raises(DimensionError):
+        EmbeddedPoints(((1.0,), (1.0, 2.0)))
+    with pytest.raises(NonFiniteError, match="non-finite"):
+        EmbeddedPoints(((math.nan, 0.0),))
 
 
 class TestConstructorValidates:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib
 import importlib.util
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -52,6 +53,43 @@ def test_import_loads_no_submodule():
     assert proc.returncode == 0, proc.stderr
     # the first attribute access imports its module, and the modules it imports
     assert proc.stdout.splitlines() == ["[]", "['soddy.errors', 'soddy.numeric', 'soddy.serialize']"]
+
+
+_CLI_BASE = {"soddy", "soddy.cli", "soddy.embedding", "soddy.errors", "soddy.numeric", "soddy.serialize", "soddy.tangency"}
+
+
+def _loaded_after(script: str) -> tuple[set, bool]:
+    """The soddy modules a fresh interpreter holds after ``script``, and whether it loaded dataclasses."""
+    script += "\nprint(json.dumps([[m for m in sys.modules if m.split('.')[0] == 'soddy'], 'dataclasses' in sys.modules]))"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", f"import json, sys\n{script}"], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    names, dataclasses = json.loads(proc.stdout.splitlines()[-1])
+    return set(names), dataclasses
+
+
+def test_cli_import_loads_only_what_every_subcommand_needs():
+    assert _loaded_after("import soddy.cli") == (_CLI_BASE, False)
+
+
+@pytest.mark.parametrize(
+    "argv, extra",
+    [
+        (["residual", "--n", "2", "--curvatures", "-1,2,2,3"], set()),
+        (["solve", "--n", "2", "--curvatures", "-1,2,2"], set()),
+        (["cm-det", "--matrix", "[[0,9,16],[9,0,25],[16,25,0]]"], {"soddy.cayley_menger"}),
+        (["volume", "--matrix", "[[0,1],[1,0]]"], {"soddy.cayley_menger"}),
+        (["identity-check", "--n", "2", "--radii", "-1,1/2,1/2,1/3"], {"soddy.cayley_menger"}),
+        (["embed", "--n", "2", "--radii", "-1,1/2,1/2,1/3"], {"soddy.cayley_menger"}),
+        (["verify-proof", "--random", "1"], {"soddy.cayley_menger", "soddy.proof_witness"}),
+        (["gasket", "--seed", "-1,2,2", "--depth", "0"], {"soddy.gasket"}),
+    ],
+)
+def test_each_subcommand_loads_only_the_modules_it_runs(argv, extra):
+    loaded, dataclasses = _loaded_after(f"import soddy.cli\nassert soddy.cli.run({argv!r}) == 0")
+    assert loaded == _CLI_BASE | extra
+    if not extra:  # residual and solve
+        assert not dataclasses
 
 
 def test_every_public_name_is_its_defining_module_object():
