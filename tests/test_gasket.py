@@ -51,6 +51,20 @@ def tangency_error(g: Gasket, unit: float = 1.0) -> float:
     return worst / scale
 
 
+def worst_gap(g: Gasket) -> float:
+    """The benchmark's tangency check: the worst gap |d - |r_a + r_b|| over the
+    seed pairs and each circle's parents, relative to the enclosing radius."""
+    circles = g.circles
+
+    def gap(a, b) -> float:
+        d = math.hypot(a.center[0] - b.center[0], a.center[1] - b.center[1])
+        return abs(d - abs(a.radius + b.radius))
+
+    pairs = [*itertools.combinations(circles[:4], 2)]
+    pairs += [(c, circles[p]) for c in circles for p in c.parents]
+    return max(gap(a, b) for a, b in pairs) / -g.enclosing().radius
+
+
 def quadruple_residuals(g: Gasket):
     for c in g.circles:
         if len(c.parents) == 3:
@@ -154,23 +168,40 @@ class TestGenerate:
         keys = [(c.depth, c.curvature, c.center[0], c.center[1]) for c in g.circles]
         assert keys == sorted(keys)
         # freeze sorts each depth's run on its own; over the pinned seeds that
-        # is the stable global sort of the builder's (depth, k, x, y) keys
+        # is the stable global sort of (depth, k, x, y) keys: the builder's
+        # floats on the float path, (depth, K, X*sign K, Y*sign K) on the
+        # integer lanes of the exact path
         builders, freeze = [], soddy.gasket._Builder.freeze
         monkeypatch.setattr(
             soddy.gasket._Builder, "freeze", lambda b, d: builders.append(b) or freeze(b, d)
         )
+        paths = Counter()
         for seed, *_ in PINNED_OUTPUT.values():
             circles = generate(seed, 6).circles
             keys = [(c.depth, c.curvature, c.center[0], c.center[1]) for c in circles]
             assert keys == sorted(keys)
-            b = builders.pop()
-            full = [(d, k, z.real, z.imag) for d, k, z in zip(b.depths, b.curvatures, b.centers)]
+            lanes = soddy.gasket._exact_lanes(soddy.gasket._seed(seed), 6)
+            paths[lanes is None] += 1
+            if lanes is None:
+                b = builders.pop()
+                full = [(d, k, z.real, z.imag) for d, k, z in zip(b.depths, b.curvatures, b.centers)]
+                curvatures = [math.ldexp(k, b.exp) for k in b.curvatures]
+                parents = b.parents
+            else:
+                ks, xs, ys, scale, depths, parents = lanes
+                full = [
+                    (d, k, x * sign, y * sign)
+                    for d, k, x, y in zip(depths, ks, xs, ys)
+                    for sign in [1 if k > 0 else -1]
+                ]
+                curvatures = [k / scale for k in ks]
+            assert not builders
             order = sorted(range(len(full)), key=full.__getitem__)
             new = {old: i for i, old in enumerate(order)}
             assert [(c.curvature, c.parents) for c in circles] == [
-                (math.ldexp(b.curvatures[i], b.exp), tuple(sorted(new[p] for p in b.parents[i])))
-                for i in order
+                (curvatures[i], tuple(sorted(new[p] for p in parents[i]))) for i in order
             ]
+        assert paths == {False: 9, True: 2}
 
     def test_parents_precede_children(self):
         g = generate([-1, 2, 2], 3)
@@ -248,7 +279,7 @@ class TestGenerate:
         with pytest.raises(NonFiniteError):
             generate([1e305] * 3, 6)
 
-    @pytest.mark.parametrize("j", [-60, 0, 40])
+    @pytest.mark.parametrize("j", [-1000, -60, 0, 40, 1000])
     def test_power_of_two_scale_is_bit_exact(self, j):
         base = generate([-1, 2, 2], 4).circles
         scaled = generate([math.ldexp(k, j) for k in (-1, 2, 2)], 4).circles
@@ -287,13 +318,13 @@ class TestGenerate:
                 with pytest.raises(GeometryError):
                     b.add(w, k, 1, parents)
                 values[i] = kept
-        # generate checks its new circles itself, not through _Builder.add; a
-        # NaN partner must still fail that check
+        # the float path checks its new circles itself, not through
+        # _Builder.add; a NaN partner must still fail that check
         monkeypatch.setattr(
             soddy.gasket, "vieta_partner", lambda k, i: (math.nan,) * len(k.values[i])
         )
         with pytest.raises(GeometryError, match="by nan"):
-            generate([-1, 2, 2], 1)
+            generate([1, 1, 1], 1)
 
     @pytest.mark.parametrize("field", ["centers", "radii"])
     @pytest.mark.parametrize("slot", [0, 1])
@@ -347,11 +378,10 @@ class TestGenerate:
 
     @pytest.mark.parametrize("depth, quadruples", [(0, 0), (3, 17), (5, 161), (6, 485)])
     def test_one_vieta_partner_call_per_spawning_quadruple(self, monkeypatch, depth, quadruples):
-        # each spawning quadruple is tested once, by the call that returns its
-        # children's curvatures, so the benchmark's kept_ratio (new circles over
-        # these calls) reads new circles per tested quadruple: 1456/485, about
-        # 3.0, at depth 6; tests are counted by code object, so a caller
-        # holding its own binding counts too
+        # on the float path (here D = 3, no square) each spawning quadruple is
+        # tested once, by the call that returns its children's curvatures:
+        # 485 tests for 1456 new circles at depth 6; tests are counted by
+        # code object, so a caller holding its own binding counts too
         calls, tests = [], []
         real = soddy.gasket.vieta_partner
         monkeypatch.setattr(
@@ -366,12 +396,22 @@ class TestGenerate:
         previous = sys.getprofile()
         sys.setprofile(profile)
         try:
-            circles = generate([-1, 2, 2], depth).circles
+            circles = generate([1, 1, 1], depth).circles
         finally:
             sys.setprofile(previous)
         # the root, then one quadruple closed by each circle at depths 1..d-1
         assert (depth > 0) + sum(0 < c.depth < depth for c in circles) == quadruples
         assert len(calls) == len(tests) == quadruples
+
+    @pytest.mark.parametrize("n", [10**5, 10**6, 10**7])
+    def test_wide_ratio_square_seeds_generate(self, n):
+        # D = 0 for (-n, n + 1, n(n + 1)), so these grow on integers; the float
+        # path misses its 1e-9 placement check in two of the three orders
+        seed = (-n, n + 1, n * (n + 1))
+        for rotation in range(3):
+            g = generate(seed[rotation:] + seed[:rotation], 6)
+            assert len(g.circles) == 1460
+            assert worst_gap(g) <= 1e-9
 
     def test_depth8_fractional_seed(self):
         assert len(generate([2, 3, 6], 8).circles) == 13124
@@ -478,16 +518,18 @@ def test_gasket_to_dict_roundtrips():
 # sha256 prefixes of repr(g), render_svg(g) and json.dumps(gasket_to_dict(g))
 # at depth 6: every root triple out of order, non-dyadic scales, an irrational
 # seed, a fractional one and a power-of-two scale.  Any change to a float step
-# of generation, ordering or output shows here.
+# of generation, ordering or output shows here.  1,1,1 and 1e-1*(3,-2,6)
+# take the float path, the others the exact one; 1e-2*(2,2,-1) draws the
+# SVG of 2,-1,2, the same picture.
 PINNED_OUTPUT = {
     "2,-1,2": ((2, -1, 2), "f2f159aac4f9a1f6", "179b6600c15f324f", "5d4489d73c4e501e"),
-    "6,-2,3": ((6, -2, 3), "7e6b56961c498b7b", "cb6318bdde7545f7", "23790abbb48be3c7"),
-    "8,5,-3": ((8, 5, -3), "38abd8f69248507b", "b62ef96f79d0c1c2", "02f88ae8c0518fa3"),
-    "9,-4,8": ((9, -4, 8), "9adc56a671bd4745", "ae7cd6e2be2c22b6", "e60938e814ad2ff5"),
-    "15,-6,10": ((15, -6, 10), "9424bce4a4836608", "2d7ccf397c95b680", "bde7d9e59f4e1665"),
+    "6,-2,3": ((6, -2, 3), "72b6aac8763e2ad2", "cdf23ac874c44b4e", "30a440d6ecca441c"),
+    "8,5,-3": ((8, 5, -3), "979ba8c6f94b9adb", "37a898929ab6548b", "625def100558e341"),
+    "9,-4,8": ((9, -4, 8), "57a5854b8bc704bb", "45654dbf87790b5e", "8e89c76882f2a747"),
+    "15,-6,10": ((15, -6, 10), "4206f8cb4eb6d7ac", "1fb2cca3e587eb05", "8e49b6c3c390ba6b"),
     "1e-2*(2,2,-1)": (
         tuple(k * 1e-2 for k in (2, 2, -1)),
-        "e9fccd9cfbb272a1", "41e58f8b250c5f74", "aa5cf3f61817769e",
+        "8acd3f55847eb809", "179b6600c15f324f", "0bfc483109d9a9eb",
     ),
     "1e-1*(3,-2,6)": (
         tuple(k * 1e-1 for k in (3, -2, 6)),
@@ -495,10 +537,10 @@ PINNED_OUTPUT = {
     ),
     "1e2*(5,-3,8)": (
         tuple(k * 1e2 for k in (5, -3, 8)),
-        "3666e490b9571e56", "654f70c31150f368", "45781a572d39d9a8",
+        "38245dca6dda2380", "fe350ca3fface1ca", "f8fa764c57eb38d5",
     ),
     "1,1,1": ((1, 1, 1), "33da72a05edfceea", "338eefe8ef62a9ac", "37a3e22388b531d0"),
-    "2,3,6": ((2, 3, 6), "8ba48b6951761c55", "0c2c53ea5d2d8acf", "6e4cdd5256a96e5b"),
+    "2,3,6": ((2, 3, 6), "1d1a1517cd52b41c", "392c7f706c878dca", "d718e203ca07e5ab"),
     "2^40*(-1,2,2)": (
         tuple(math.ldexp(k, 40) for k in (-1, 2, 2)),
         "3210206ca1ec07fe", "5c356cfcb6958cd6", "54ae8947d5119f83",
@@ -540,17 +582,57 @@ def test_seeds_across_the_float_range_generate_or_fail_as_soddy_errors():
     assert digest.hexdigest()[:16] == "8b618c469f7cb1d9"
 
 
+@pytest.mark.parametrize(
+    "seed",
+    [*SEED_ORDERS, *itertools.permutations((2, 3, 6))],
+    ids=lambda t: ",".join(map(str, t)),
+)
+def test_exact_tree_keeps_every_tangency(seed):
+    # The exact path checks no circle: by the Descartes theorem a reflection
+    # of a tangent quadruple is tangent again.  This tests that theorem on the
+    # integer lanes to depth 8, in every seed order, since the order decides
+    # the side circle 3 takes.  Centers X/K, Y/K and radii L/K touch iff
+    # (X_i K_j - X_j K_i)^2 + (Y_i K_j - Y_j K_i)^2 = L^2 (K_i + K_j)^2.
+    ks, xs, ys, scale, depths, parents = soddy.gasket._exact_lanes(soddy.gasket._seed(seed), 8)
+
+    def touch(i: int, j: int) -> bool:
+        dx, dy = xs[i] * ks[j] - xs[j] * ks[i], ys[i] * ks[j] - ys[j] * ks[i]
+        return dx * dx + dy * dy == (scale * (ks[i] + ks[j])) ** 2
+
+    assert len(ks) == len(parents) == len(depths) == 13124
+    assert all(touch(i, j) for i, j in itertools.combinations(range(4), 2))
+    assert all(touch(i, p) for i in range(4, len(ks)) for p in parents[i])
+
+
+def test_power_of_two_sweep_generates_or_fails_as_soddy_errors():
+    # the seed (-1, 2, 2) scaled by 2^j, every seventh octave of the float
+    # range, on the exact path: each call returns or raises a SoddyError,
+    # never OverflowError or ZeroDivisionError, and the octaves that return
+    # are those the float path returns for
+    returned, kinds = [], Counter()
+    for j in range(-1074, 1024, 7):
+        try:
+            generate([math.ldexp(k, j) for k in (-1, 2, 2)], 6)
+        except SoddyError as exc:
+            kinds[exc.kind] += 1
+        else:
+            returned.append(j)
+    assert returned == list(range(-1018, 1013, 7))
+    assert kinds == {"non-finite": 9}
+
+
 def test_small_negative_coordinates_print_as_zero():
     # six decimals print an x/unit or y/unit in (-5e-7, 0) as -0.000000; the SVG writes 0.000000
     circles = (Circle((0.0, 0.0), -2.0, -0.5, 0, ()), Circle((-4e-7, -1e-9), 1.0, 1.0, 0, ()))
     svg = render_svg(Gasket(circles=circles, seed_curvatures=(-0.5, 1.0, 1.0), max_depth=0))
     assert '<circle cx="0.000000" cy="0.000000" r="0.500000"' in svg
     assert "-0.000000" not in svg
-    # the pinned seeds draw 11 such coordinates at depth 6, and none as -0.000000
+    # the pinned seeds draw 2 such coordinates at depth 6 (both from the float
+    # path's 1e-1*(3,-2,6)), and none as -0.000000
     small = 0
     for seed, *_ in PINNED_OUTPUT.values():
         g = generate(seed, 6)
         unit = max(abs(c.radius) for c in g.circles)
         small += sum(-5e-7 < v / unit < 0 for c in g.circles for v in c.center)
         assert '"-0.000000' not in render_svg(g)
-    assert small == 11
+    assert small == 2

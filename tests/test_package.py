@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -115,3 +116,33 @@ def test_unknown_name_is_refused():
 
 def test_dir_lists_the_public_names():
     assert set(soddy.__all__) <= set(dir(soddy))
+
+
+#: Every builtin ``sum`` call in ``src/``, by defining function, with its
+#: count: each adds integers only.  Builtin ``sum`` compensates floats from
+#: Python 3.12 on, so a float sum goes through ``numeric._sum`` instead.
+_INTEGER_SUMS = {
+    "numeric.Matrix.__matmul__": 1,  # integer rows over one denominator
+    "proof_witness._lifted_U": 1,  # points scaled to integers
+    "proof_witness.check_UWU_congruence": 1,  # likewise
+    "tangency._validated": 1,  # a count of negative values
+    "tangency._tangency_residual": 2,  # the exact branch's integers
+    "tangency._signed_residual": 2,  # integer curvatures
+}
+
+
+def test_builtin_sum_adds_integers_only():
+    found: dict = {}
+
+    def scan(node, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                scan(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id == "sum":
+                found[scope] = found.get(scope, 0) + 1
+            scan(child, scope)
+
+    for path in sorted((SRC / "soddy").glob("*.py")):
+        scan(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert found == _INTEGER_SUMS
