@@ -31,18 +31,16 @@ is at most the mode's zero, in ``is_degenerate`` as in ``realize_points``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
 from .errors import DimensionError, ValidationError
-from .numeric import EXACT, FLOAT, REL_TOL, Matrix, Scalar, _exact_determinant
+from .numeric import EXACT, FLOAT, REL_TOL, Frozen, Matrix, Scalar, _exact_determinant
 from .numeric import coerce_vector, from_exact, symmetric_bareiss
 
 
-@dataclass(frozen=True)
-class SquaredDistanceMatrix:
+class SquaredDistanceMatrix(Frozen):
     """Symmetric matrix of squared pairwise distances among ``m`` points.
 
     Diagonal entries are zero.  Float mode additionally requires entries to
@@ -53,14 +51,20 @@ class SquaredDistanceMatrix:
     as integers over one denominator L, which :meth:`from_entries` builds
     from the (numerator, denominator) pairs it checks, or the library's exact
     producers hand over through :meth:`_from_upper`, and the eliminated
-    block, computed on first use.  A matrix made by the constructor or by
-    ``dataclasses.replace`` computes the first from ``entries`` when it is
-    needed, so ``entries`` must stay the tuples ``from_entries`` builds.
+    block, computed on first use; both live in the instance ``__dict__``.
+    A matrix made by the constructor, ``dataclasses.replace`` or
+    ``copy.replace`` computes the first from ``entries`` when it is needed,
+    so ``entries`` must stay the tuples ``from_entries`` builds.
     """
+
+    __match_args__ = ("m", "entries", "mode")
 
     m: int
     entries: tuple[tuple[Scalar, ...], ...]
     mode: str
+
+    def __init__(self, m: int, entries: tuple[tuple[Scalar, ...], ...], mode: str):
+        self.__dict__.update(m=m, entries=entries, mode=mode)
 
     @classmethod
     def from_entries(cls, rows: Sequence[Sequence], mode: str | None = None) -> "SquaredDistanceMatrix":
@@ -154,12 +158,17 @@ def _scaled_upper(ratios: Sequence[Sequence[tuple[int, int]]]) -> tuple[int, lis
     return scale, [[p * (scale // q) for p, q in row] for row in upper]
 
 
-@dataclass(frozen=True)
-class VolumeSquared:
+class VolumeSquared(Frozen):
     """Squared content of a simplex, tagged with the simplex dimension."""
+
+    __slots__ = __match_args__ = ("value", "dim")
 
     value: Scalar
     dim: int
+
+    def __init__(self, value: Scalar, dim: int):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "dim", dim)
 
 
 def build_cm_matrix(d: SquaredDistanceMatrix) -> Matrix:

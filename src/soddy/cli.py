@@ -13,8 +13,9 @@ Each call loads only the modules its subcommand runs: ``cayley_menger`` is
 imported inside the handlers that build or eliminate a matrix (``cm-det``,
 ``volume``, ``identity-check``, and through ``tangency`` ``embed`` and
 ``verify-proof``), ``proof_witness`` by ``verify-proof`` and ``gasket`` by
-``gasket``, so ``residual`` and ``solve`` load none of them, nor
-``dataclasses``.
+``gasket``, so ``residual`` and ``solve`` load none of them.  No
+subcommand loads ``dataclasses``: every value class is a
+:class:`~soddy.numeric.Frozen`.
 
 Each subcommand that runs a costly kernel states one estimate in that
 kernel's unit, and ``_require`` refuses one past its limit, as a

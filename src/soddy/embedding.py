@@ -50,6 +50,8 @@ class EmbeddedPoints(Frozen):
 
     __slots__ = __match_args__ = ("coords",)
 
+    coords: tuple[tuple[float, ...], ...]
+
     def __init__(self, coords: tuple[tuple[float, ...], ...]):
         try:
             coords = tuple(tuple(as_float(v) for v in row) for row in coords)

@@ -26,13 +26,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import add, index, itemgetter, sub, truediv
 
 from .errors import GeometryError, NoRealSolutionError, NonFiniteError, SeedError, ValidationError
-from .numeric import FLOAT, REL_TOL, as_float
+from .numeric import FLOAT, REL_TOL, Frozen, as_float
 from .tangency import Curvatures, _validated, solve_missing_curvature, vieta_partner
 
 #: Hard output-size guard on the expansion depth.
@@ -50,10 +49,11 @@ _SVG_STROKE = "#1f2430"
 _SVG_PALETTE = ("#f4f1e8", "#bcd8e6", "#8fbcd4", "#679dc0", "#477ca6", "#2f5d87", "#1f4066")
 
 
-@dataclass(frozen=True, init=False)
-class Circle:
+class Circle(Frozen):
     """One packed circle; ``parents`` are gasket indices of the tangent triple
     that spawned it (empty for the seed circles)."""
+
+    __match_args__ = ("center", "radius", "curvature", "depth", "parents")
 
     center: tuple[float, float]
     radius: float
@@ -62,17 +62,30 @@ class Circle:
     parents: tuple[int, ...]
 
     def __init__(self, center, radius, curvature, depth, parents):
-        # one write, where a frozen dataclass's own __init__ makes five object.__setattr__ calls
+        # one __dict__ write: the five object.__setattr__ calls that slots
+        # would need build a circle slower
         self.__dict__.update(
             center=center, radius=radius, curvature=curvature, depth=depth, parents=parents
         )
 
 
-@dataclass(frozen=True)
-class Gasket:
+class Gasket(Frozen):
+    """The packing grown from ``seed_curvatures`` (floats, in the order
+    given) to ``max_depth``: ``circles`` in canonical order, by depth, then
+    curvature, then center."""
+
+    __slots__ = __match_args__ = ("circles", "seed_curvatures", "max_depth")
+
     circles: tuple[Circle, ...]
     seed_curvatures: tuple[float, float, float]
     max_depth: int
+
+    def __init__(
+        self, circles: tuple[Circle, ...], seed_curvatures: tuple[float, float, float], max_depth: int
+    ):
+        object.__setattr__(self, "circles", circles)
+        object.__setattr__(self, "seed_curvatures", seed_curvatures)
+        object.__setattr__(self, "max_depth", max_depth)
 
     def enclosing(self) -> Circle | None:
         for c in self.circles:

@@ -33,13 +33,15 @@ check).
 
 Everything here is a pure function on immutable data, except
 :func:`symmetric_bareiss`, which overwrites the lists it is given.
-:class:`Frozen` is the base of the other modules' small immutable values,
-and :func:`_sum` their one left-to-right sum, so a float sum has the same
-bits on every Python version.
+:class:`Frozen` is the base of the other modules' immutable values, which
+behave as frozen dataclasses with no ``dataclasses`` import (that protocol
+is built only when asked for), and :func:`_sum` their one left-to-right
+sum, so a float sum has the same bits on every Python version.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from fractions import Fraction
@@ -238,20 +240,52 @@ class Matrix:
     __delattr__ = __setattr__
 
 
+class _DataclassProtocol:
+    """A dataclass protocol attribute of a :class:`Frozen` class, read from
+    :func:`_dataclass_twin` of the class asked: cached per class, since one
+    set on a base class would answer for every subclass too."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner):
+        return getattr(_dataclass_twin(owner), self.name)
+
+
+@functools.cache
+def _dataclass_twin(cls: type) -> type:
+    """The frozen dataclass of ``cls``'s fields, with their annotations."""
+    import dataclasses
+
+    hints = {}
+    for base in reversed(cls.__mro__):
+        hints.update(base.__dict__.get("__annotations__", {}))
+    fields = [(name, hints.get(name, "typing.Any")) for name in cls.__match_args__]
+    return dataclasses.make_dataclass(cls.__name__, fields, frozen=True)
+
+
 class Frozen:
     """Base of an immutable value whose fields are its ``__match_args__``.
 
     Instances are equal, hashed, printed and pickled by those fields, in
     order, as a frozen dataclass is, with no ``dataclasses`` import.  A
-    subclass lists its fields in ``__slots__`` and ``__match_args__``, and
-    its ``__init__`` sets each once with ``object.__setattr__``; any other
-    setting or deleting raises AttributeError.  ``__reduce__`` rebuilds a
-    copy or unpickled value through ``__init__``, which a slots class's
-    default, that sets each slot on a bare object, cannot do here.
+    subclass lists its fields in ``__match_args__``, and in ``__slots__``
+    unless it keeps a ``__dict__``; its ``__init__`` sets each once, with
+    ``object.__setattr__`` or one ``__dict__`` write.  Any other setting or
+    deleting raises ``dataclasses.FrozenInstanceError``, imported then.
+    ``__reduce__`` rebuilds a copy or unpickled value through ``__init__``,
+    which a slots class's default, that sets each slot on a bare object,
+    cannot do here; ``__replace__`` serves ``copy.replace``.  The dataclass
+    protocol, which ``fields``, ``replace``, ``asdict``, ``astuple`` and a
+    ``@dataclass`` subclass read, is built on first read, from a frozen
+    dataclass of the same fields: whoever reads it has imported
+    ``dataclasses`` already.
     """
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
+    __dataclass_fields__ = _DataclassProtocol()
+    __dataclass_params__ = _DataclassProtocol()
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__match_args__)
@@ -271,11 +305,18 @@ class Frozen:
     def __reduce__(self):
         return self.__class__, self._fields()
 
+    def __replace__(self, /, **changes):
+        return self.__class__(**{**dict(zip(self.__match_args__, self._fields())), **changes})
+
     def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 def _sum(values: Iterable[Scalar]) -> Scalar:

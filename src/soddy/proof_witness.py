@@ -26,13 +26,12 @@ would conflate algebra bugs with roundoff.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from .cayley_menger import SquaredDistanceMatrix, _simplex_size, build_cm_matrix, cm_determinant
 from .errors import DimensionError, ModeMismatchError
-from .numeric import EXACT, Matrix, _integer_rows, as_exact, determinant
+from .numeric import EXACT, Frozen, Matrix, _integer_rows, as_exact, determinant
 from .serialize import format_matrix, format_scalar, value_to_json
 from .tangency import (
     SignedRadii,
@@ -44,15 +43,23 @@ from .tangency import (
 )
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(Frozen):
     """One verified identity: name, dimension, verdict, and both sides."""
+
+    __slots__ = __match_args__ = ("name", "n", "passed", "lhs", "rhs")
 
     name: str
     n: int
     passed: bool
     lhs: object
     rhs: object
+
+    def __init__(self, name: str, n: int, passed: bool, lhs: object, rhs: object):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -62,9 +69,16 @@ class IdentityCheck:
         )
 
 
-@dataclass(frozen=True)
-class ProofReport:
+class ProofReport(Frozen):
+    """The identity checks of one audit, in the order they ran; it passes
+    when every check does."""
+
+    __slots__ = __match_args__ = ("entries",)
+
     entries: tuple[IdentityCheck, ...]
+
+    def __init__(self, entries: tuple[IdentityCheck, ...]):
+        object.__setattr__(self, "entries", entries)
 
     @property
     def passed(self) -> bool:

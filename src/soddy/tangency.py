@@ -46,6 +46,10 @@ class _Spheres(Frozen):
 
     __slots__ = __match_args__ = ("values", "n", "mode")
 
+    values: tuple[Scalar, ...]
+    n: int
+    mode: str
+
     def __init__(self, values: tuple[Scalar, ...], n: int, mode: str):
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "n", n)

@@ -25,6 +25,8 @@ import soddy.errors
 from soddy.cli import run
 from soddy.gasket import generate, render_svg
 
+from .cli_corpus import corpus_digest
+
 ROOT_QUADRUPLES = ((-1, 2, 2, 3), (-2, 3, 6, 7), (-3, 5, 8, 12), (-4, 8, 9, 17), (-6, 10, 15, 19))
 
 # child interpreters import soddy from this checkout, installed or not
@@ -1091,3 +1093,13 @@ def test_any_argv_gives_one_envelope(argv):
     assert payload["ok"] is (code == 0)
     if not payload["ok"]:
         assert payload["error"]["kind"] in ERROR_KINDS
+
+
+# sha256 of the seeded corpus in tests/cli_corpus.py: every subcommand's
+# stdout, stderr, exit code and written files.  CI runs it on Python
+# 3.10-3.13, so an output bit that depends on the interpreter fails there.
+_CORPUS_DIGEST = "64cda15e949e631d01f43fdb20a9f22dbb2ec5e7dc5748c5c66b70bc40226f5e"
+
+
+def test_corpus_output_is_pinned():
+    assert corpus_digest() == _CORPUS_DIGEST

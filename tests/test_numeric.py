@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import itertools
 import math
 import operator
 import pickle
+import sys
 from fractions import Fraction
 from numbers import Integral, Rational
 
@@ -38,7 +40,8 @@ from soddy.numeric import (
     determinant,
     symmetric_bareiss,
 )
-from soddy.proof_witness import IdentityCheck
+from soddy.gasket import Circle, Gasket
+from soddy.proof_witness import IdentityCheck, ProofReport
 from soddy.serialize import format_matrix, format_scalar, scalar_to_json, value_to_json
 from soddy.tangency import (
     Curvatures,
@@ -839,18 +842,51 @@ def test_matrix_attributes_cannot_be_assigned(name):
     assert repr(m) == before
 
 
-@pytest.mark.parametrize(
-    "cls, fields, text",
-    [
-        (
-            SignedRadii,
-            ((Fraction(-1), Fraction(1, 2), Fraction(1, 3)), 1, EXACT),
-            "SignedRadii(values=(Fraction(-1, 1), Fraction(1, 2), Fraction(1, 3)), n=1, mode='exact')",
-        ),
-        (Curvatures, ((-1.0, 2.0, 2.0, 3.0), 2, FLOAT), "Curvatures(values=(-1.0, 2.0, 2.0, 3.0), n=2, mode='float')"),
-        (EmbeddedPoints, (((0.0, 0.0), (2.0, 0.5)),), "EmbeddedPoints(coords=((0.0, 0.0), (2.0, 0.5)))"),
-    ],
-)
+_SEED_CIRCLE = Circle((0.0, 0.0), -1.0, -1.0, 0, ())
+
+#: One value of each Frozen class: its class, its fields, and the repr a
+#: frozen dataclass of those fields prints.
+_FROZEN_VALUES = [
+    (
+        SignedRadii,
+        ((Fraction(-1), Fraction(1, 2), Fraction(1, 3)), 1, EXACT),
+        "SignedRadii(values=(Fraction(-1, 1), Fraction(1, 2), Fraction(1, 3)), n=1, mode='exact')",
+    ),
+    (Curvatures, ((-1.0, 2.0, 2.0, 3.0), 2, FLOAT), "Curvatures(values=(-1.0, 2.0, 2.0, 3.0), n=2, mode='float')"),
+    (EmbeddedPoints, (((0.0, 0.0), (2.0, 0.5)),), "EmbeddedPoints(coords=((0.0, 0.0), (2.0, 0.5)))"),
+    (
+        SquaredDistanceMatrix,
+        (2, ((Fraction(0), Fraction(1, 4)), (Fraction(1, 4), Fraction(0))), EXACT),
+        "SquaredDistanceMatrix(m=2, entries=((Fraction(0, 1), Fraction(1, 4)), "
+        "(Fraction(1, 4), Fraction(0, 1))), mode='exact')",
+    ),
+    (VolumeSquared, (Fraction(9, 4), 2), "VolumeSquared(value=Fraction(9, 4), dim=2)"),
+    (
+        Circle,
+        ((0.0, 0.5), 0.5, 2.0, 1, (0, 1, 2)),
+        "Circle(center=(0.0, 0.5), radius=0.5, curvature=2.0, depth=1, parents=(0, 1, 2))",
+    ),
+    (
+        Gasket,
+        ((_SEED_CIRCLE,), (-1.0, 2.0, 2.0), 0),
+        "Gasket(circles=(Circle(center=(0.0, 0.0), radius=-1.0, curvature=-1.0, depth=0, parents=()),), "
+        "seed_curvatures=(-1.0, 2.0, 2.0), max_depth=0)",
+    ),
+    (
+        IdentityCheck,
+        ("S^2 = 16I", 2, True, Fraction(16), Fraction(16)),
+        "IdentityCheck(name='S^2 = 16I', n=2, passed=True, lhs=Fraction(16, 1), rhs=Fraction(16, 1))",
+    ),
+    (
+        ProofReport,
+        ((IdentityCheck("det", 1, False, Fraction(-1), Fraction(1)),),),
+        "ProofReport(entries=(IdentityCheck(name='det', n=1, passed=False, lhs=Fraction(-1, 1), "
+        "rhs=Fraction(1, 1)),))",
+    ),
+]
+
+
+@pytest.mark.parametrize("cls, fields, text", _FROZEN_VALUES)
 def test_value_classes_behave_as_frozen_dataclasses(cls, fields, text):
     # the eq, hash, repr, copying and immutability of a frozen dataclass
     value = cls(*fields)
@@ -870,6 +906,98 @@ def test_value_classes_behave_as_frozen_dataclasses(cls, fields, text):
         with pytest.raises(AttributeError):
             delattr(value, name)
     assert repr(value) == text
+
+
+def _unpacked(value, as_dict: bool):
+    """``value`` as ``dataclasses.asdict`` (or ``astuple``) writes it: each
+    value with ``__match_args__`` a dict (or tuple) of those fields, inside
+    tuples too."""
+    names = getattr(type(value), "__match_args__", None)
+    if names is not None:
+        fields = [_unpacked(getattr(value, name), as_dict) for name in names]
+        return dict(zip(names, fields)) if as_dict else tuple(fields)
+    if isinstance(value, tuple):
+        return tuple(_unpacked(v, as_dict) for v in value)
+    return value
+
+
+@pytest.mark.parametrize("cls, fields, text", _FROZEN_VALUES)
+def test_value_classes_keep_the_dataclass_protocol(cls, fields, text):
+    # built on first read from a frozen dataclass of the same fields
+    value = cls(*fields)
+    assert dataclasses.is_dataclass(cls) and dataclasses.is_dataclass(value)
+    assert tuple(f.name for f in dataclasses.fields(value)) == cls.__match_args__
+    assert cls.__dataclass_params__.frozen
+    assert dataclasses.asdict(value) == _unpacked(value, as_dict=True)
+    assert dataclasses.astuple(value) == _unpacked(value, as_dict=False)
+    for copied in (dataclasses.replace(value), dataclasses.replace(value, **dict(zip(cls.__match_args__, fields)))):
+        assert type(copied) is cls and copied == value and repr(copied) == text
+    with pytest.raises(TypeError):
+        dataclasses.replace(value, other=3)
+    for name in (*cls.__match_args__, "other"):
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+            setattr(value, name, 3)
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot delete field '{name}'"):
+            delattr(value, name)
+
+
+_NEEDS_COPY_REPLACE = pytest.mark.skipif(sys.version_info < (3, 13), reason="copy.replace is new in Python 3.13")
+
+
+@_NEEDS_COPY_REPLACE
+@pytest.mark.parametrize("cls, fields, text", _FROZEN_VALUES)
+def test_value_classes_support_copy_replace(cls, fields, text):
+    value = cls(*fields)
+    copied = copy.replace(value)
+    assert type(copied) is cls and copied == value and repr(copied) == text
+    with pytest.raises(TypeError):
+        copy.replace(value, other=3)
+
+
+@_NEEDS_COPY_REPLACE
+def test_copy_replace_changes_only_the_fields_named():
+    moved = copy.replace(_SEED_CIRCLE, radius=2.0, depth=1)
+    assert repr(moved) == "Circle(center=(0.0, 0.0), radius=2.0, curvature=-1.0, depth=1, parents=())"
+
+
+def test_a_dataclass_subclass_of_circle_builds():
+    @dataclasses.dataclass(frozen=True)
+    class Tagged(Circle):
+        tag: str = "seed"
+
+    tagged = Tagged((0.0, 0.0), -1.0, -1.0, 0, ())
+    assert [f.name for f in dataclasses.fields(tagged)] == [*Circle.__match_args__, "tag"]
+    assert repr(tagged) == (
+        f"{Tagged.__qualname__}(center=(0.0, 0.0), radius=-1.0, curvature=-1.0, depth=0, parents=(), tag='seed')"
+    )
+    assert tagged == Tagged(**dataclasses.asdict(tagged)) and tagged != _SEED_CIRCLE
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tagged.tag = "other"
+
+
+def test_the_dataclass_protocol_is_built_per_class():
+    # a base read first must not hand its fields to its subclasses, nor a
+    # subclass read first its fields to its base
+    def pair():
+        class Base(numeric.Frozen):
+            __slots__ = __match_args__ = ("a",)
+
+            def __init__(self, a):
+                object.__setattr__(self, "a", a)
+
+        class Sub(Base):
+            __slots__ = ("b",)
+            __match_args__ = ("a", "b")
+
+        return Base, Sub
+
+    assert dataclasses.fields(numeric.Frozen) == ()
+    for first in (0, 1):
+        classes = pair()
+        dataclasses.fields(classes[first])
+        assert [[f.name for f in dataclasses.fields(cls)] for cls in classes] == [["a"], ["a", "b"]]
+        assert not any("__dataclass_fields__" in vars(cls) for cls in classes)
+        assert not isinstance(vars(numeric.Frozen)["__dataclass_fields__"], dict)
 
 
 def test_radii_and_curvatures_of_the_same_values_differ():

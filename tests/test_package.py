@@ -59,18 +59,22 @@ def test_import_loads_no_submodule():
 _CLI_BASE = {"soddy", "soddy.cli", "soddy.embedding", "soddy.errors", "soddy.numeric", "soddy.serialize", "soddy.tangency"}
 
 
-def _loaded_after(script: str) -> tuple[set, bool]:
-    """The soddy modules a fresh interpreter holds after ``script``, and whether it loaded dataclasses."""
-    script += "\nprint(json.dumps([[m for m in sys.modules if m.split('.')[0] == 'soddy'], 'dataclasses' in sys.modules]))"
+def _loaded_after(script: str) -> tuple[set, set]:
+    """The soddy modules a fresh interpreter holds after ``script``, and which
+    of ``dataclasses`` and ``inspect`` (which ``dataclasses`` imports) it loaded."""
+    script += (
+        "\nprint(json.dumps([[m for m in sys.modules if m.split('.')[0] == 'soddy'],"
+        " [m for m in ('dataclasses', 'inspect') if m in sys.modules]]))"
+    )
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run([sys.executable, "-c", f"import json, sys\n{script}"], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    names, dataclasses = json.loads(proc.stdout.splitlines()[-1])
-    return set(names), dataclasses
+    names, heavy = json.loads(proc.stdout.splitlines()[-1])
+    return set(names), set(heavy)
 
 
 def test_cli_import_loads_only_what_every_subcommand_needs():
-    assert _loaded_after("import soddy.cli") == (_CLI_BASE, False)
+    assert _loaded_after("import soddy.cli") == (_CLI_BASE, set())
 
 
 @pytest.mark.parametrize(
@@ -87,10 +91,12 @@ def test_cli_import_loads_only_what_every_subcommand_needs():
     ],
 )
 def test_each_subcommand_loads_only_the_modules_it_runs(argv, extra):
-    loaded, dataclasses = _loaded_after(f"import soddy.cli\nassert soddy.cli.run({argv!r}) == 0")
-    assert loaded == _CLI_BASE | extra
-    if not extra:  # residual and solve
-        assert not dataclasses
+    assert _loaded_after(f"import soddy.cli\nassert soddy.cli.run({argv!r}) == 0") == (_CLI_BASE | extra, set())
+
+
+def test_no_module_loads_dataclasses():
+    names = {f"soddy.{p.stem}" for p in (SRC / "soddy").glob("*.py") if p.stem not in ("__init__", "__main__")}
+    assert _loaded_after("".join(f"import {name}\n" for name in sorted(names))) == (names | {"soddy"}, set())
 
 
 def test_every_public_name_is_its_defining_module_object():
