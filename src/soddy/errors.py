@@ -97,6 +97,7 @@ class SeedError(SoddyError):
 
 
 class GeometryError(SoddyError):
-    """Circle placement failed, or a grown circle has zero curvature."""
+    """Gasket placement failed: concentric seed circles, a snapped seed or a circle grown
+    in floats that misses tangency, or a grown circle of zero curvature."""
 
     kind = "geometry"

@@ -6,33 +6,32 @@ the other circle tangent to three members of a quadruple has
 k' = 2*(k_a + k_b + k_c) - k and w' = 2*(w_a + w_b + w_c) - w, so expansion
 takes no square root and integer seeds keep integer curvatures.
 
-Two paths grow the same tree.  A seed whose D = k0*k1 + k1*k2 + k2*k0 is a
-rational square >= 0 at its binary values (every integer seed among them)
-has rational seed circles, placed exactly; over one integer scale every
-circle is integer lanes (K, X, Y), grown by that reflection on integers.
-By the theorem each child touches its parents, so no circle is checked and
-nothing needs a tolerance; each output float is one correctly rounded
-division of lane integers, and each depth is ordered by the exact key
-(K, X*sign K, Y*sign K).  Any other seed takes the float path: one check
-places every circle (a seed circle touches those before it, a new circle
-its three parents), and each spawning quadruple is tested once, by the one
-vieta_partner call that returns its children's curvatures; its order
-follows its floats.  Both paths share one freeze.  The gasket is
-canonically ordered by (depth, curvature, center): generation is a pure
-function of (seed, max_depth) and the SVG output is byte-reproducible.
+One function places the four seed circles of every seed exactly: with
+D = k0*k1 + k1*k2 + k2*k0 at the seed's binary values, each k and w is
+a + b*sqrt(D) for rationals a, b.  Two paths grow the tree from them.  A
+seed whose D is a rational square >= 0 (every integer seed among them)
+grows on integer lanes (K, X, Y): by the theorem each child touches its
+parents, so nothing is checked or needs a tolerance; each output float is
+one correctly rounded division, and each depth is ordered by the exact
+key (K, X*sign K, Y*sign K).  Any other seed grows in floats from its seed
+circles rounded once: each spawning quadruple is tested once, by the one
+vieta_partner call that returns its children's curvatures, each new
+circle is checked against its parents, and its order follows its floats.
+Both paths share one freeze, which orders the gasket by (depth, curvature,
+center): generation is a pure function of (seed, max_depth) and the SVG
+output is byte-reproducible.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from operator import add, index, itemgetter, sub, truediv
 
-from .errors import GeometryError, NoRealSolutionError, NonFiniteError, SeedError, ValidationError
+from .errors import GeometryError, NonFiniteError, SeedError, ValidationError
 from .numeric import FLOAT, REL_TOL, Frozen, as_float
-from .tangency import Curvatures, _validated, solve_missing_curvature, vieta_partner
+from .tangency import Curvatures, _double_root, _validated, vieta_partner
 
 #: Hard output-size guard on the expansion depth.
 MAX_DEPTH = 12
@@ -42,6 +41,9 @@ _OTHERS = tuple(itemgetter(*(j for j in range(4) if j != pos)) for pos in range(
 
 #: The error text for output values past the float range.
 _PAST_FLOAT_RANGE = "gasket values pass the float range at this seed scale"
+
+#: The least magnitude that rounds past the largest float.
+_FLOAT_LIMIT = 2**1024 - 2**970
 
 #: SVG width in pixels, circle outline color, and fill color by depth (cycled).
 _SVG_WIDTH = 512
@@ -110,72 +112,6 @@ def _misfit(center, radius, centers, radii, i, j, k) -> float:
     return max(ei, ej, ek) / max(ti, tj, tk)
 
 
-class _Builder:
-    """The float path's working state; frozen into a Gasket at the end."""
-
-    def __init__(self, seed: tuple[float, float, float], exp: int):
-        self.seed = seed  # as given; the circles below are in units of 2^-exp
-        self.exp = exp
-        self.ws: list[complex] = []
-        self.centers: list[complex] = []
-        self.radii: list[float] = []
-        self.curvatures: list[float] = []
-        self.depths: list[int] = []
-        self.parents: list[tuple[int, ...]] = []
-
-    def misfit(self, w: complex, curvature: float, touching: tuple[int, ...]) -> float:
-        """:func:`_misfit` of the circle (k, w) against the circles ``touching``;
-        one or two circles fill the three slots by repetition."""
-        i, j, k = (touching * 3)[:3]
-        return _misfit(w / curvature, 1.0 / curvature, self.centers, self.radii, i, j, k)
-
-    def fail(
-        self, curvature: float, depth: int, touching: tuple[int, ...], err: float
-    ) -> GeometryError:
-        """The error for a circle of ``curvature`` that misses ``touching`` by ``err``."""
-        try:
-            named = f"{math.ldexp(curvature, self.exp):.6g}"
-        except OverflowError:  # past the float range: the scaled value and its scale
-            named = f"{curvature:.6g}*2^{self.exp}"
-        return GeometryError(
-            f"circle placement failed: curvature {named} "
-            f"at depth {depth} misses circles {touching} by {err:.3e}"
-        )
-
-    def add(
-        self, w: complex, curvature: float, depth: int, parents: tuple[int, ...], touching=None
-    ) -> int:
-        """Append the seed circle (k, w), checked to touch ``touching`` (default:
-        its parents); :func:`_float_gasket` appends the grown circles itself."""
-        touching = parents if touching is None else touching
-        # not <=, so that a NaN error fails the check
-        if touching and not (err := self.misfit(w, curvature, touching)) <= REL_TOL:
-            raise self.fail(curvature, depth, touching, err)
-        self.ws.append(w)
-        self.centers.append(w / curvature)
-        self.radii.append(1.0 / curvature)
-        self.curvatures.append(curvature)
-        self.depths.append(depth)
-        self.parents.append(parents)
-        return len(self.ws) - 1
-
-    def freeze(self, max_depth: int) -> Gasket:
-        """The gasket of the circles added so far, scaled back by 2^exp."""
-        ldexp, exp, centers = math.ldexp, self.exp, self.centers
-        try:
-            # + 0.0 keeps negative zeros out of the output
-            scaled = [(ldexp(z.real, -exp) + 0.0, ldexp(z.imag, -exp) + 0.0) for z in centers]
-            radii = [ldexp(r, -exp) for r in self.radii]
-            curvatures = [ldexp(k, exp) for k in self.curvatures]
-        except OverflowError:
-            raise NonFiniteError(_PAST_FLOAT_RANGE) from None
-        return _freeze(
-            self.seed, max_depth, self.depths, self.parents,
-            [(k, z.real, z.imag) for k, z in zip(self.curvatures, centers)].__getitem__,
-            scaled, radii, curvatures,
-        )
-
-
 def _freeze(seed, max_depth, depths, parents, key, centers, radii, curvatures) -> Gasket:
     """The gasket of circles given in generation order, canonically ordered.
 
@@ -222,59 +158,133 @@ def _seed(seed) -> tuple[float, float, float]:
         raise SeedError(str(exc)) from exc
 
 
-def _build_initial(seed) -> tuple[_Builder, tuple[int, int, int, int]]:
-    """The float path's builder holding the four seed circles of a checked seed."""
-    # Place the seed scaled by 2^-exp to bring max |k| into [1/2, 1): every
-    # float step commutes exactly with that scale, and freeze undoes it.
-    exp = math.frexp(max(abs(k) for k in seed))[1]
-    ks = tuple(math.ldexp(k, -exp) for k in seed)
+def _rounded(a, b, d: int) -> float:
+    """a + b*sqrt(d) for rationals a, b and an integer d >= 0, rounded once,
+    or NonFiniteError past the float range.  Ziv's loop: |b|*sqrt(d) is in
+    [q, q + 1] / 2^p, and p doubles until both ends round alike, as they do
+    once p is large, an irrational never being a rounding midpoint.  A
+    rational is its own bracket."""
+    r, p = math.isqrt(d), 64
+    while True:
+        if not b or r * r == d:
+            ends = [a + b * r]
+        else:
+            q = math.isqrt(int(b * b * d * 4**p))
+            ends = [a + Fraction(v if b > 0 else -v, 2**p) for v in (q, q + 1)]
+        rounded = {float(end) if abs(end) < _FLOAT_LIMIT else math.inf for end in ends}
+        if rounded == {math.inf}:
+            raise NonFiniteError(_PAST_FLOAT_RANGE)
+        if len(rounded) == 1:
+            return rounded.pop()
+        p *= 2
+
+
+def _pair_defect(ci, cj, d: int) -> tuple:
+    """dx^2 + dy^2 - (ki + kj)^2 for seed circles ci, cj given as (k, w_x, w_y),
+    each value a pair (a, b) of a + b*sqrt(d), where (dx, dy) = wi*kj - wj*ki;
+    that is (ki*kj)^2 * (|zi - zj|^2 - (ri + rj)^2), zero iff they touch."""
+    ((k, l), *wi), ((m, n), *wj) = ci, cj  # ki = k + l*s, kj = m + n*s
+    t0, t1 = k + m, l + n
+    e0, e1 = -(t0 * t0 + t1 * t1 * d), -2 * t0 * t1
+    for (a, b), (p, q) in zip(wi, wj):
+        s0 = a * m + b * n * d - p * k - q * l * d
+        s1 = a * n + b * m - p * l - q * k
+        e0, e1 = e0 + s0 * s0 + s1 * s1 * d, e1 + 2 * s0 * s1
+    return e0, e1
+
+
+def _seed_lanes(seed) -> tuple:
+    """The four seed circles, placed exactly: (square, c, d, circles).
+
+    The seed's binary values are c * m_i, integers m_i of gcd 1.  In units
+    where the seed curvatures are the m_i, with D = m0*m1 + m1*m2 + m2*m0
+    and s = sqrt(D), ``circles`` holds each circle's (k, w_x, w_y) as pairs
+    (a, b) of a + b*s: circle 0 at the origin, 1 on the +x axis, 2 at y >= 0
+    and 3, of k3 = sum(m) + 2s, on the side that touches 2, above if s = 0.
+    ``square`` says D is a rational square >= 0; then, and for a D the
+    double-root rule takes as 0 (s = 0, checked by the float path), each
+    value is rational and d = 0, else d = D."""
+    ratios = [k.as_integer_ratio() for k in seed]
+    den = max(q for _, q in ratios)  # powers of two, so this is their lcm
+    ints = [n * (den // q) for n, q in ratios]
+    g = math.gcd(*ints)
+    m0, m1, m2 = (v // g for v in ints)
+    disc = m0 * m1 + m1 * m2 + m2 * m0
+    root = math.isqrt(max(disc, 0))
+    square = root * root == disc
+    if not square:
+        if _double_root(4 * disc, m0 + m1 + m2, 2):
+            root = 0
+        elif disc > 0:
+            root = None
+        else:
+            four_d = 4 * disc * Fraction(g, den) ** 2  # in the seed's units, rounded once below
+            named = float(four_d) if -four_d < _FLOAT_LIMIT else -math.inf
+            message = f"seed curvatures admit no tangent circle: negative discriminant {named!r}"
+            raise SeedError(message, exit_code=2)
+    h = m0 + m1
+    if 0 in (h, m0 + m2, m1 + m2):  # then D = -m_i^2 < 0: only a snapped D gets here
+        raise GeometryError("circle placement failed: two seed circles are concentric")
+
+    # sigma = sign(r0 + r1): circle 1 is at x = |r0 + r1|, and by the law of
+    # cosines circle i >= 2 at x = x0 + x1/k_i; by Heron a triangle of centers
+    # has area sqrt(D of its curvatures) / |product|; D(m0, m1, k3) = (h + s)^2
+    sigma = 1 if h * m0 * m1 > 0 else -1
+    x0, x1 = Fraction(sigma, m0), Fraction(sigma * (m1 - m0), h)
+    total = m0 + m1 + m2
+    circles = [
+        ((m0, 0), (0, 0), (0, 0)),
+        ((m1, 0), (h * x0, 0), (0, 0)),
+        ((m2, 0), (m2 * x0 + x1, 0), (0, Fraction(2 if m2 > 0 else -2, abs(h)))),
+        ((total, 2), (total * x0 + x1, 2 * x0), (Fraction(2 * h, abs(h)), Fraction(2, abs(h)))),
+    ]
+    if root is not None:  # s is rational
+        circles = [tuple((a + b * root, 0) for a, b in circle) for circle in circles]
+    d = 0 if root is not None else disc
+    if root != 0 and any(_pair_defect(circles[2], circles[3], d)):
+        circles[3] = (*circles[3][:2], tuple(-v for v in circles[3][2]))
+    return square, Fraction(g, den), d, circles
+
+
+def _missed(curvature: float, exp: int, depth: int, touching: tuple, err: float) -> GeometryError:
+    """The error for a circle of ``curvature`` (units of 2^-exp) missing ``touching`` by ``err``."""
+    try:
+        named = f"{math.ldexp(curvature, exp):.6g}"
+    except OverflowError:  # past the float range: the scaled value and its scale
+        named = f"{curvature:.6g}*2^{exp}"
+    return GeometryError(
+        f"circle placement failed: curvature {named} "
+        f"at depth {depth} misses circles {touching} by {err:.3e}"
+    )
+
+
+def _float_gasket(seed, placed, max_depth: int) -> Gasket:
+    """The checked float growth from the seed circles, each k and w rounded
+    once; a snapped seed's pairs must touch within ``REL_TOL``.  Each
+    spawning quadruple is tested once, before its children, by the one
+    :func:`vieta_partner` call that returns their curvatures, and each new
+    circle against its three parents by :func:`_misfit`."""
+    _, c, d, seed_circles = placed
+    # Work in units of 2^-exp, which bring max |k| into [1/2, 1): every float
+    # step commutes exactly with that scale, and the output undoes it.
+    exp = math.frexp(max(map(abs, seed)))[1]
+    unit = c / Fraction(2) ** exp
+    ks = [_rounded(unit * k, unit * b, d) for (k, b), _, _ in seed_circles]
     if 0.0 in ks:
         raise NonFiniteError("seed curvatures span too wide a range to place in floats")
-    try:
-        k3, k3_other = solve_missing_curvature(list(ks), 2)
-    except NoRealSolutionError as exc:
-        raise SeedError(
-            f"seed curvatures admit no tangent circle: {exc}", exit_code=2
-        ) from exc
-    k0, k1, k2 = ks
-    r0, r1, r2 = (1.0 / k for k in ks)
-    d01, d02, d12 = abs(r0 + r1), abs(r0 + r2), abs(r1 + r2)
-    if d01 == 0.0 or k0 == -k1:  # d01 is NaN if both radii overflow
-        raise GeometryError("circle placement failed: seed circles 0 and 1 are concentric")
-    # Law of cosines for x.  By Heron the triangle of centers has area
-    # sqrt(k0*k1 + k1*k2 + k2*k0) / |k0*k1*k2|, and k3 - k3_other is four
-    # times that square root, so y is 0 exactly when the roots coincide.
-    x2 = (d01 * d01 + d02 * d02 - d12 * d12) / (2.0 * d01)
-    y2 = (k3 - k3_other) / abs(2.0 * k2) / abs(k0 + k1)
-    if not (math.isfinite(x2) and math.isfinite(y2)):
-        raise NonFiniteError("seed curvatures are too large or too small to place in floats")
-    b = _Builder(seed, exp)
-    b.add(0j, k0, 0, ())
-    b.add(complex(k1 * d01), k1, 0, (), touching=(0,))
-    b.add(k2 * complex(x2, y2), k2, 0, (), touching=(0, 1))
-    # Complex Descartes: w3 = sum(w) +- 2*sqrt(w0*w1 + w1*w2 + w2*w0).  One
-    # root is the circle of curvature k3, the other the second Soddy circle;
-    # for a double root both touch the seed and the larger y wins.
-    w0, w1, w2 = b.ws
-    root = 2.0 * cmath.sqrt(w0 * w1 + w1 * w2 + w2 * w0)
-    w3 = min(
-        (w0 + w1 + w2 + root, w0 + w1 + w2 - root),
-        key=lambda w: (not b.misfit(w, k3, (0, 1, 2)) <= REL_TOL, -(w / k3).imag),
-    )
-    b.add(w3, k3, 0, (0, 1, 2))
-    return b, (0, 1, 2, 3)
-
-
-def _float_gasket(seed, max_depth: int) -> Gasket:
-    """The float path, for a seed whose D is no rational square >= 0: each
-    spawning quadruple is tested once, before any of its children, by the
-    one :func:`vieta_partner` call that returns their curvatures, and each
-    new circle is checked against its three parents by :func:`_misfit`."""
-    b, quad0 = _build_initial(seed)
-    ks, ws, centers, radii = b.curvatures, b.ws, b.centers, b.radii
-    depths, parents = b.depths, b.parents
+    if not d:  # snapped: the circles of a double root, only near tangent
+        for j, cj in enumerate(seed_circles[1:], 1):
+            err = max(
+                abs(_pair_defect(ci, cj, 0)[0]) / (ci[0][0] + cj[0][0]) ** 2 for ci in seed_circles[:j]
+            )
+            if not err <= REL_TOL:
+                raise _missed(ks[j], exp, 0, tuple(range(j)), float(err))
+    ws = [complex(_rounded(*x, d), _rounded(*y, d)) for _, x, y in seed_circles]
+    centers = [w / k for w, k in zip(ws, ks)]
+    radii = [1.0 / k for k in ks]
+    depths, parents = [0] * 4, [(), (), (), (0, 1, 2)]
     # the root spawns across all four members, a child not back across its last (new) circle
-    level, spawn = [quad0], 4
+    level, spawn = [(0, 1, 2, 3)], 4
     for depth in range(1, max_depth + 1):
         children = []
         for quad in level:
@@ -290,9 +300,9 @@ def _float_gasket(seed, max_depth: int) -> Gasket:
                 w_pos = ws[i_pos]
                 w = 2.0 * (w_sum - w_pos) - w_pos
                 center, radius = w / k_new, 1.0 / k_new
-                # the seeds' check in _Builder.add, inline: not <=, so that a NaN error fails it
+                # not <=, so that a NaN error fails the check
                 if not (err := _misfit(center, radius, centers, radii, *triple)) <= REL_TOL:
-                    raise b.fail(k_new, depth, triple, err)
+                    raise _missed(k_new, exp, depth, triple, err)
                 if depth < max_depth:  # leaf quadruples spawn nothing
                     children.append((*triple, len(ws)))
                 ws.append(w)
@@ -302,7 +312,21 @@ def _float_gasket(seed, max_depth: int) -> Gasket:
                 depths.append(depth)
                 parents.append(triple)
         level, spawn = children, 3
-    return b.freeze(max_depth)
+    # outputs from k and w, as a working radius may pass the float range
+    try:
+        curvatures = [math.ldexp(k, exp) for k in ks]
+        radii = [1.0 / k for k in curvatures]
+        # + 0.0 keeps negative zeros out of the output
+        scaled = [(w.real / k + 0.0, w.imag / k + 0.0) for w, k in zip(ws, curvatures)]
+    except (OverflowError, ZeroDivisionError):
+        raise NonFiniteError(_PAST_FLOAT_RANGE) from None
+    if math.inf in map(abs, chain(radii, *scaled)):
+        raise NonFiniteError(_PAST_FLOAT_RANGE)
+    return _freeze(
+        seed, max_depth, depths, parents,
+        [(k, z.real, z.imag) for k, z in zip(ks, centers)].__getitem__,
+        scaled, radii, curvatures,
+    )
 
 
 def _zero_curvature(depth: int, triple: tuple[int, ...]) -> GeometryError:
@@ -311,48 +335,21 @@ def _zero_curvature(depth: int, triple: tuple[int, ...]) -> GeometryError:
     )
 
 
-def _exact_lanes(seed, max_depth: int):
-    """The whole tree on integers, or None for a seed whose
-    D = k0*k1 + k1*k2 + k2*k0 is no rational square >= 0.
-
-    The seed's binary values are c * m_i, with integers m_i of gcd 1 and
-    c = a/b in lowest terms.  In units where the seed curvatures are the
-    m_i, the four seed circles have rational centers z_i (below); with u
-    the lcm of their denominators they are the integer lanes K = u*a*m and
-    X + iY = u*b*m*z.  So with L = u*b a circle's center is (X/K, Y/K), its
-    radius L/K and its curvature K/L.  A child is 2*(sum of its quadruple)
-    - 3*(the circle it reflects), lane by lane: tangent by the Descartes
-    theorem, so no circle is checked.  Returns (K, X, Y, L, depths,
-    parents), lists in generation order, the order the float path grows in.
-    """
-    ratios = [k.as_integer_ratio() for k in seed]
-    den = max(d for _, d in ratios)  # powers of two, so this is their lcm
-    ints = [n * (den // d) for n, d in ratios]
-    g = math.gcd(*ints)
-    m0, m1, m2 = (v // g for v in ints)
-    disc = m0 * m1 + m1 * m2 + m2 * m0
-    s = math.isqrt(max(disc, 0))
-    if disc < 0 or s * s != disc:
-        return None
-    # The float path's frame: circle 0 at the origin, circle 1 on the +x
-    # axis, circle 2 at y >= 0 and circle 3 (the larger root) on whichever
-    # side touches circle 2, above if both do.  By Heron each triangle of
-    # centers has area sqrt(D of its curvatures) / |product|, and the D of
-    # m0, m1, m3 is (m0 + m1 + s)^2.  m0 + m1 != 0, as D = -m0^2 < 0 otherwise.
-    m3 = m0 + m1 + m2 + 2 * s
-    h = abs(m0 + m1)
-    r0, r1, r2, r3 = (Fraction(1, m) for m in (m0, m1, m2, m3))
-    d01 = abs(r0 + r1)
-    x2, x3 = ((d01 * d01 + (r0 - r1) * (r0 + r1 + 2 * r)) / (2 * d01) for r in (r2, r3))
-    y2, y3 = Fraction(2 * s, abs(m2) * h), Fraction(2 * abs(m0 + m1 + s), m3 * h)
-    if (x3 - x2) ** 2 + (y3 - y2) ** 2 != (r3 + r2) ** 2:
-        y3 = -y3
-    ws = ((0, 0), (m1 * d01, 0), (m2 * x2, m2 * y2), (m3 * x3, m3 * y3))
-    a, b = Fraction(g, den).as_integer_ratio()
-    u = math.lcm(*(v.denominator for w in ws for v in w))
-    ks = [u * a * m for m in (m0, m1, m2, m3)]
-    xs = [int(x * u) * b for x, _ in ws]
-    ys = [int(y * u) * b for _, y in ws]
+def _exact_lanes(placed, max_depth: int):
+    """The whole tree on integers, for a seed :func:`_seed_lanes` placed
+    with a square D.  With c = a/b and u the lcm of the denominators of the
+    seed circles' w, they are the integer lanes K = u*a*k and X + iY = u*b*w,
+    so with L = u*b a circle's center is (X/K, Y/K), its radius L/K and its
+    curvature K/L.  A child is 2*(sum of its quadruple) - 3*(the circle it
+    reflects), lane by lane: tangent by the Descartes theorem, so no circle
+    is checked.  Returns (K, X, Y, L, depths, parents), lists in generation
+    order, the order the float path grows in."""
+    _, c, _, circles = placed
+    a, b = c.as_integer_ratio()
+    u = math.lcm(*(v.denominator for _, (x, _), (y, _) in circles for v in (x, y)))
+    ks = [u * a * k for (k, _), _, _ in circles]
+    xs = [int(x * u) * b for _, (x, _), _ in circles]
+    ys = [int(y * u) * b for _, _, (y, _) in circles]
     depths, parents = [0] * 4, [(), (), (), (0, 1, 2)]
     if max_depth:  # the root quadruple spawns across all four of its circles
         for lane in (ks, xs, ys):
@@ -395,12 +392,11 @@ def generate(seed, max_depth: int) -> Gasket:
     Each quadruple spawns the reflection partner of every member except the
     one it was itself created by, reflecting curvature and curvature-center
     alike.  The Apollonian tree has no repeats, so nothing is deduplicated.
-    A seed whose D = k0*k1 + k1*k2 + k2*k0 is a rational square >= 0 at its
-    binary values grows on integers (:func:`_exact_lanes`) and is ordered by
-    its exact keys; each output float is one correctly rounded integer
-    division.  Any other seed takes the float path (:func:`_float_gasket`).
-    ``max_depth`` is any integer (``operator.index``) but a bool, and is
-    stored as an int.
+    The seed circles are placed exactly (:func:`_seed_lanes`); a seed whose
+    D = k0*k1 + k1*k2 + k2*k0 is a rational square >= 0 at its binary values
+    grows on integers (:func:`_exact_lanes`), any other in checked floats
+    (:func:`_float_gasket`).  ``max_depth`` is any integer
+    (``operator.index``) but a bool, and is stored as an int.
     """
     try:
         if isinstance(max_depth, bool):
@@ -413,10 +409,10 @@ def generate(seed, max_depth: int) -> Gasket:
     if not 0 <= max_depth <= MAX_DEPTH:
         raise ValidationError(f"max_depth must be between 0 and {MAX_DEPTH}")
     seed = _seed(seed)
-    lanes = _exact_lanes(seed, max_depth)
-    if lanes is None:
-        return _float_gasket(seed, max_depth)
-    ks, xs, ys, scale, depths, parents = lanes
+    placed = _seed_lanes(seed)
+    if not placed[0]:
+        return _float_gasket(seed, placed, max_depth)
+    ks, xs, ys, scale, depths, parents = _exact_lanes(placed, max_depth)
     # (K, X*sign K, Y*sign K) orders the circles of one curvature by x, then
     # y; divided by |K| they are x and y, with no negative zero
     size = list(map(abs, ks))

@@ -206,6 +206,11 @@ def _exact_sqrt(x: Fraction) -> Fraction:
     )
 
 
+def _double_root(disc: Scalar, s: Scalar, n: int) -> bool:
+    """The double-root rule: |disc| <= 8*n*eps*S^2, eps the float epsilon (exact on rationals)."""
+    return abs(disc) <= 8 * n * Fraction(sys.float_info.epsilon) * s * s
+
+
 def solve_missing_curvature(known: Sequence, n: int) -> tuple[Scalar, Scalar]:
     """Both curvatures completing n+1 known ones, ordered (larger, smaller).
 
@@ -228,10 +233,7 @@ def solve_missing_curvature(known: Sequence, n: int) -> tuple[Scalar, Scalar]:
         roots = ((q - s * s) / (2 * s),) * 2
     else:
         disc = n * (s * s - (n - 1) * q)
-        # Within a few ulps of S^2 the sign of a float discriminant is roundoff:
-        # treat it as a double root rather than fail, or take a square root of
-        # noise that moves both roots by ~1e-8.
-        if mode != EXACT and abs(disc) <= 8 * n * sys.float_info.epsilon * s * s:
+        if mode != EXACT and _double_root(disc, s, n):
             disc = 0.0
         if disc < 0:
             raise NoRealSolutionError(f"negative discriminant {format_scalar(disc)}")

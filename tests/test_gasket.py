@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import decimal
 import hashlib
 import itertools
 import json
@@ -11,6 +12,7 @@ import pickle
 import random
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -18,11 +20,16 @@ import pytest
 
 import soddy.gasket
 import soddy.tangency
+from soddy.numeric import REL_TOL
 from soddy.errors import GeometryError, NonFiniteError, SeedError, SoddyError, ValidationError
 from soddy.gasket import (
     Circle,
     Gasket,
-    _build_initial,
+    _misfit,
+    _pair_defect,
+    _rounded,
+    _seed,
+    _seed_lanes,
     gasket_to_dict,
     generate,
     initial_configuration,
@@ -34,6 +41,9 @@ GOLDEN = Path(__file__).parent / "golden"
 # Integer seeds of root quadruples; (-1,2,2), (-2,3,6) and (-6,10,15) are collinear.
 ROOT_TRIPLES = ((-1, 2, 2), (-2, 3, 6), (-3, 5, 8), (-4, 8, 9), (-6, 10, 15))
 SEED_ORDERS = sorted({p for t in ROOT_TRIPLES for p in itertools.permutations(t)})
+# the benchmark's gasket seeds: every order at every decade scale
+SCALES = (1e-2, 1e-1, 1.0, 1e1, 1e2)
+GRID = [tuple(k * scale for k in order) for order in SEED_ORDERS for scale in SCALES]
 
 
 def tangency_error(g: Gasket, unit: float = 1.0) -> float:
@@ -127,7 +137,7 @@ class TestInitialConfiguration:
             ([1e308] * 3, NonFiniteError),  # the fourth curvature passes the float range
             ([1e-308] * 3, NonFiniteError),  # the centers pass the float range
             ([1e300, 1e300, 1e-300], NonFiniteError),  # 1e-300 / 2^997 underflows to 0
-            ([1, 1, 1e-300], NonFiniteError),  # the squared center distances overflow
+            ([1, 1, 1e-310], NonFiniteError),  # the third radius passes the float range
             ([-1, 1, 1e9], GeometryError),  # circles 0 and 1 concentric
         ],
     )
@@ -168,40 +178,38 @@ class TestGenerate:
         keys = [(c.depth, c.curvature, c.center[0], c.center[1]) for c in g.circles]
         assert keys == sorted(keys)
         # freeze sorts each depth's run on its own; over the pinned seeds that
-        # is the stable global sort of (depth, k, x, y) keys: the builder's
+        # is the stable global sort of (depth, k, x, y) keys: the working
         # floats on the float path, (depth, K, X*sign K, Y*sign K) on the
         # integer lanes of the exact path
-        builders, freeze = [], soddy.gasket._Builder.freeze
+        frozen, freeze = [], soddy.gasket._freeze
         monkeypatch.setattr(
-            soddy.gasket._Builder, "freeze", lambda b, d: builders.append(b) or freeze(b, d)
+            soddy.gasket, "_freeze", lambda *args: frozen.append(args) or freeze(*args)
         )
         paths = Counter()
         for seed, *_ in PINNED_OUTPUT.values():
             circles = generate(seed, 6).circles
             keys = [(c.depth, c.curvature, c.center[0], c.center[1]) for c in circles]
             assert keys == sorted(keys)
-            lanes = soddy.gasket._exact_lanes(soddy.gasket._seed(seed), 6)
-            paths[lanes is None] += 1
-            if lanes is None:
-                b = builders.pop()
-                full = [(d, k, z.real, z.imag) for d, k, z in zip(b.depths, b.curvatures, b.centers)]
-                curvatures = [math.ldexp(k, b.exp) for k in b.curvatures]
-                parents = b.parents
-            else:
-                ks, xs, ys, scale, depths, parents = lanes
+            placed = soddy.gasket._seed_lanes(soddy.gasket._seed(seed))
+            paths[placed[0]] += 1
+            _, _, depths, parents, key, _, _, curvatures = frozen.pop()
+            if placed[0]:
+                ks, xs, ys, scale, depths, parents = soddy.gasket._exact_lanes(placed, 6)
                 full = [
                     (d, k, x * sign, y * sign)
                     for d, k, x, y in zip(depths, ks, xs, ys)
                     for sign in [1 if k > 0 else -1]
                 ]
                 curvatures = [k / scale for k in ks]
-            assert not builders
+            else:
+                full = [(d, *key(i)) for i, d in enumerate(depths)]
+            assert not frozen
             order = sorted(range(len(full)), key=full.__getitem__)
             new = {old: i for i, old in enumerate(order)}
             assert [(c.curvature, c.parents) for c in circles] == [
                 (curvatures[i], tuple(sorted(new[p] for p in parents[i]))) for i in order
             ]
-        assert paths == {False: 9, True: 2}
+        assert paths == {True: 9, False: 2}
 
     def test_parents_precede_children(self):
         g = generate([-1, 2, 2], 3)
@@ -264,7 +272,7 @@ class TestGenerate:
         for res, k2max in quadruple_residuals(g):
             assert abs(res) <= 1e-9 * k2max
 
-    @pytest.mark.parametrize("scale", [1e-2, 1e-1, 1.0, 1e1, 1e2])
+    @pytest.mark.parametrize("scale", SCALES)
     @pytest.mark.parametrize("order", SEED_ORDERS, ids=lambda o: ",".join(map(str, o)))
     def test_every_seed_order_and_scale(self, order, scale):
         g = generate([k * scale for k in order], 3)
@@ -304,41 +312,29 @@ class TestGenerate:
         assert tangency_error(g, unit=1 / scale) <= 1e-9
 
     def test_nan_fails_placement_and_residual_checks(self, monkeypatch):
-        b, quad = _build_initial((-1.0, 2.0, 2.0))
-        with pytest.raises(GeometryError):
-            b.add(complex(math.nan, 0.0), 15.0, 1, quad[1:])
-        # the partner of circle 0 places cleanly until any one parent turns NaN
-        parents = quad[1:]
-        k = 2.0 * sum(b.curvatures[i] for i in parents) - b.curvatures[0]
-        w = 2.0 * sum(b.ws[i] for i in parents) - b.ws[0]
-        assert b.misfit(w, k, parents) <= 1e-9
-        for values, nan in ((b.centers, complex(math.nan, 0.0)), (b.radii, math.nan)):
+        # the partner of circle 0 of (-1, 2, 2) places cleanly by _misfit, the
+        # float path's check of each new circle, until any one parent or the
+        # new circle itself turns NaN
+        seeds = generate([-1, 2, 2], 0).circles
+        centers = [complex(*c.center) for c in seeds]
+        radii = [c.radius for c in seeds]
+        i0 = next(i for i, c in enumerate(seeds) if c.curvature < 0)
+        parents = tuple(i for i in range(4) if i != i0)
+        k = 2.0 * sum(seeds[i].curvature for i in parents) - seeds[i0].curvature
+        w = 2.0 * sum(centers[i] / radii[i] for i in parents) - centers[i0] / radii[i0]
+        assert _misfit(w / k, 1.0 / k, centers, radii, *parents) <= 1e-9
+        assert math.isnan(_misfit(complex(math.nan, 0.0), 1.0 / k, centers, radii, *parents))
+        for values, nan in ((centers, complex(math.nan, 0.0)), (radii, math.nan)):
             for i in parents:
                 kept, values[i] = values[i], nan
-                with pytest.raises(GeometryError):
-                    b.add(w, k, 1, parents)
+                assert math.isnan(_misfit(w / k, 1.0 / k, centers, radii, *parents))
                 values[i] = kept
-        # the float path checks its new circles itself, not through
-        # _Builder.add; a NaN partner must still fail that check
+        # a NaN partner must fail that check in the expansion loop
         monkeypatch.setattr(
             soddy.gasket, "vieta_partner", lambda k, i: (math.nan,) * len(k.values[i])
         )
         with pytest.raises(GeometryError, match="by nan"):
             generate([1, 1, 1], 1)
-
-    @pytest.mark.parametrize("field", ["centers", "radii"])
-    @pytest.mark.parametrize("slot", [0, 1])
-    def test_nan_fails_the_seed_placement_checks(self, field, slot):
-        # circle 2 is checked against two circles, circle 1 against one; a NaN
-        # in either slot must fail, not only a leading one
-        b, _ = _build_initial((-1.0, 2.0, 2.0))
-        values = getattr(b, field)
-        values[slot] = complex(math.nan, 0.0) if field == "centers" else math.nan
-        with pytest.raises(GeometryError, match=r"misses circles \(0, 1\) by nan"):
-            b.add(b.ws[2], b.curvatures[2], 0, (), touching=(0, 1))
-        if slot == 0:
-            with pytest.raises(GeometryError, match=r"misses circles \(0,\) by nan"):
-                b.add(b.ws[1], b.curvatures[1], 0, (), touching=(0,))
 
     def test_placement_error_reports_the_true_curvature(self):
         # the builder works in units of 2^-1 here, where this circle has curvature 6
@@ -533,7 +529,7 @@ PINNED_OUTPUT = {
     ),
     "1e-1*(3,-2,6)": (
         tuple(k * 1e-1 for k in (3, -2, 6)),
-        "ee857c4d7ad2f925", "e0a726b379b52481", "8b0dadb2cc90eec7",
+        "700f25fa144f9e8c", "4d9ecf4d11ef73ea", "4c4b4831dd6601c0",
     ),
     "1e2*(5,-3,8)": (
         tuple(k * 1e2 for k in (5, -3, 8)),
@@ -578,8 +574,8 @@ def test_seeds_across_the_float_range_generate_or_fail_as_soddy_errors():
         else:
             kinds["ok"] += 1
             digest.update(repr(g).encode())
-    assert kinds == {"ok": 12, "seed": 145, "non-finite": 304, "geometry": 39}
-    assert digest.hexdigest()[:16] == "8b618c469f7cb1d9"
+    assert kinds == {"ok": 57, "seed": 149, "non-finite": 165, "geometry": 129}
+    assert digest.hexdigest()[:16] == "316bb2d6dbe3baf8"
 
 
 @pytest.mark.parametrize(
@@ -593,7 +589,9 @@ def test_exact_tree_keeps_every_tangency(seed):
     # integer lanes to depth 8, in every seed order, since the order decides
     # the side circle 3 takes.  Centers X/K, Y/K and radii L/K touch iff
     # (X_i K_j - X_j K_i)^2 + (Y_i K_j - Y_j K_i)^2 = L^2 (K_i + K_j)^2.
-    ks, xs, ys, scale, depths, parents = soddy.gasket._exact_lanes(soddy.gasket._seed(seed), 8)
+    ks, xs, ys, scale, depths, parents = soddy.gasket._exact_lanes(
+        soddy.gasket._seed_lanes(soddy.gasket._seed(seed)), 8
+    )
 
     def touch(i: int, j: int) -> bool:
         dx, dy = xs[i] * ks[j] - xs[j] * ks[i], ys[i] * ks[j] - ys[j] * ks[i]
@@ -636,3 +634,110 @@ def test_small_negative_coordinates_print_as_zero():
         small += sum(-5e-7 < v / unit < 0 for c in g.circles for v in c.center)
         assert '"-0.000000' not in render_svg(g)
     assert small == 2
+
+
+def _reference(a: Fraction, b: Fraction, d: int) -> float:
+    """a + b*sqrt(d) to 120 digits, then rounded to a float (inf past the range)."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 120
+        ctx.Emax, ctx.Emin = 10**6, -(10**6)
+        dec = decimal.Decimal
+        value = dec(a.numerator) / dec(a.denominator)
+        value += dec(b.numerator) / dec(b.denominator) * dec(d).sqrt()
+        return float(value)
+
+
+def test_rounded_matches_a_120_digit_reference():
+    rng = random.Random(38)
+    cases = []
+    for _ in range(300):  # irrational values, with a and b of either sign and any size
+        d = rng.randint(2, 10**12)
+        d += math.isqrt(d) ** 2 == d
+        a, b = (
+            Fraction(rng.randint(-(10**30), 10**30) or 1, rng.randint(1, 10**20))
+            * Fraction(2) ** rng.randint(-300, 300)
+            for _ in range(2)
+        )
+        cases.append((a, b, d))
+    for _ in range(100):  # a near -b*sqrt(d): the leading digits cancel
+        d = rng.randint(2, 10**12)
+        d += math.isqrt(d) ** 2 == d
+        scale = 10 ** rng.randint(5, 25)
+        cases.append((Fraction(math.isqrt(d * scale * scale), scale), Fraction(-1), d))
+    for _ in range(200):  # rationals on a rounding midpoint, which round to even
+        f = rng.choice((-1, 1)) * math.ldexp(rng.random() + 0.5, rng.randint(-40, 40))
+        mid = (Fraction(f) + Fraction(math.nextafter(f, math.inf))) / 2
+        assert _rounded(mid, 0, rng.randint(0, 100)) == _reference(mid, Fraction(0), 0)
+        assert _rounded(mid, 0, 0) in (f, math.nextafter(f, math.inf))
+    big = Fraction(2**1024) - 2**970  # halfway from the largest float to 2^1024
+    cases += [
+        (big - 2**960, Fraction(0), 0),  # just below: the largest float
+        (Fraction(0), Fraction(2**500), 2**900 + 1),
+        (Fraction(-(2**1000)), Fraction(-(2**520)), 2**960 + 1),
+        (Fraction(1, 2**1080), Fraction(1, 2**1090), 3),  # subnormal
+    ]
+    for a, b, d in cases:
+        assert _rounded(a, b, d) == _reference(a, b, d)
+    for a, b, d in [(big, Fraction(0), 0), (Fraction(0), Fraction(-(2**600)), 2**900 + 1)]:
+        assert math.isinf(_reference(a, b, d))
+        with pytest.raises(NonFiniteError):
+            _rounded(a, b, d)
+
+
+def _placed(seed):
+    return _seed_lanes(_seed(seed))
+
+
+def test_seed_circles_are_exact_or_checked():
+    # in Q(sqrt D) the six seed pairs of every seed whose D is no square
+    # touch exactly; one the double-root rule snaps (s = 0) is within REL_TOL
+    irrational = [*itertools.permutations((1, 1, 1)), *itertools.permutations((2, 3, 7))]
+    snapped, squares = [], 0
+    for seed in GRID:
+        square, _, d, _ = _placed(seed)
+        if square:
+            squares += 1
+        else:
+            (irrational if d else snapped).append(seed)
+    assert (squares, len(irrational), len(snapped)) == (87, 6 + 6 + 24, 24)
+    for seed in irrational:
+        square, _, d, circles = _placed(seed)
+        assert not square and d
+        assert all(_pair_defect(a, b, d) == (0, 0) for a, b in itertools.combinations(circles, 2))
+    for seed in snapped:
+        _, _, d, circles = _placed(seed)
+        for a, b in itertools.combinations(circles, 2):
+            defect, surd = _pair_defect(a, b, d)
+            assert surd == 0 and abs(defect) <= REL_TOL * (a[0][0] + b[0][0]) ** 2
+    # D = +-80,000 is snapped for these seeds, whose double-root circles miss
+    for seed in [(-100000, 100001, 10000180000), (-100000, 100001, 10000020000)]:
+        missed = r"at depth 0 misses circles \(0, 1\) by 3\.200e-05"
+        with pytest.raises(GeometryError, match=missed):
+            generate(seed, 0)
+
+
+def test_tiny_third_curvature_places_until_its_radius_passes_the_float_range():
+    for e in range(154, 324):
+        if e <= 308:
+            circles = generate([1, 1, 10.0**-e], 0).circles
+            values = [v for c in circles for v in (*c.center, c.radius, c.curvature)]
+            assert all(map(math.isfinite, values)), e
+        else:
+            with pytest.raises(NonFiniteError):
+                generate([1, 1, 10.0**-e], 0)
+
+
+def test_wide_ratio_seeds_place_at_depth_0():
+    # |k| log-uniform over 10^+-12, random signs: every seed places, or is no
+    # seed (two negatives, or no tangent circle)
+    rng = random.Random(3812)
+    kinds = Counter()
+    for _ in range(300):
+        seed = [rng.choice((-1, 1)) * 10 ** rng.uniform(-12, 12) for _ in range(3)]
+        try:
+            generate(seed, 0)
+        except SeedError:
+            kinds["seed"] += 1
+        else:
+            kinds["ok"] += 1
+    assert kinds["ok"] > 50
