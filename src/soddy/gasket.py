@@ -19,7 +19,9 @@ vieta_partner call that returns its children's curvatures, each new
 circle is checked against its parents, and its order follows its floats.
 Both paths share one freeze, which orders the gasket by (depth, curvature,
 center): generation is a pure function of (seed, max_depth) and the SVG
-output is byte-reproducible.
+output is byte-reproducible.  A gasket keeps its circles as columns, which
+the SVG and JSON writers read; its ``Circle`` objects are built only when
+``Gasket.circles`` is first read.
 """
 
 from __future__ import annotations
@@ -74,9 +76,18 @@ class Circle(Frozen):
 class Gasket(Frozen):
     """The packing grown from ``seed_curvatures`` (floats, in the order
     given) to ``max_depth``: ``circles`` in canonical order, by depth, then
-    curvature, then center."""
+    curvature, then center.
 
-    __slots__ = __match_args__ = ("circles", "seed_curvatures", "max_depth")
+    The circles are stored as columns (x, y, radius, curvature, depth and
+    parents, one list each), which :func:`render_svg` and
+    :func:`gasket_to_dict` read; ``circles`` is a view of them, built on
+    first read and then kept.  A gasket built from a tuple of circles keeps
+    that tuple as its view and takes its columns from it."""
+
+    __match_args__ = ("circles", "seed_curvatures", "max_depth")
+    __slots__ = (
+        "_circles", "_xs", "_ys", "_radii", "_curvatures", "_depths", "_parents", "seed_curvatures", "max_depth"
+    )
 
     circles: tuple[Circle, ...]
     seed_curvatures: tuple[float, float, float]
@@ -85,9 +96,25 @@ class Gasket(Frozen):
     def __init__(
         self, circles: tuple[Circle, ...], seed_curvatures: tuple[float, float, float], max_depth: int
     ):
-        object.__setattr__(self, "circles", circles)
-        object.__setattr__(self, "seed_curvatures", seed_curvatures)
-        object.__setattr__(self, "max_depth", max_depth)
+        rows = [(c.center[0], c.center[1], c.radius, c.curvature, c.depth, c.parents) for c in circles]
+        columns = [list(column) for column in zip(*rows)] or [[] for _ in range(6)]
+        self._set(circles, *columns, seed_curvatures, max_depth)
+
+    def _set(self, circles, xs, ys, radii, curvatures, depths, parents, seed_curvatures, max_depth) -> Gasket:
+        """Set every slot once; ``circles`` None leaves the view to build."""
+        for name, value in zip(
+            self.__slots__, (circles, xs, ys, radii, curvatures, depths, parents, seed_curvatures, max_depth)
+        ):
+            object.__setattr__(self, name, value)
+        return self
+
+    @property
+    def circles(self) -> tuple[Circle, ...]:
+        if self._circles is None:
+            centers = zip(self._xs, self._ys)
+            circles = map(Circle, centers, self._radii, self._curvatures, self._depths, self._parents)
+            object.__setattr__(self, "_circles", tuple(circles))
+        return self._circles
 
     def enclosing(self) -> Circle | None:
         for c in self.circles:
@@ -112,30 +139,30 @@ def _misfit(center, radius, centers, radii, i, j, k) -> float:
     return max(ei, ej, ek) / max(ti, tj, tk)
 
 
-def _freeze(seed, max_depth, depths, parents, key, centers, radii, curvatures) -> Gasket:
+def _freeze(seed, max_depth, depths, parents, key, xs, ys, radii, curvatures) -> Gasket:
     """The gasket of circles given in generation order, canonically ordered.
 
     ``key(i)`` orders circle i among those of its depth as (curvature, x, y)
-    does; ``centers``, ``radii`` and ``curvatures`` are the output floats.
+    does; ``xs``, ``ys``, ``radii`` and ``curvatures`` are the output floats.
     """
     # Generation is breadth-first, so each depth is one contiguous run and
     # sorting the runs one by one on their keys gives the order of one global
-    # sort on (depth, key); stable, so exact ties keep generation order.
+    # sort on (depth, key); stable, so exact ties keep generation order.  Each
+    # run keeps its place, so the depths need no reordering.
     ends = [depths.index(d) for d in range(1, depths[-1] + 1)] + [len(depths)]
     order, start = [], 0
     for end in ends:
         order += sorted(range(start, end), key=key)
         start = end
-    del key  # the keys are freed before the circles are built
+    del key  # the keys are freed before the columns are reordered
     remap = [0] * len(order)
     for new, old in enumerate(order):
         remap[old] = new
     # A circle has three parents or none; three are remapped and ordered by
     # compare-and-swap, cheaper than sorted().
-    circles = []
-    append = circles.append
-    for i in order:
-        p = parents[i]
+    ordered = []
+    append = ordered.append
+    for p in map(parents.__getitem__, order):
         if p:
             a, b, c = p
             a, b, c = remap[a], remap[b], remap[c]
@@ -146,8 +173,9 @@ def _freeze(seed, max_depth, depths, parents, key, centers, radii, curvatures) -
                 if a > b:
                     a, b = b, a
             p = (a, b, c)
-        append(Circle(centers[i], radii[i], curvatures[i], depths[i], p))
-    return Gasket(circles=tuple(circles), seed_curvatures=seed, max_depth=max_depth)
+        append(p)
+    columns = [list(map(column.__getitem__, order)) for column in (xs, ys, radii, curvatures)]
+    return object.__new__(Gasket)._set(None, *columns, depths, ordered, seed, max_depth)
 
 
 def _seed(seed) -> tuple[float, float, float]:
@@ -317,15 +345,16 @@ def _float_gasket(seed, placed, max_depth: int) -> Gasket:
         curvatures = [math.ldexp(k, exp) for k in ks]
         radii = [1.0 / k for k in curvatures]
         # + 0.0 keeps negative zeros out of the output
-        scaled = [(w.real / k + 0.0, w.imag / k + 0.0) for w, k in zip(ws, curvatures)]
+        xs = [w.real / k + 0.0 for w, k in zip(ws, curvatures)]
+        ys = [w.imag / k + 0.0 for w, k in zip(ws, curvatures)]
     except (OverflowError, ZeroDivisionError):
         raise NonFiniteError(_PAST_FLOAT_RANGE) from None
-    if math.inf in map(abs, chain(radii, *scaled)):
+    if math.inf in map(abs, chain(radii, xs, ys)):
         raise NonFiniteError(_PAST_FLOAT_RANGE)
     return _freeze(
         seed, max_depth, depths, parents,
         [(k, z.real, z.imag) for k, z in zip(ks, centers)].__getitem__,
-        scaled, radii, curvatures,
+        xs, ys, radii, curvatures,
     )
 
 
@@ -419,13 +448,13 @@ def generate(seed, max_depth: int) -> Gasket:
     for i in [i for i, k in enumerate(ks) if k < 0]:
         xs[i], ys[i] = -xs[i], -ys[i]
     try:
-        centers = list(zip(map(truediv, xs, size), map(truediv, ys, size)))
+        out_xs, out_ys = list(map(truediv, xs, size)), list(map(truediv, ys, size))
         radii = list(map(truediv, repeat(scale), ks))
         curvatures = list(map(truediv, ks, repeat(scale)))
     except OverflowError:
         raise NonFiniteError(_PAST_FLOAT_RANGE) from None
     return _freeze(
-        seed, max_depth, depths, parents, list(zip(ks, xs, ys)).__getitem__, centers, radii, curvatures
+        seed, max_depth, depths, parents, list(zip(ks, xs, ys)).__getitem__, out_xs, out_ys, radii, curvatures
     )
 
 
@@ -439,16 +468,11 @@ def render_svg(g: Gasket) -> str:
     in canonical order, drawn in units of the largest radius with coordinates
     fixed at six decimals, so the picture reads the same at every scale.
     Negative-radius (enclosing) circles render as unfilled outlines."""
-    if not g.circles:
+    xs, ys, palette = g._xs, g._ys, _SVG_PALETTE
+    if not xs:
         raise ValidationError("cannot render an empty gasket")
-    xs, ys, rs, fills, palette = [], [], [], [], _SVG_PALETTE
-    for c in g.circles:
-        x, y = c.center
-        r = c.radius
-        xs.append(x)
-        ys.append(y)
-        rs.append(abs(r))
-        fills.append("none" if r < 0 else palette[c.depth % len(palette)])
+    rs = list(map(abs, g._radii))
+    fills = ["none" if r < 0 else palette[d % len(palette)] for r, d in zip(g._radii, g._depths)]
     unit = max(rs)
     xmin = min(map(sub, xs, rs)) / unit
     xmax = max(map(add, xs, rs)) / unit
@@ -480,13 +504,7 @@ def gasket_to_dict(g: Gasket) -> dict:
         "seed": list(g.seed_curvatures),
         "max_depth": g.max_depth,
         "circles": [
-            {
-                "center": [c.center[0], c.center[1]],
-                "radius": c.radius,
-                "curvature": c.curvature,
-                "depth": c.depth,
-                "parents": list(c.parents),
-            }
-            for c in g.circles
+            {"center": [x, y], "radius": r, "curvature": k, "depth": d, "parents": list(p)}
+            for x, y, r, k, d, p in zip(g._xs, g._ys, g._radii, g._curvatures, g._depths, g._parents)
         ],
     }

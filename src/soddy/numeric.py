@@ -270,9 +270,10 @@ class Frozen:
     Instances are equal, hashed, printed and pickled by those fields, in
     order, as a frozen dataclass is, with no ``dataclasses`` import.  A
     subclass lists its fields in ``__match_args__``, and in ``__slots__``
-    unless it keeps a ``__dict__``; its ``__init__`` sets each once, with
-    ``object.__setattr__`` or one ``__dict__`` write.  Any other setting or
-    deleting raises ``dataclasses.FrozenInstanceError``, imported then.
+    unless it keeps a ``__dict__`` or serves the field by a property; its
+    ``__init__`` sets each once, with ``object.__setattr__`` or one
+    ``__dict__`` write.  Any other setting or deleting raises
+    ``dataclasses.FrozenInstanceError``, imported then.
     ``__reduce__`` rebuilds a copy or unpickled value through ``__init__``,
     which a slots class's default, that sets each slot on a bare object,
     cannot do here; ``__replace__`` serves ``copy.replace``.  The dataclass

@@ -69,3 +69,13 @@ def pytest_runtest_makereport(item, call):
     outcome = yield
     report = outcome.get_result()
     setattr(item, "rep_" + report.when, report)
+
+
+@pytest.fixture
+def circles_built(monkeypatch) -> list:
+    """The arguments of each ``Circle`` built while the test runs."""
+    from soddy.gasket import Circle
+
+    built, init = [], Circle.__init__
+    monkeypatch.setattr(Circle, "__init__", lambda self, *a, **kw: built.append(a) or init(self, *a, **kw))
+    return built

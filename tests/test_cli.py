@@ -686,6 +686,20 @@ class TestGasket:
             assert code == 0 and len(json.loads(out)["result"]["circles"]) == 4
         assert depths == list(range(11))
 
+    def test_json_file_matches_golden(self, call, tmp_path):
+        path = tmp_path / "out.json"
+        code, _, _ = call(["gasket", "--seed", "-1,2,2", "--depth", "3", "--json", str(path)])
+        assert code == 0
+        assert path.read_bytes() == (GOLDEN / "gasket_m1_2_2_depth3.json").read_bytes()
+
+    @pytest.mark.parametrize("flags", [[], ["--svg"], ["--json"], ["--svg", "--json"]])
+    def test_builds_no_circle(self, call, circles_built, tmp_path, flags):
+        paths = [arg for flag in flags for arg in (flag, str(tmp_path / flag.strip("-")))]
+        code, out, _ = call(["gasket", "--seed", "-1,2,2", "--depth", "4", *paths])
+        assert code == 0 and circles_built == []
+        result = json.loads(out)["result"]
+        assert (result["circles"] if flags else len(result["circles"])) == 2 * 3**4 + 2
+
     @pytest.mark.parametrize("flag", ["--svg", "--json"])
     def test_unwritable_path_is_named(self, call, tmp_path, flag):
         path = str(tmp_path / "no-such-dir" / "out")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import decimal
 import hashlib
@@ -192,7 +193,7 @@ class TestGenerate:
             assert keys == sorted(keys)
             placed = soddy.gasket._seed_lanes(soddy.gasket._seed(seed))
             paths[placed[0]] += 1
-            _, _, depths, parents, key, _, _, curvatures = frozen.pop()
+            _, _, depths, parents, key, _, _, _, curvatures = frozen.pop()
             if placed[0]:
                 ks, xs, ys, scale, depths, parents = soddy.gasket._exact_lanes(placed, 6)
                 full = [
@@ -550,6 +551,69 @@ def test_output_is_pinned(name):
     g = generate(seed, 6)
     texts = (repr(g), render_svg(g), json.dumps(gasket_to_dict(g)))
     assert [hashlib.sha256(t.encode()).hexdigest()[:16] for t in texts] == want
+
+
+@pytest.mark.parametrize("name", PINNED_OUTPUT)
+def test_columns_write_the_pinned_output(name):
+    # test_output_is_pinned reads repr(g) first, which builds g.circles; here
+    # the SVG and JSON come from a fresh gasket's columns alone
+    seed, _, *want = PINNED_OUTPUT[name]
+    g = generate(seed, 6)
+    texts = (render_svg(g), json.dumps(gasket_to_dict(g)), json.dumps(gasket_to_dict(g), indent=2))
+    assert g._circles is None
+    assert [hashlib.sha256(t.encode()).hexdigest()[:16] for t in texts[:2]] == want
+    circles = [
+        {"center": [c.center[0], c.center[1]], "radius": c.radius, "curvature": c.curvature,
+         "depth": c.depth, "parents": list(c.parents)}
+        for c in g.circles
+    ]
+    written = {"seed": list(g.seed_curvatures), "max_depth": g.max_depth, "circles": circles}
+    assert texts[2] == json.dumps(written, indent=2)
+
+
+@pytest.mark.parametrize("seed", [(-1, 2, 2), (1, 1, 1)], ids=["exact", "float"])
+def test_output_path_builds_no_circle(circles_built, seed):
+    g = generate(seed, 4)
+    render_svg(g)
+    json.dumps(gasket_to_dict(g))
+    json.dumps(gasket_to_dict(g), indent=2)
+    assert circles_built == []
+    # the first read builds every circle once, and later reads return them
+    circles = g.circles
+    assert g.circles is circles and len(circles_built) == len(circles) == 2 * 3**4 + 2
+
+
+@pytest.mark.parametrize("seed", [(-1, 2, 2), (1, 1, 1)], ids=["exact", "float"])
+def test_a_gasket_built_from_its_circles_is_the_same_value(seed):
+    g = generate(seed, 4)
+    svg, text = render_svg(g), json.dumps(gasket_to_dict(g))
+    again = Gasket(g.circles, g.seed_curvatures, g.max_depth)
+    assert again == g and hash(again) == hash(g) and repr(again) == repr(g)
+    assert again.circles is g.circles
+    assert render_svg(again) == svg and json.dumps(gasket_to_dict(again)) == text
+    # a replaced circle tuple is what the gasket draws and writes
+    circles = list(g.circles)
+    c = circles[100]
+    circles[100] = dataclasses.replace(c, center=(c.center[0] - 1e-3 * g.enclosing().radius, c.center[1]))
+    moved = dataclasses.replace(g, circles=tuple(circles))
+    assert moved.circles == tuple(circles) and moved != g
+    rows, moved_rows = svg.splitlines(), render_svg(moved).splitlines()
+    assert [i for i, (a, b) in enumerate(zip(rows, moved_rows)) if a != b] == [2 + 100]
+    entries, moved_entries = gasket_to_dict(g)["circles"], gasket_to_dict(moved)["circles"]
+    assert [i for i, (a, b) in enumerate(zip(entries, moved_entries)) if a != b] == [100]
+    assert moved_entries[100]["center"] == list(circles[100].center)
+    # a gasket whose circles were never read copies and unpickles as the same value
+    for copied in (pickle.loads(pickle.dumps(generate(seed, 4))), copy.deepcopy(generate(seed, 4))):
+        assert copied == g and hash(copied) == hash(g) and repr(copied) == repr(g)
+        assert render_svg(copied) == svg and json.dumps(gasket_to_dict(copied)) == text
+
+
+@pytest.mark.skipif(sys.version_info < (3, 13), reason="copy.replace is new in Python 3.13")
+def test_copy_replace_of_a_gasket():
+    g = generate([-1, 2, 2], 3)
+    assert copy.replace(generate([-1, 2, 2], 3)) == g
+    head = copy.replace(g, circles=g.circles[:4], max_depth=0)
+    assert head == generate([-1, 2, 2], 0) and render_svg(head) == render_svg(generate([-1, 2, 2], 0))
 
 
 def test_seeds_across_the_float_range_generate_or_fail_as_soddy_errors():
