@@ -8,7 +8,10 @@ takes no square root and integer seeds keep integer curvatures.
 
 One function places the four seed circles of every seed exactly: with
 D = k0*k1 + k1*k2 + k2*k0 at the seed's binary values, each k and w is
-a + b*sqrt(D) for rationals a, b.  Two paths grow the tree from them.  A
+a + b*sqrt(D) for rationals a, b.  Two paths grow the tree from them, by
+one walk: depth by depth, circle n closes the quadruple (*parents[n], n),
+which spawns one child across each of its parents; circle 3 closes the
+seed quadruple (0, 1, 2, 3), which also spawns one across circle 3.  A
 seed whose D is a rational square >= 0 (every integer seed among them)
 grows on integer lanes (K, X, Y): by the theorem each child touches its
 parents, so nothing is checked or needs a tolerance; each output float is
@@ -29,7 +32,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import chain, repeat
-from operator import add, index, itemgetter, sub, truediv
+from operator import add, index, sub, truediv
 
 from .errors import GeometryError, NonFiniteError, SeedError, ValidationError
 from .numeric import FLOAT, REL_TOL, Frozen, as_float
@@ -37,9 +40,6 @@ from .tangency import Curvatures, _double_root, _validated, vieta_partner
 
 #: Hard output-size guard on the expansion depth.
 MAX_DEPTH = 12
-
-#: The three members of a quadruple other than the one at position 0, 1, 2, 3.
-_OTHERS = tuple(itemgetter(*(j for j in range(4) if j != pos)) for pos in range(4))
 
 #: The error text for output values past the float range.
 _PAST_FLOAT_RANGE = "gasket values pass the float range at this seed scale"
@@ -311,35 +311,33 @@ def _float_gasket(seed, placed, max_depth: int) -> Gasket:
     centers = [w / k for w, k in zip(ws, ks)]
     radii = [1.0 / k for k in ks]
     depths, parents = [0] * 4, [(), (), (), (0, 1, 2)]
-    # the root spawns across all four members, a child not back across its last (new) circle
-    level, spawn = [(0, 1, 2, 3)], 4
+    start = 3
     for depth in range(1, max_depth + 1):
-        children = []
-        for quad in level:
-            i0, i1, i2, i3 = quad
-            k0, k1, k2, k3 = ks[i0], ks[i1], ks[i2], ks[i3]
+        end = len(ws)
+        for n in range(start, end):
+            i0, i1, i2 = parents[n]
+            k0, k1, k2, k3 = ks[i0], ks[i1], ks[i2], ks[n]
+            w0, w1, w2, w3 = ws[i0], ws[i1], ws[i2], ws[n]
             kq = Curvatures((k0, k1, k2, k3), 2, FLOAT)
             floor = 1e-12 * max(abs(k0), abs(k1), abs(k2), abs(k3))
-            w_sum = ws[i0] + ws[i1] + ws[i2] + ws[i3]
-            for k_new, i_pos, others in zip(vieta_partner(kq, slice(spawn)), quad, _OTHERS):
-                triple = others(quad)
+            w_sum = w0 + w1 + w2 + w3
+            triples = ((i1, i2, n), (i0, i2, n), (i0, i1, n), (i0, i1, i2))
+            spawned = vieta_partner(kq, slice(4 if n == 3 else 3))  # the seed quadruple: all four
+            for k_new, w_pos, triple in zip(spawned, (w0, w1, w2, w3), triples):
                 if abs(k_new) < floor:
                     raise _zero_curvature(depth, triple)
-                w_pos = ws[i_pos]
                 w = 2.0 * (w_sum - w_pos) - w_pos
                 center, radius = w / k_new, 1.0 / k_new
                 # not <=, so that a NaN error fails the check
                 if not (err := _misfit(center, radius, centers, radii, *triple)) <= REL_TOL:
                     raise _missed(k_new, exp, depth, triple, err)
-                if depth < max_depth:  # leaf quadruples spawn nothing
-                    children.append((*triple, len(ws)))
                 ws.append(w)
                 centers.append(center)
                 radii.append(radius)
                 ks.append(k_new)
                 depths.append(depth)
                 parents.append(triple)
-        level, spawn = children, 3
+        start = end
     # outputs from k and w, as a working radius may pass the float range
     try:
         curvatures = [math.ldexp(k, exp) for k in ks]
@@ -371,8 +369,9 @@ def _exact_lanes(placed, max_depth: int):
     so with L = u*b a circle's center is (X/K, Y/K), its radius L/K and its
     curvature K/L.  A child is 2*(sum of its quadruple) - 3*(the circle it
     reflects), lane by lane: tangent by the Descartes theorem, so no circle
-    is checked.  Returns (K, X, Y, L, depths, parents), lists in generation
-    order, the order the float path grows in."""
+    is checked.  The walk is the float path's: circle n closes (*parents[n],
+    n), and circle 3 the seed quadruple, which also spawns across circle 3.
+    Returns (K, X, Y, L, depths, parents), lists in generation order."""
     _, c, _, circles = placed
     a, b = c.as_integer_ratio()
     u = math.lcm(*(v.denominator for _, (x, _), (y, _) in circles for v in (x, y)))
@@ -380,21 +379,9 @@ def _exact_lanes(placed, max_depth: int):
     xs = [int(x * u) * b for _, (x, _), _ in circles]
     ys = [int(y * u) * b for _, _, (y, _) in circles]
     depths, parents = [0] * 4, [(), (), (), (0, 1, 2)]
-    if max_depth:  # the root quadruple spawns across all four of its circles
-        for lane in (ks, xs, ys):
-            total = 2 * (lane[0] + lane[1] + lane[2] + lane[3])
-            lane += [total - 3 * v for v in lane]
-        parents += [(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)]
-    start = 4
+    start = 3
     for depth in range(1, max_depth + 1):
         end = len(ks)
-        if 0 in ks[start:]:
-            raise _zero_curvature(depth, parents[ks.index(0, start)])
-        depths += [depth] * (end - start)
-        if depth == max_depth:  # leaf quadruples spawn nothing
-            break
-        # circle n of this depth closes the quadruple (*parents[n], n), which
-        # spawns across each of its parents, not back across n
         for n in range(start, end):
             i0, i1, i2 = parents[n]
             k0, k1, k2, k3 = ks[i0], ks[i1], ks[i2], ks[n]
@@ -405,6 +392,14 @@ def _exact_lanes(placed, max_depth: int):
             xs += (x - 3 * x0, x - 3 * x1, x - 3 * x2)
             ys += (y - 3 * y0, y - 3 * y1, y - 3 * y2)
             parents += ((i1, i2, n), (i0, i2, n), (i0, i1, n))
+            if n == 3:  # the seed quadruple spawns across circle 3 too
+                ks.append(k - 3 * k3)
+                xs.append(x - 3 * x3)
+                ys.append(y - 3 * y3)
+                parents.append((i0, i1, i2))
+        if 0 in ks[end:]:
+            raise _zero_curvature(depth, parents[ks.index(0, end)])
+        depths += [depth] * (len(ks) - end)
         start = end
     return ks, xs, ys, u * b, depths, parents
 
@@ -458,11 +453,6 @@ def generate(seed, max_depth: int) -> Gasket:
     )
 
 
-def _fmt(value: float) -> str:
-    text = f"{value:.6f}"
-    return "0.000000" if text == "-0.000000" else text
-
-
 def render_svg(g: Gasket) -> str:
     """Deterministic SVG 1.1 document: one circle element per packed circle,
     in canonical order, drawn in units of the largest radius with coordinates
@@ -482,20 +472,21 @@ def render_svg(g: Gasket) -> str:
     vx, vy = xmin - pad, ymin - pad
     vw, vh = (xmax - xmin) + 2 * pad, (ymax - ymin) + 2 * pad
     height = max(1, round(_SVG_WIDTH * vh / vw))
-    tail = f'stroke="{_SVG_STROKE}" stroke-width="{_fmt(vw / _SVG_WIDTH)}"/>'
+    tail = f'stroke="{_SVG_STROKE}" stroke-width="{vw / _SVG_WIDTH:.6f}"/>'
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{_SVG_WIDTH}" height="{height}" '
-        f'viewBox="{_fmt(vx)} {_fmt(vy)} {_fmt(vw)} {_fmt(vh)}">',
+        f'viewBox="{vx:.6f} {vy:.6f} {vw:.6f} {vh:.6f}">',
     ]
     row = f'  <circle cx="%.6f" cy="%.6f" r="%.6f" fill="%s" {tail}'
     lines.extend(
         row % (x / unit, y / unit, r / unit, fill) for x, y, r, fill in zip(xs, ys, rs, fills)
     )
     lines.append("</svg>")
-    # a coordinate in (-5e-7, 0) prints as -0.000000 here; _fmt writes 0.000000
-    return ("\n".join(lines) + "\n").replace('="-0.000000"', '="0.000000"')
+    # a value in (-5e-7, 0) prints as -0.000000; every value has six
+    # decimals, so this string is always a whole value, written 0.000000
+    return ("\n".join(lines) + "\n").replace("-0.000000", "0.000000")
 
 
 def gasket_to_dict(g: Gasket) -> dict:

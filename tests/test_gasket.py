@@ -689,6 +689,11 @@ def test_small_negative_coordinates_print_as_zero():
     svg = render_svg(Gasket(circles=circles, seed_curvatures=(-0.5, 1.0, 1.0), max_depth=0))
     assert '<circle cx="0.000000" cy="0.000000" r="0.500000"' in svg
     assert "-0.000000" not in svg
+    # here the viewBox's x, about -1e-7, is the value in (-5e-7, 0)
+    circles = (Circle((2.08 - 2e-7, 0.0), -2.0, -0.5, 0, ()), Circle((2.08, 0.5), 0.5, 2.0, 0, ()))
+    svg = render_svg(Gasket(circles=circles, seed_curvatures=(-0.5, 2.0, 2.0), max_depth=0))
+    assert 'viewBox="0.000000 ' in svg
+    assert "-0.000000" not in svg
     # the pinned seeds draw 2 such coordinates at depth 6 (both from the float
     # path's 1e-1*(3,-2,6)), and none as -0.000000
     small = 0
